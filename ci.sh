@@ -29,6 +29,19 @@ echo "==> cargo test"
 # what `cargo test` uses, so the whole suite runs with them on.
 cargo test -q --workspace
 
+echo "==> cargo test --release (ch_invariant! checks opted back in)"
+# Release codegen, as every benchmark and artifact run builds it, with the
+# documented `debug-invariants` opt-in so the invariant corruption tests
+# still fire. Index arithmetic can behave differently under optimization.
+cargo test --release -q --workspace --features ch-sim/debug-invariants
+
+echo "==> benchmark package (build + tests)"
+# The benchmark is a cargo workspace of its own that calls ch-attack and
+# ch-arc APIs directly: an API change that breaks it fails here, not in
+# the next benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
+  --manifest-path benchmark/Cargo.toml
+
 echo "==> fleet smoke (tiny fig5 campaign: serial, 2 jobs, cached rerun)"
 # End-to-end check of the campaign engine through a real binary: a tiny
 # Fig. 5 campaign runs serial (the speedup reference), fresh at 2 jobs

@@ -301,10 +301,11 @@ impl Attacker for CityHunter {
             &mut self.scratch.select,
             &mut self.scratch.picked,
         );
+        if self.config.untried_tracking {
+            let burst = self.scratch.picked.iter().map(|&(id, _)| id);
+            self.tracker.mark_burst(client, burst);
+        }
         for &(id, lane) in &self.scratch.picked {
-            if self.config.untried_tracking {
-                self.tracker.mark_sent(client, id);
-            }
             let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
             // resolve() hands back an Arc; the clone is a refcount bump,
             // the sanctioned lure handoff.

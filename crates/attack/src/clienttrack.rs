@@ -5,19 +5,56 @@
 //! list for each of them." We store the complement — the set already
 //! *sent* per MAC — which is equivalent and much smaller.
 //!
-//! SSIDs are tracked as interned [`SsidId`]s: membership tests hash a u32
-//! instead of a string, and the untried filter dedups through an
-//! [`EpochSet`] in O(1) per candidate rather than scanning the picked list.
+//! SSIDs are interned [`SsidId`]s, dense per database, so each client's
+//! sent set is a bitset over id indices: the untried filter makes one map
+//! lookup per probe and then one word test per candidate, and a burst is
+//! marked with one lookup. Duplicate candidates collapse through an
+//! [`EpochSet`].
 
 use ch_arc::EpochSet;
-use ch_sim::{DetHashMap, DetHashSet};
+use ch_sim::DetHashMap;
 
-use ch_wifi::{MacAddr, SsidId};
+use ch_wifi::{MacAddr, SsidId, SsidInterner};
+
+/// One client's sent set: bit `i % 64` of word `i / 64` stands for id
+/// index `i`. It grows to the highest id marked.
+#[derive(Debug, Clone, Default)]
+struct SentSet(Vec<u64>);
+
+impl SentSet {
+    fn contains(&self, id: SsidId) -> bool {
+        let i = id.index();
+        self.0
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, id: SsidId) {
+        let i = id.index();
+        if self.0.len() <= i / 64 {
+            self.0.resize(i / 64 + 1, 0);
+        }
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
+    /// The id indices in the set, ascending.
+    fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 == 1)
+                .map(move |bit| w * 64 + bit)
+        })
+    }
+}
 
 /// Tracks which SSIDs have been sent to which client.
 #[derive(Debug, Clone, Default)]
 pub struct ClientTracker {
-    sent: DetHashMap<MacAddr, DetHashSet<SsidId>>,
+    sent: DetHashMap<MacAddr, SentSet>,
 }
 
 impl ClientTracker {
@@ -33,19 +70,27 @@ impl ClientTracker {
 
     /// How many SSIDs have been sent to `client` so far.
     pub fn sent_count(&self, client: MacAddr) -> usize {
-        self.sent.get(&client).map_or(0, DetHashSet::len)
+        self.sent.get(&client).map_or(0, SentSet::len)
     }
 
     /// `true` if `ssid` was already sent to `client`.
     pub fn was_sent(&self, client: MacAddr, ssid: SsidId) -> bool {
-        self.sent
-            .get(&client)
-            .is_some_and(|set| set.contains(&ssid))
+        self.sent.get(&client).is_some_and(|set| set.contains(ssid))
     }
 
     /// Records that `ssid` has been sent to `client`.
     pub fn mark_sent(&mut self, client: MacAddr, ssid: SsidId) {
-        self.sent.entry(client).or_default().insert(ssid);
+        self.mark_burst(client, [ssid]);
+    }
+
+    /// Records a whole burst sent to `client` with one map lookup. An empty
+    /// burst leaves no record.
+    pub fn mark_burst(&mut self, client: MacAddr, ssids: impl IntoIterator<Item = SsidId>) {
+        let mut ssids = ssids.into_iter().peekable();
+        if ssids.peek().is_some() {
+            let set = self.sent.entry(client).or_default();
+            ssids.for_each(|ssid| set.insert(ssid));
+        }
     }
 
     /// Filters `candidates` down to those not yet sent to `client`,
@@ -81,7 +126,7 @@ impl ClientTracker {
             if out.len() >= limit {
                 break;
             }
-            let already = sent.is_some_and(|set| set.contains(&ssid));
+            let already = sent.is_some_and(|set| set.contains(ssid));
             if !already && seen.insert(ssid.index()) {
                 out.push(ssid);
             }
@@ -94,17 +139,17 @@ impl ClientTracker {
     }
 
     /// The full sent-map as a deterministically ordered list (clients by
-    /// MAC, SSIDs by interner index) — the checkpoint export. Nothing
+    /// MAC, SSIDs by interner index) — the checkpoint export. Bit positions
+    /// map back to ids through `interner`, the database's. Nothing
     /// downstream iterates the tracker's internals, so restoring through
-    /// [`ClientTracker::mark_sent`] is behaviourally exact.
-    pub fn export_sorted(&self) -> Vec<(MacAddr, Vec<SsidId>)> {
+    /// [`ClientTracker::restore`] is behaviourally exact.
+    pub fn export_sorted(&self, interner: &SsidInterner) -> Vec<(MacAddr, Vec<SsidId>)> {
         let mut entries: Vec<(MacAddr, Vec<SsidId>)> = self
             .sent
             .iter()
             .map(|(mac, set)| {
-                let mut ids: Vec<SsidId> = set.iter().copied().collect();
-                ids.sort_unstable_by_key(|id| id.index());
-                (*mac, ids)
+                let ids = set.indices().filter_map(|i| interner.id_at(i));
+                (*mac, ids.collect())
             })
             .collect();
         entries.sort_by_key(|(mac, _)| mac.octets());
@@ -115,9 +160,7 @@ impl ClientTracker {
     pub fn restore(&mut self, entries: Vec<(MacAddr, Vec<SsidId>)>) {
         self.sent.clear();
         for (mac, ids) in entries {
-            for id in ids {
-                self.mark_sent(mac, id);
-            }
+            self.mark_burst(mac, ids);
         }
     }
 }

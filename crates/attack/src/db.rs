@@ -4,14 +4,14 @@
 //! the heat-ranked WiGLE seed, then bumped by online events), hit
 //! statistics, and the freshness timestamp the FB runs on.
 //!
-//! The database owns a [`SsidInterner`] and keys everything by [`SsidId`]:
-//! the ranking caches are `Vec<SsidId>` rebuilt in place (no per-call
-//! clones — the old API returned `Vec<Ssid>` by clone on every freshness
-//! query), and the buffers downstream dedup ids instead of comparing
-//! strings. [`Ssid`] remains the validated boundary type: it enters via the
-//! seed/observe calls and leaves via [`SsidDatabase::resolve`].
+//! The database owns a private [`SsidInterner`] and a record for every id
+//! it interns, so [`SsidId`]s index a dense entry table. Both rankings are
+//! kept sorted on write (the write moves only the id whose key changed),
+//! so the broadcast path reads them as plain borrows. [`Ssid`] remains the
+//! validated boundary type: it enters via the seed/observe calls and
+//! leaves via [`SsidDatabase::resolve`].
 
-use ch_sim::DetHashMap;
+use std::cmp::Ordering;
 
 use ch_sim::SimTime;
 use ch_wifi::{Ssid, SsidId, SsidInterner};
@@ -46,18 +46,74 @@ pub struct DbEntry {
     pub added_at: SimTime,
 }
 
+impl DbEntry {
+    /// A record with no hits yet.
+    fn new(weight: f64, source: LureSource, added_at: SimTime) -> Self {
+        DbEntry {
+            weight,
+            source,
+            hits: 0,
+            last_hit: None,
+            added_at,
+        }
+    }
+}
+
 /// The attacker's SSID database.
 #[derive(Debug, Clone, Default)]
 pub struct SsidDatabase {
     interner: SsidInterner,
-    entries: DetHashMap<SsidId, DbEntry>,
-    /// Cached weight-descending order; rebuilt lazily, in place.
+    /// The record of every interned id, at `id.index()`.
+    entries: Vec<DbEntry>,
+    /// Every id, in [`by_weight`] order.
     ranked: Vec<SsidId>,
-    ranked_dirty: bool,
-    /// Cached freshness order (most recent hit first); rebuilt lazily.
+    /// Every id with a hit, in [`by_recency`] order.
     fresh: Vec<SsidId>,
-    fresh_dirty: bool,
-    fresh_scratch: Vec<(SimTime, SsidId)>,
+}
+
+/// A ranking's order: `Less` when `a` ranks ahead of `b`. Both orders are
+/// strict total orders over distinct names, so a list kept sorted on write
+/// equals a full sort element for element.
+type Order = fn(&[DbEntry], &SsidInterner, SsidId, SsidId) -> Ordering;
+
+/// Weight descending (`total_cmp`), then name.
+fn by_weight(entries: &[DbEntry], interner: &SsidInterner, a: SsidId, b: SsidId) -> Ordering {
+    let weight = |id: SsidId| entries[id.index()].weight;
+    weight(b)
+        .total_cmp(&weight(a))
+        .then_with(|| interner.resolve(a).cmp(interner.resolve(b)))
+}
+
+/// Last hit descending, then name.
+fn by_recency(entries: &[DbEntry], interner: &SsidInterner, a: SsidId, b: SsidId) -> Ordering {
+    let last_hit = |id: SsidId| entries[id.index()].last_hit;
+    last_hit(b)
+        .cmp(&last_hit(a))
+        .then_with(|| interner.resolve(a).cmp(interner.resolve(b)))
+}
+
+/// One slice move in a sorted list: the id at `from` (if any) leaves and
+/// `to` (if any) enters where `before` stops holding. A move searches the
+/// side of `from` its left neighbour points to, then rotates that run.
+fn move_in(
+    order: &mut Vec<SsidId>,
+    from: Option<usize>,
+    to: Option<SsidId>,
+    before: impl Fn(&SsidId) -> bool,
+) {
+    match (from, to) {
+        (None, Some(id)) => order.insert(order.partition_point(before), id),
+        (Some(from), None) => _ = order.remove(from),
+        (Some(from), Some(_)) if from > 0 && !before(&order[from - 1]) => {
+            let to = order[..from].partition_point(before);
+            order[to..=from].rotate_right(1);
+        }
+        (Some(from), Some(_)) => {
+            let to = from + order[from + 1..].partition_point(before);
+            order[from..=to].rotate_left(1);
+        }
+        (None, None) => {}
+    }
 }
 
 impl SsidDatabase {
@@ -84,9 +140,7 @@ impl SsidDatabase {
 
     /// The id of `ssid`, if it is known.
     pub fn id_of(&self, ssid: &Ssid) -> Option<SsidId> {
-        self.interner
-            .get(ssid)
-            .filter(|id| self.entries.contains_key(id))
+        self.interner.get(ssid)
     }
 
     /// Resolves a database id back to its SSID.
@@ -96,17 +150,17 @@ impl SsidDatabase {
 
     /// The record for `ssid`.
     pub fn entry(&self, ssid: &Ssid) -> Option<&DbEntry> {
-        self.interner.get(ssid).and_then(|id| self.entries.get(&id))
+        self.id_of(ssid).and_then(|id| self.entry_by_id(id))
     }
 
     /// The record for an interned id.
     pub fn entry_by_id(&self, id: SsidId) -> Option<&DbEntry> {
-        self.entries.get(&id)
+        self.entries.get(id.index())
     }
 
     /// The provenance of an interned id (hot-path lookup; never allocates).
     pub fn source_of(&self, id: SsidId) -> Option<LureSource> {
-        self.entries.get(&id).map(|e| e.source)
+        self.entry_by_id(id).map(|e| e.source)
     }
 
     /// `true` if `ssid` is known.
@@ -117,51 +171,21 @@ impl SsidDatabase {
     /// Seeds an SSID from the WiGLE ranking with an explicit rank weight.
     /// Existing entries keep the larger weight.
     pub fn seed_from_wigle(&mut self, ssid: Ssid, weight: f64, now: SimTime) -> SsidId {
-        self.ranked_dirty = true;
-        let id = self.interner.intern(&ssid);
-        self.entries
-            .entry(id)
-            .and_modify(|e| e.weight = e.weight.max(weight))
-            .or_insert(DbEntry {
-                weight,
-                source: LureSource::Wigle,
-                hits: 0,
-                last_hit: None,
-                added_at: now,
-            });
-        id
+        let new = DbEntry::new(weight, LureSource::Wigle, now);
+        self.upsert(&ssid, new, |e| e.weight = e.weight.max(weight))
     }
 
     /// Preloads a carrier SSID (§V-B) at a given weight.
     pub fn seed_carrier(&mut self, ssid: Ssid, weight: f64, now: SimTime) -> SsidId {
-        self.ranked_dirty = true;
-        let id = self.interner.intern(&ssid);
-        self.entries.entry(id).or_insert(DbEntry {
-            weight,
-            source: LureSource::Carrier,
-            hits: 0,
-            last_hit: None,
-            added_at: now,
-        });
-        id
+        let new = DbEntry::new(weight, LureSource::Carrier, now);
+        self.upsert(&ssid, new, |_| {})
     }
 
     /// Records an SSID disclosed by a direct probe: new SSIDs join at
     /// [`DIRECT_PROBE_WEIGHT`]; repeats earn [`DIRECT_REPEAT_BONUS`].
     pub fn observe_direct_probe(&mut self, ssid: &Ssid, now: SimTime) -> SsidId {
-        self.ranked_dirty = true;
-        let id = self.interner.intern(ssid);
-        self.entries
-            .entry(id)
-            .and_modify(|e| e.weight += DIRECT_REPEAT_BONUS)
-            .or_insert(DbEntry {
-                weight: DIRECT_PROBE_WEIGHT,
-                source: LureSource::DirectProbe,
-                hits: 0,
-                last_hit: None,
-                added_at: now,
-            });
-        id
+        let new = DbEntry::new(DIRECT_PROBE_WEIGHT, LureSource::DirectProbe, now);
+        self.upsert(ssid, new, |e| e.weight += DIRECT_REPEAT_BONUS)
     }
 
     /// Records a broadcast hit with `ssid`: weight bonus + freshness stamp.
@@ -173,92 +197,72 @@ impl SsidDatabase {
 
     /// [`record_hit`](SsidDatabase::record_hit) by interned id.
     pub fn record_hit_id(&mut self, id: SsidId, now: SimTime) {
-        if let Some(e) = self.entries.get_mut(&id) {
+        self.update(id, |e| {
             e.weight += HIT_WEIGHT_BONUS;
             e.hits += 1;
             e.last_hit = Some(now);
-            self.ranked_dirty = true;
-            self.fresh_dirty = true;
-        }
+        });
     }
 
-    /// SSID ids in weight-descending order (stable name tie-break). The
-    /// order is cached between mutations and rebuilt in place — no
-    /// allocation once the cache has reached the database size.
-    pub fn ranked(&mut self) -> &[SsidId] {
-        if self.ranked_dirty {
-            let mut order = std::mem::take(&mut self.ranked);
-            order.clear();
-            order.extend(self.entries.keys().copied());
-            let entries = &self.entries;
-            let interner = &self.interner;
-            // Unstable sort (in place, allocation-free); the (weight, name)
-            // key is a total order over distinct names, so the result
-            // matches the old stable sort byte for byte.
-            order.sort_unstable_by(|a, b| {
-                let wa = entries[a].weight;
-                let wb = entries[b].weight;
-                wb.total_cmp(&wa)
-                    .then_with(|| interner.resolve(*a).cmp(interner.resolve(*b)))
-            });
-            self.ranked = order;
-            self.ranked_dirty = false;
-        }
+    /// SSID ids in weight-descending order (name tie-break).
+    pub fn ranked(&self) -> &[SsidId] {
         &self.ranked
     }
 
-    /// SSID ids with at least one hit, most recent hit first — the
-    /// freshness ranking behind the FB. Cached between hits (the old API
-    /// cloned every SSID into a fresh `Vec<String>`-style list per call).
-    pub fn by_freshness(&mut self) -> &[SsidId] {
-        if self.fresh_dirty {
-            let mut scratch = std::mem::take(&mut self.fresh_scratch);
-            scratch.clear();
-            scratch.extend(
-                self.entries
-                    .iter()
-                    .filter_map(|(id, e)| e.last_hit.map(|t| (t, *id))),
-            );
-            let interner = &self.interner;
-            scratch.sort_unstable_by(|a, b| {
-                b.0.cmp(&a.0)
-                    .then_with(|| interner.resolve(a.1).cmp(interner.resolve(b.1)))
-            });
-            self.fresh.clear();
-            self.fresh.extend(scratch.iter().map(|&(_, id)| id));
-            self.fresh_scratch = scratch;
-            self.fresh_dirty = false;
-        }
+    /// SSID ids with at least one hit, most recent hit first (name
+    /// tie-break) — the freshness ranking behind the FB.
+    pub fn by_freshness(&self) -> &[SsidId] {
         &self.fresh
     }
 
-    /// Both ranking caches at once, refreshed — the hot path needs the
-    /// weight order and the freshness order simultaneously, and the borrow
-    /// checker will not allow two sequential `&mut self` accessor calls to
-    /// both stay live.
-    pub fn ranked_and_fresh(&mut self) -> (&[SsidId], &[SsidId]) {
-        let _ = self.ranked();
-        let _ = self.by_freshness();
+    /// Both rankings at once: `(ranked, by_freshness)`.
+    pub fn ranked_and_fresh(&self) -> (&[SsidId], &[SsidId]) {
         (&self.ranked, &self.fresh)
-    }
-
-    /// Iterates over all records.
-    pub fn iter(&self) -> impl Iterator<Item = (&Ssid, &DbEntry)> {
-        self.entries
-            .iter()
-            .map(|(id, e)| (self.interner.resolve(*id), e))
     }
 
     /// Inserts one record verbatim — the checkpoint-restore path. Replaying
     /// a database export through this call in the interner's original id
     /// order (see [`SsidInterner::names`](ch_wifi::SsidInterner)) reproduces
-    /// the same `SsidId` assignment, so exported id lists stay valid.
+    /// the same `SsidId` assignment, so exported id lists stay valid. A
+    /// repeated SSID overwrites its record in place.
     pub fn restore_entry(&mut self, ssid: &Ssid, entry: DbEntry) -> SsidId {
+        self.upsert(ssid, entry.clone(), |e| *e = entry)
+    }
+
+    /// Interns `ssid` and records `new` for it, or applies `update` to the
+    /// record it already has.
+    fn upsert(&mut self, ssid: &Ssid, new: DbEntry, update: impl FnOnce(&mut DbEntry)) -> SsidId {
         let id = self.interner.intern(ssid);
-        self.entries.insert(id, entry);
-        self.ranked_dirty = true;
-        self.fresh_dirty = true;
+        if id.index() == self.entries.len() {
+            self.entries.push(new);
+            self.update(id, |_| {});
+        } else {
+            self.update(id, update);
+        }
         id
+    }
+
+    /// Applies `update` to the record for `id`, if any, and moves `id`
+    /// from where it sat in each ranking to where the new record puts it.
+    fn update(&mut self, id: SsidId, update: impl FnOnce(&mut DbEntry)) {
+        if id.index() < self.entries.len() {
+            let ranked = self.find(&self.ranked, id, by_weight);
+            let fresh = self.find(&self.fresh, id, by_recency);
+            update(&mut self.entries[id.index()]);
+            let (entries, interner) = (&self.entries, &self.interner);
+            let hit = entries[id.index()].last_hit.map(|_| id);
+            let before = |cmp: Order| move |o: &SsidId| cmp(entries, interner, *o, id).is_lt();
+            move_in(&mut self.ranked, ranked, Some(id), before(by_weight));
+            move_in(&mut self.fresh, fresh, hit, before(by_recency));
+        }
+    }
+
+    /// The index of `id` in `order` under its current record; `None` when
+    /// it is not listed yet (a new id, or an unhit one in `fresh`).
+    fn find(&self, order: &[SsidId], id: SsidId, cmp: Order) -> Option<usize> {
+        order
+            .binary_search_by(|&o| cmp(&self.entries, &self.interner, o, id))
+            .ok()
     }
 }
 
@@ -268,6 +272,10 @@ mod tests {
 
     fn ssid(s: &str) -> Ssid {
         Ssid::new(s).unwrap()
+    }
+
+    fn names(db: &SsidDatabase, ids: &[SsidId]) -> Vec<String> {
+        ids.iter().map(|&id| db.resolve(id).to_string()).collect()
     }
 
     #[test]
@@ -285,16 +293,10 @@ mod tests {
     fn direct_probe_repeats_accumulate() {
         let mut db = SsidDatabase::new();
         db.observe_direct_probe(&ssid("X"), SimTime::ZERO);
-        let w0 = db.entry(&ssid("X")).unwrap().weight;
         db.observe_direct_probe(&ssid("X"), SimTime::from_secs(1));
-        assert_eq!(
-            db.entry(&ssid("X")).unwrap().weight,
-            w0 + DIRECT_REPEAT_BONUS
-        );
-        assert_eq!(
-            db.entry(&ssid("X")).unwrap().source,
-            LureSource::DirectProbe
-        );
+        let e = db.entry(&ssid("X")).unwrap();
+        assert_eq!(e.weight, DIRECT_PROBE_WEIGHT + DIRECT_REPEAT_BONUS);
+        assert_eq!(e.source, LureSource::DirectProbe);
     }
 
     #[test]
@@ -317,9 +319,7 @@ mod tests {
         db.seed_from_wigle(ssid("Low"), 1.0, SimTime::ZERO);
         db.seed_from_wigle(ssid("B-High"), 9.0, SimTime::ZERO);
         db.seed_from_wigle(ssid("A-High"), 9.0, SimTime::ZERO);
-        let order = db.ranked().to_vec();
-        let ranked: Vec<&str> = order.iter().map(|&id| db.resolve(id).as_str()).collect();
-        assert_eq!(ranked, ["A-High", "B-High", "Low"]);
+        assert_eq!(names(&db, db.ranked()), ["A-High", "B-High", "Low"]);
     }
 
     #[test]
@@ -327,11 +327,9 @@ mod tests {
         let mut db = SsidDatabase::new();
         db.seed_from_wigle(ssid("A"), 5.0, SimTime::ZERO);
         db.seed_from_wigle(ssid("B"), 4.0, SimTime::ZERO);
-        let head = db.ranked()[0];
-        assert_eq!(db.resolve(head).as_str(), "A");
+        assert_eq!(names(&db, db.ranked()), ["A", "B"]);
         db.record_hit(&ssid("B"), SimTime::from_secs(1)); // B now 29
-        let head = db.ranked()[0];
-        assert_eq!(db.resolve(head).as_str(), "B");
+        assert_eq!(names(&db, db.ranked()), ["B", "A"]);
     }
 
     #[test]
@@ -342,9 +340,7 @@ mod tests {
             db.record_hit(&ssid(name), SimTime::from_secs(t));
         }
         db.seed_from_wigle(ssid("NeverHit"), 99.0, SimTime::ZERO);
-        let order = db.by_freshness().to_vec();
-        let fresh: Vec<&str> = order.iter().map(|&id| db.resolve(id).as_str()).collect();
-        assert_eq!(fresh, ["B", "C", "A"]);
+        assert_eq!(names(&db, db.by_freshness()), ["B", "C", "A"]);
     }
 
     #[test]
@@ -355,27 +351,25 @@ mod tests {
         db.record_hit(&ssid("A"), SimTime::from_secs(1));
         assert_eq!(db.by_freshness().len(), 1);
         db.record_hit(&ssid("B"), SimTime::from_secs(2));
-        let order = db.by_freshness().to_vec();
-        let fresh: Vec<&str> = order.iter().map(|&id| db.resolve(id).as_str()).collect();
-        assert_eq!(fresh, ["B", "A"]);
+        assert_eq!(names(&db, db.by_freshness()), ["B", "A"]);
     }
 
     #[test]
     fn stale_interned_id_is_not_an_entry() {
-        // An id can exist in the interner without a database record only if
-        // callers misuse the type; id_of must still answer from `entries`.
+        // Ids index the dense entry table: one from a longer interner lies
+        // past its end, has no record, and a hit on it changes nothing.
         let mut db = SsidDatabase::new();
         let id = db.seed_from_wigle(ssid("A"), 1.0, SimTime::ZERO);
-        assert_eq!(
-            db.entry_by_id(id).map(|e| e.source),
-            Some(LureSource::Wigle)
-        );
         assert_eq!(db.source_of(id), Some(LureSource::Wigle));
+        let mut other = SsidInterner::new();
+        let stale = [ssid("A"), ssid("B")].map(|s| other.intern(&s))[1];
+        db.record_hit_id(stale, SimTime::ZERO);
+        assert_eq!((db.entry_by_id(stale), db.by_freshness().len()), (None, 0));
     }
 
     #[test]
     fn empty_db() {
-        let mut db = SsidDatabase::new();
+        let db = SsidDatabase::new();
         assert!(db.is_empty());
         assert!(db.ranked().is_empty());
         assert!(db.by_freshness().is_empty());

@@ -137,9 +137,10 @@ impl Attacker for PrelimCityHunter {
                 &mut self.seen,
                 &mut self.picked,
             );
+            self.tracker
+                .mark_burst(probe.source, self.picked.iter().copied());
             for &id in &self.picked {
                 let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
-                self.tracker.mark_sent(probe.source, id);
                 out.push(Lure::new(
                     // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
                     self.db.resolve(id).clone(),

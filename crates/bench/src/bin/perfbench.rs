@@ -74,9 +74,10 @@ fn respond_broadcast_median(data: &CityData, iters: usize, tracking: bool) -> u6
         .map(|i| ProbeRequest::broadcast(mac(i)))
         .collect();
     let mut out: Vec<Lure> = Vec::new();
-    // Warmup: three scans per client, so every per-client sent-set sits at
-    // 120 ids inside a 256-slot table — the measured scans stay clear of
-    // hashtable resize thresholds and all scratch reaches capacity.
+    // Warmup: three scans per client, so every client is in the tracker's
+    // map with 120 ids in its sent bitset, and all scratch reaches
+    // capacity. A bitset extends only at amortized doublings as deeper
+    // ids go out, so the median measured scan allocates nothing.
     for (w, probe) in probes.iter().cycle().take(3 * CLIENT_POOL).enumerate() {
         hunter.respond_to_probe_into(SimTime::from_secs(w as u64), probe, 40, &mut out);
     }

@@ -4,8 +4,8 @@
 //! This is the perfbench claim as a plain `cargo test`, so the property is
 //! checked on every test run, not only when the bench is regenerated. The
 //! whole test binary runs under [`ch_sim::alloc::CountingAlloc`]; each case
-//! warms the attacker (and its hashtables past their next resize
-//! threshold), then asserts a median of zero allocations per call.
+//! warms the attacker (its client map, sent bitsets and scratch), then
+//! asserts a median of zero allocations per call.
 
 use ch_attack::buffers::{AdaptiveBuffers, SelectScratch};
 use ch_attack::{Attacker, CityHunter, CityHunterConfig, Lure};
@@ -52,8 +52,9 @@ fn broadcast_median(data: &CityData, tracking: bool) -> u64 {
         .map(|i| ProbeRequest::broadcast(mac(i)))
         .collect();
     let mut out: Vec<Lure> = Vec::new();
-    // Three warm scans per client parks every per-client sent-set clear of
-    // its next hashtable resize threshold (same geometry as perfbench).
+    // Three warm scans per client enter every client in the tracker's map
+    // and grow its sent bitset, which later extends only at amortized
+    // doublings as deeper ids go out (same geometry as perfbench).
     for (w, probe) in probes.iter().cycle().take(3 * CLIENT_POOL).enumerate() {
         hunter.respond_to_probe_into(SimTime::from_secs(w as u64), probe, 40, &mut out);
     }

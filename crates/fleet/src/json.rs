@@ -296,12 +296,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so any
-                // multi-byte sequence is well-formed).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next `"` or `\` as one
+                // slice. Both delimiters are ASCII, so the run of a &str
+                // input is valid UTF-8 and validating it is linear.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -426,6 +431,21 @@ mod tests {
     }
 
     #[test]
+    fn megabyte_document_round_trips() {
+        // Multibyte text between escapes in every string: unescaped runs
+        // are copied whole, so parsing stays linear in the input size.
+        let row = |i: usize| Json::str(format!("漢字{i} \"q\" \\ \t😀é\n{}", "x".repeat(i % 7)));
+        let doc = Json::Arr(
+            (0..40_000)
+                .map(|i| Json::Arr(vec![row(i), Json::from_usize(i)]))
+                .collect(),
+        );
+        let text = doc.render();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
     fn whitespace_tolerated_garbage_rejected() {
         assert!(Json::parse("  { \"a\" : [ 1 , 2 ] }\n").is_ok());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
@@ -434,5 +454,6 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1e999").is_err(), "non-finite rejected");
         assert!(Json::parse("\"\\ud800 lone\"").is_err());
+        assert!(Json::parse("\"unterminated").is_err());
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Values that can exceed 2⁵³ (RNG words, fingerprints, rotation slots)
 //! are carried as decimal strings because the fleet's `Json` numbers ride
-//! on `f64`. `SsidId`s are interner indices with no public constructor,
+//! on `f64`. `SsidId`s are interner indices with no unchecked constructor,
 //! so the codec serializes the database in dense interner-id order and,
 //! on restore, replays [`SsidDatabase::restore_entry`] in that order —
 //! collecting the freshly assigned ids so every stored index list can be
@@ -266,7 +266,9 @@ fn attacker_to_json(attacker: &dyn Attacker, spec: &AttackerSpec) -> Result<Json
                 ),
                 (
                     "tracker".to_string(),
-                    mac_id_pairs_to_json(&prelim.tracker().export_sorted()),
+                    mac_id_pairs_to_json(
+                        &prelim.tracker().export_sorted(prelim.database().interner()),
+                    ),
                 ),
             ]))
         }
@@ -290,7 +292,7 @@ fn attacker_to_json(attacker: &dyn Attacker, spec: &AttackerSpec) -> Result<Json
                 ),
                 (
                     "tracker".to_string(),
-                    mac_id_pairs_to_json(&ch.tracker().export_sorted()),
+                    mac_id_pairs_to_json(&ch.tracker().export_sorted(ch.database().interner())),
                 ),
                 (
                     "rng".to_string(),

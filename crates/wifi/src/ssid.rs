@@ -258,6 +258,15 @@ impl SsidInterner {
             .unwrap_or_else(|| FALLBACK.get_or_init(Ssid::wildcard))
     }
 
+    /// The id at dense index `index`, if this interner has assigned it —
+    /// the checked way back from an index-keyed side table to an id.
+    pub fn id_at(&self, index: usize) -> Option<SsidId> {
+        u32::try_from(index)
+            .ok()
+            .filter(|_| index < self.names.len())
+            .map(SsidId)
+    }
+
     /// All interned SSIDs, in id order (`names[id.index()]`).
     pub fn names(&self) -> &[Ssid] {
         &self.names
@@ -340,6 +349,8 @@ mod tests {
         assert_eq!(interner.get(&Ssid::new("CMCC-WEB").unwrap()), None);
         assert_eq!(interner.resolve(a), &csl);
         assert_eq!(interner.names(), &[csl, pccw]);
+        assert_eq!((interner.id_at(0), interner.id_at(1)), (Some(a), Some(b)));
+        assert_eq!(interner.id_at(2), None);
     }
 
     #[test]
