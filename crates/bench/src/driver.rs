@@ -1,10 +1,9 @@
 //! The unified experiment driver: one CLI over the `ch-scenarios`
 //! registry.
 //!
-//! Every `ch-bench` binary is a one-line shim into this module:
-//! the per-artifact bins call [`main_for`] with their registry id,
+//! The artifact binaries are one-line shims into this module:
 //! `experiment` is [`main_experiment`] (any id, `--list`, `--json`), and
-//! `reproduce_all` is [`main_reproduce_all`]. All of them share one flag
+//! `reproduce_all` is [`main_reproduce_all`]. Both share one flag
 //! grammar ([`Cli`]), one [`FleetOptions`] assembly (worker width,
 //! resumable manifest, bench telemetry) and one output contract: fleet
 //! stats on stderr, the artifact bytes on stdout.
@@ -198,19 +197,6 @@ fn run_spec(spec: &'static ExperimentSpec, cli: &Cli, seed: u64) -> Result<(), S
     }
     print!("{}", artifact.text);
     Ok(())
-}
-
-/// Entry point for the legacy per-artifact shims (`table1`, `fig5`, …):
-/// optional seed positional plus the shared flags.
-///
-/// # Errors
-///
-/// Propagates flag-grammar and campaign errors.
-pub fn main_for(id: &str) -> Result<(), String> {
-    let cli = Cli::from_env()?;
-    let spec = registry::find(id).ok_or_else(|| format!("unknown experiment `{id}`"))?;
-    let seed = cli.seed_at(0);
-    run_spec(spec, &cli, seed)
 }
 
 /// Entry point for the unified `experiment` binary:

@@ -1,7 +1,7 @@
 //! Figure/table regeneration harness for the City-Hunter reproduction.
 //!
 //! All regeneration logic lives in [`driver`], a thin CLI over the
-//! `ch-scenarios` experiment registry; every binary in `src/bin/` is a
-//! one-line shim into it.
+//! `ch-scenarios` experiment registry; `experiment` and `reproduce_all`
+//! in `src/bin/` are one-line shims into it.
 
 pub mod driver;

@@ -39,9 +39,10 @@
 //! [`scenarios::experiments`], or from the command line:
 //!
 //! ```text
-//! cargo run --release -p ch-bench --bin table1   # … table2 table3 table4
-//! cargo run --release -p ch-bench --bin fig1     # … fig2 fig4 fig5 fig6
-//! cargo run --release -p ch-bench --bin ablation
+//! cargo run --release -p ch-bench --bin experiment -- table1   # … table2 table3 table4
+//! cargo run --release -p ch-bench --bin experiment -- fig1     # … fig2 fig4 fig5 fig6
+//! cargo run --release -p ch-bench --bin experiment -- ablation
+//! cargo run --release -p ch-bench --bin experiment -- --list   # every artifact id
 //! ```
 
 pub use ch_arc as arc;

@@ -224,9 +224,9 @@ impl ApProfile {
 
     fn note_advertised(&mut self, ssid: &Ssid, bait: bool) {
         if !self.advertised.contains(ssid) {
-            // Arc refcount bump into the detector's bookkeeping set; not
-            // on the probe hot path.
-            // ch-lint: allow(ssid-clone)
+            // Arc refcount bump into the detector's bookkeeping set; the
+            // scan kernel reaches it only with a detector armed.
+            // ch-lint: allow(ssid-clone, hot-path-alloc)
             self.advertised.insert(ssid.clone());
             if bait {
                 self.bait_ssid = true;
@@ -315,7 +315,7 @@ impl Detector {
                 None => {
                     self.direct_probes.insert(
                         // Arc refcount bump keying the recently-probed pool.
-                        // ch-lint: allow(ssid-clone)
+                        // ch-lint: allow(ssid-clone, hot-path-alloc)
                         probe.ssid.clone(),
                         DirectProbe {
                             client: probe.source,
@@ -368,7 +368,7 @@ impl Detector {
         }
         if bait && !profile.window_bait.contains(&response.ssid) {
             // Arc refcount bump into the per-window bait evidence set.
-            // ch-lint: allow(ssid-clone)
+            // ch-lint: allow(ssid-clone, hot-path-alloc)
             profile.window_bait.insert(response.ssid.clone());
         }
         if replay {

@@ -12,7 +12,9 @@
 //! * a [`CityPlan`] partitions venues into **districts** — each district
 //!   is one venue instance with its own attacker deployment, its own
 //!   [`EventQueue`], its own agent arena (free-list slots, cleared not
-//!   reallocated), and its own seed-derived RNG streams;
+//!   reallocated), and its own seed-derived RNG streams; every scan
+//!   instant runs the scan kernel shared with the runner
+//!   ([`crate::scan`]);
 //! * districts are grouped into contiguous **shards**; each epoch (one
 //!   sim minute) every shard advances independently on `ch-fleet`'s
 //!   worker-local-state pool;
@@ -50,16 +52,16 @@
 //! occupancy*, not to the day's total population — a 1M-device day runs
 //! in a few hundred thousand live agents.
 
+use ch_attack::ext::DeauthScheduler;
 use ch_attack::CityHunterConfig;
-use ch_attack::{Attacker, AttackerSpec, Lure};
+use ch_attack::{Attacker, AttackerSpec};
 use ch_mobility::arrival::{GroupArrival, GroupArrivalProcess};
 use ch_mobility::path::{visits_for_group, MotionPath, Visit};
 use ch_mobility::{VenueKind, VenueTemplate};
 use ch_phone::popgen::PopulationBuilder;
 use ch_phone::scanner::ScanPlan;
-use ch_phone::{JoinDecision, Phone};
-use ch_sim::{EventQueue, LossModel, Position, SimDuration, SimRng, SimTime};
-use ch_wifi::mgmt::{ProbeRequest, ProbeResponse};
+use ch_phone::Phone;
+use ch_sim::{EventQueue, LossModel, SimDuration, SimRng, SimTime};
 use ch_wifi::timing;
 use ch_wifi::{Channel, MacAddr};
 
@@ -67,6 +69,7 @@ use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 
 use crate::ctx::CampaignCtx;
+use crate::scan::{self, Radio, Reach, ScanScratch};
 
 /// Fraction of transit visitors who continue to the ring-adjacent
 /// district instead of leaving the system when their visit ends.
@@ -220,8 +223,8 @@ pub struct DistrictStats {
     pub hits: u64,
     /// Scan instants where the phone was out of attacker range.
     pub out_of_range: u64,
-    /// Scan instants where the phone had nothing to say (connected or
-    /// mid-dwell radio silence).
+    /// Scan instants where the phone had nothing to say (connected,
+    /// mid-dwell radio silence, or deauthenticated instead of probing).
     pub silent: u64,
     /// Transit leavers handed to the next district.
     pub handoffs_out: u64,
@@ -260,29 +263,6 @@ struct Transit {
     phone: Phone,
 }
 
-/// Worker-local scratch threaded through
-/// [`scoped_parallel_map_with_state`](ch_fleet::scoped_parallel_map_with_state):
-/// per-scan frame buffers reused across every district a worker touches.
-#[derive(Default)]
-struct CityScratch {
-    probes: Vec<ProbeRequest>,
-    lures: Vec<Lure>,
-}
-
-/// What one scan instant amounted to.
-enum ScanFate {
-    /// The agent is no longer physically present.
-    Gone,
-    /// Out of attacker range (probes spent into the void).
-    OutOfRange,
-    /// In range but radio-silent (connected, or Wi-Fi idle).
-    Silent,
-    /// Probed, maybe heard offers, joined nothing.
-    NoJoin,
-    /// Associated to the rogue AP via the lure at this scratch index.
-    Joined { lure: usize, at: SimTime },
-}
-
 /// One district: a venue instance with its own queue, arena, attacker
 /// and RNG streams.
 struct District {
@@ -291,13 +271,12 @@ struct District {
     venue_kind: VenueKind,
     attacker_slug: &'static str,
     venue: VenueTemplate,
-    attacker_pos: Position,
     /// Stable-MAC OUI: distinct per district so client identities never
     /// collide city-wide even though builder ids restart per district.
     oui: [u8; 3],
     root: SimRng,
-    /// Medium (loss) stream, re-forked each epoch.
-    rng_medium: SimRng,
+    /// The attacker's air; its medium stream is re-forked each epoch.
+    radio: Radio,
     process: GroupArrivalProcess,
     builder: PopulationBuilder,
     attacker: Box<dyn Attacker>,
@@ -307,9 +286,6 @@ struct District {
     inbox: Vec<Transit>,
     outbox: Vec<Transit>,
     arrivals_buf: Vec<GroupArrival>,
-    loss: LossModel,
-    channel: Channel,
-    budget: usize,
     next_group: u32,
     stats: DistrictStats,
 }
@@ -328,13 +304,19 @@ impl District {
             config.seed,
             &format!("city/district/{:03}", spec.id),
         ));
-        let rng_medium = root.fork("medium/init");
+        let radio = Radio {
+            pos: venue.attacker,
+            loss: LossModel::urban_100mw(),
+            rng: root.fork("medium/init"),
+            channel: Channel::default_attack_channel(),
+            budget: timing::responses_per_scan(),
+            deauth: DeauthScheduler::default_30s(),
+        };
         District {
             id: spec.id,
             next_district: spec.next,
             venue_kind: spec.venue,
             attacker_slug: spec.attacker_slug,
-            attacker_pos: venue.attacker,
             oui: [0xd1, 0x5c, spec.id as u8],
             process: GroupArrivalProcess::new(&venue, config.start_hour, duration),
             builder: ctx.population_builder(plan.population.clone()),
@@ -344,16 +326,13 @@ impl District {
             ),
             venue,
             root,
-            rng_medium,
+            radio,
             events: EventQueue::new(),
             agents: Vec::new(),
             free: Vec::new(),
             inbox: Vec::new(),
             outbox: Vec::new(),
             arrivals_buf: Vec::new(),
-            loss: LossModel::urban_100mw(),
-            channel: Channel::default_attack_channel(),
-            budget: timing::responses_per_scan(),
             next_group: 0,
             stats: DistrictStats::default(),
         }
@@ -431,8 +410,8 @@ impl District {
     /// Advances the district through epoch `epoch` (sim minute
     /// `[epoch, epoch+1)`): drain the inbox, mint this minute's
     /// arrivals, then dispatch events up to the epoch boundary.
-    fn run_epoch(&mut self, epoch: u64, scratch: &mut CityScratch) {
-        self.rng_medium = self.fork_epoch("medium", epoch);
+    fn run_epoch(&mut self, epoch: u64, scratch: &mut ScanScratch) {
+        self.radio.rng = self.fork_epoch("medium", epoch);
 
         // 1. Mailbox admissions (delivered at the previous boundary).
         let mut rng_inbox = self.fork_epoch("inbox", epoch);
@@ -485,36 +464,41 @@ impl District {
         }
     }
 
-    fn on_scan(&mut self, now: SimTime, idx: u32, scratch: &mut CityScratch) {
-        let Some(slot) = self.agents.get_mut(idx as usize) else {
-            return;
-        };
-        let Some(agent) = slot.as_mut() else {
+    /// One scan instant through the scan kernel, with no planes armed;
+    /// the district's counters fold in what it did.
+    fn on_scan(&mut self, now: SimTime, idx: u32, scratch: &mut ScanScratch) {
+        let Some(Some(agent)) = self.agents.get_mut(idx as usize) else {
             return;
         };
         agent.pending -= 1;
-        let fate = dispatch_scan(
-            agent,
-            self.attacker.as_mut(),
-            &mut self.rng_medium,
-            &self.loss,
-            self.attacker_pos,
-            self.channel,
-            self.budget,
+        let report = scan::exchange(
             now,
+            &mut agent.phone,
+            &agent.visit,
+            self.attacker.as_mut(),
+            &mut self.radio,
             scratch,
-            &mut self.stats,
+            None,
         );
-        let mac = agent.phone.mac;
-        let done = agent.pending == 0 && agent.handoff.is_none();
-        if let ScanFate::Joined { lure, at } = fate {
-            self.stats.hits += 1;
+        let stats = &mut self.stats;
+        match report.reach {
+            Reach::Gone => {}
+            Reach::OutOfRange => stats.out_of_range += 1,
+            Reach::Deauth(_) | Reach::Silent => stats.silent += 1,
+            Reach::Probed => stats.scans += 1,
+        }
+        stats.probes_heard += report.heard_broadcast + report.heard_direct;
+        stats.offers += report.offered;
+        stats.lures_delivered += report.delivered;
+        if let Some((lure, at)) = report.join {
+            stats.hits += 1;
             // Off the zero-alloc path on purpose: hit bookkeeping may
             // grow attacker tables.
-            self.attacker.on_hit(at, mac, &scratch.lures[lure]);
+            self.attacker
+                .on_hit(at, agent.phone.mac, scratch.lure(lure));
         }
-        if done {
-            *slot = None;
+        if agent.pending == 0 && agent.handoff.is_none() {
+            self.agents[idx as usize] = None;
             self.free.push(idx);
         }
     }
@@ -545,105 +529,21 @@ impl District {
     }
 }
 
-/// One scan instant, allocation-free at steady state: probes up, lures
-/// chosen, burst serialized against the listen window, join evaluated.
-/// This is the city hot path — the `ch-lint` `[hot-path]` root for the
-/// sharded loop.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_scan(
-    agent: &mut CityAgent,
-    attacker: &mut dyn Attacker,
-    rng_medium: &mut SimRng,
-    loss: &LossModel,
-    attacker_pos: Position,
-    channel: Channel,
-    budget: usize,
-    now: SimTime,
-    scratch: &mut CityScratch,
-    stats: &mut DistrictStats,
-) -> ScanFate {
-    let Some(pos) = agent.visit.position_at(now) else {
-        return ScanFate::Gone;
-    };
-    let distance = pos.distance_to(attacker_pos);
-    if distance >= loss.max_range_m() {
-        // Still burn the scan (MAC rotation, PNL cursor) so in-range and
-        // out-of-range phones stay state-identical to the runner's.
-        agent.phone.probes_for_scan_into(&mut scratch.probes);
-        stats.out_of_range += 1;
-        return ScanFate::OutOfRange;
-    }
-    if agent.phone.connected_locally && attacker.deauth_enabled() {
-        agent.phone.handle_deauth();
-    }
-    if !agent.phone.is_probing() {
-        stats.silent += 1;
-        return ScanFate::Silent;
-    }
-    stats.scans += 1;
-    agent.phone.probes_for_scan_into(&mut scratch.probes);
-    let client_mac = agent.phone.mac; // post-rotation address
-    for p in 0..scratch.probes.len() {
-        if !rng_medium.chance(loss.delivery_prob(distance)) {
-            continue; // probe lost on the uplink
-        }
-        stats.probes_heard += 1;
-        attacker.respond_to_probe_into(now, &scratch.probes[p], budget, &mut scratch.lures);
-        if scratch.lures.is_empty() {
-            continue;
-        }
-        let bssid = attacker.bssid();
-        if scratch.probes[p].is_broadcast() {
-            stats.offers += scratch.lures.len() as u64;
-        }
-        // Serialize the burst on the channel: responses past the
-        // client's listen window never land (§III-A).
-        let deadline = timing::listen_deadline(now);
-        let mut elapsed = now;
-        for l in 0..scratch.lures.len() {
-            elapsed += timing::PROBE_RESPONSE_AIRTIME;
-            if elapsed > deadline {
-                break;
-            }
-            if !rng_medium.chance(loss.delivery_prob(distance)) {
-                continue; // response lost on the downlink
-            }
-            stats.lures_delivered += 1;
-            let response = ProbeResponse::open_lure(
-                bssid,
-                client_mac,
-                // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
-                scratch.lures[l].ssid.clone(),
-                channel,
-            );
-            if agent.phone.evaluate_offer(&response) == JoinDecision::Join {
-                agent.phone.connect_to(response.ssid);
-                return ScanFate::Joined {
-                    lure: l,
-                    at: elapsed,
-                };
-            }
-        }
-    }
-    ScanFate::NoJoin
-}
-
-/// A contiguous run of districts advanced by one worker per epoch.
-struct CityShard {
-    districts: Vec<District>,
-}
-
 /// Routes every outbox into its destination inbox, in district-id order
 /// — the serial boundary step that makes cross-shard traffic
 /// deterministic at any shard count and any worker width. `transfer` is
 /// a reused staging buffer.
-fn route_handoffs(shards: &mut [Mutex<CityShard>], per_shard: usize, transfer: &mut Vec<Transit>) {
+fn route_handoffs(
+    shards: &mut [Mutex<Vec<District>>],
+    per_shard: usize,
+    transfer: &mut Vec<Transit>,
+) {
     // Pass 1: collect. Shards hold contiguous id ranges, so shard order
     // then in-shard order *is* global district-id order; within one
     // district the outbox preserves emission (event) order.
     for shard in shards.iter_mut() {
         let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for district in shard.districts.iter_mut() {
+        for district in shard.iter_mut() {
             transfer.append(&mut district.outbox);
         }
     }
@@ -653,7 +553,7 @@ fn route_handoffs(shards: &mut [Mutex<CityShard>], per_shard: usize, transfer: &
         let shard = shards[dest / per_shard]
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        shard.districts[dest % per_shard].inbox.push(transit);
+        shard[dest % per_shard].inbox.push(transit);
     }
 }
 
@@ -791,24 +691,29 @@ fn venue_slug(kind: VenueKind) -> &'static str {
     }
 }
 
+/// The city's districts in id order, chunked into contiguous shards, and
+/// the districts-per-shard width.
+fn build_shards(ctx: &CampaignCtx, config: &CityConfig) -> (Vec<Mutex<Vec<District>>>, usize) {
+    let plan = CityPlan::build(config);
+    let duration = SimDuration::from_mins(config.epochs);
+    let shards = plan
+        .districts
+        .chunks(plan.per_shard)
+        .map(|specs| {
+            let districts = specs
+                .iter()
+                .map(|spec| District::new(spec, config, ctx, duration));
+            Mutex::new(districts.collect())
+        })
+        .collect();
+    (shards, plan.per_shard)
+}
+
 /// Runs the whole city: epochs advance in lockstep across shards (each
 /// shard on a pool worker with worker-local scratch), with the handoff
 /// mailbox routed serially at every epoch boundary.
 pub fn run_city(ctx: &CampaignCtx, config: &CityConfig) -> CityOutcome {
-    let plan = CityPlan::build(config);
-    let duration = SimDuration::from_mins(config.epochs);
-    let mut shards: Vec<Mutex<CityShard>> = plan
-        .districts
-        .chunks(plan.per_shard)
-        .map(|specs| {
-            Mutex::new(CityShard {
-                districts: specs
-                    .iter()
-                    .map(|spec| District::new(spec, config, ctx, duration))
-                    .collect(),
-            })
-        })
-        .collect();
+    let (mut shards, per_shard) = build_shards(ctx, config);
     let threads = ch_fleet::effective_jobs(config.jobs)
         .min(ch_fleet::worker_cap())
         .min(shards.len());
@@ -817,24 +722,19 @@ pub fn run_city(ctx: &CampaignCtx, config: &CityConfig) -> CityOutcome {
         ch_fleet::scoped_parallel_map_with_state(
             &shards,
             threads,
-            CityScratch::default,
+            ScanScratch::default,
             |shard, scratch| {
                 let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                for district in shard.districts.iter_mut() {
+                for district in shard.iter_mut() {
                     district.run_epoch(epoch, scratch);
                 }
             },
         );
-        route_handoffs(&mut shards, plan.per_shard, &mut transfer);
+        route_handoffs(&mut shards, per_shard, &mut transfer);
     }
     let reports = shards
         .into_iter()
-        .flat_map(|shard| {
-            shard
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .districts
-        })
+        .flat_map(|shard| shard.into_inner().unwrap_or_else(PoisonError::into_inner))
         .map(|d| DistrictReport {
             id: d.id,
             venue: d.venue_kind,
@@ -883,25 +783,6 @@ mod tests {
         assert_eq!(plan.districts[3].next, 4);
     }
 
-    /// Builds the shard array for `config` without running any epochs.
-    fn build_shards(ctx: &CampaignCtx, config: &CityConfig) -> (Vec<Mutex<CityShard>>, usize) {
-        let plan = CityPlan::build(config);
-        let duration = SimDuration::from_mins(config.epochs);
-        let shards = plan
-            .districts
-            .chunks(plan.per_shard)
-            .map(|specs| {
-                Mutex::new(CityShard {
-                    districts: specs
-                        .iter()
-                        .map(|spec| District::new(spec, config, ctx, duration))
-                        .collect(),
-                })
-            })
-            .collect();
-        (shards, plan.per_shard)
-    }
-
     /// The ISSUE's handoff-ordering unit: two clients transiting in the
     /// same epoch, in both directions, delivered in district-id order —
     /// and identically at every shard width.
@@ -918,9 +799,9 @@ mod tests {
                 .phones_for_group(0, 4, &mut rng);
             let ids: Vec<u32> = phones.iter().map(|p| p.id).collect();
             let (mut shards, per_shard) = build_shards(&ctx, config);
-            let push = |shards: &mut [Mutex<CityShard>], from: usize, to: u32, phone: Phone| {
+            let push = |shards: &mut [Mutex<Vec<District>>], from: usize, to: u32, phone: Phone| {
                 let shard = shards[from / per_shard].get_mut().unwrap();
-                shard.districts[from % per_shard].outbox.push(Transit {
+                shard[from % per_shard].outbox.push(Transit {
                     to,
                     arrive_at: t,
                     phone,
@@ -934,9 +815,9 @@ mod tests {
             let mut transfer = Vec::new();
             route_handoffs(&mut shards, per_shard, &mut transfer);
             assert!(transfer.is_empty(), "staging buffer drains fully");
-            let collect = |shards: &mut [Mutex<CityShard>], id: usize| -> Vec<u32> {
+            let collect = |shards: &mut [Mutex<Vec<District>>], id: usize| -> Vec<u32> {
                 let shard = shards[id / per_shard].get_mut().unwrap();
-                shard.districts[id % per_shard]
+                shard[id % per_shard]
                     .inbox
                     .iter()
                     .map(|tr| tr.phone.id)

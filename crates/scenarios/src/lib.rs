@@ -47,6 +47,7 @@ pub mod registry;
 pub mod replicate;
 pub mod report;
 pub mod runner;
+pub mod scan;
 pub mod world;
 
 pub use city::{run_city, CityConfig, CityOutcome, CityPlan, DistrictReport, DistrictStats};

@@ -6,8 +6,7 @@
 //! telemetry policy, and how to expand and render it; [`ExperimentSpec::run`]
 //! executes any non-external entry against prepared [`ch_fleet::FleetOptions`]
 //! and returns the rendered [`Artifact`]. The `ch-bench` `experiment`
-//! binary (and every legacy per-artifact shim) dispatches through this
-//! table; `reproduce_all` iterates it.
+//! binary dispatches through this table; `reproduce_all` iterates it.
 //!
 //! Entries whose implementation needs the detector stack (`ch-defense`)
 //! are marked [`ExperimentSpec::external`]: they are listed here — the

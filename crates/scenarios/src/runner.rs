@@ -4,36 +4,35 @@
 //! bar of Fig. 5. The loop is event-driven over phone scan instants:
 //!
 //! 1. group arrivals (NHPP) → per-person visits → phones with PNLs;
-//! 2. at each scan instant, an in-range probing phone emits its probes;
-//!    frames cross the lossy medium in both directions;
-//! 3. the attacker picks lures; the probe-response burst is serialized on
-//!    the channel, so at most ~40 responses land inside the client's
-//!    listen window (§III-A) — enforced by airtime, not by fiat;
-//! 4. a client that recognizes an open PNL entry runs the open-system
-//!    auth + association handshake *through the byte-level codec*, and
-//!    the hit is recorded with full provenance.
+//! 2. each scan instant runs the shared scan kernel ([`crate::scan`]):
+//!    probes and lures cross the lossy medium, the burst is serialized
+//!    against the client's listen window (§III-A), and an open PNL match
+//!    joins through the byte-level codec;
+//! 3. the loop folds what the scan did into the run's metrics, and a hit
+//!    is recorded with full provenance.
+//!
+//! Around the kernel the loop keeps the per-event duties: database
+//! sampling, the fault plan's attacker lifecycle, and the detector's
+//! beacon plane.
 
 use ch_attack::ext::DeauthScheduler;
-use ch_attack::{Attacker, Lure};
+use ch_attack::Attacker;
 use ch_mobility::arrival::GroupArrivalProcess;
 use ch_mobility::path::{visits_for_group, Visit};
 use ch_mobility::{VenueKind, VenueTemplate};
 use ch_phone::popgen::PopulationBuilder;
 use ch_phone::scanner::ScanPlan;
-use ch_phone::{JoinDecision, Phone};
+use ch_phone::Phone;
 use ch_sim::fault::{FaultAction, FaultPlan, FaultSpec};
 use ch_sim::{EventQueue, LossModel, SimDuration, SimRng, SimTime};
-use ch_wifi::codec;
-use ch_wifi::mgmt::{
-    AssocRequest, AssocResponse, Authentication, CapabilityInfo, MgmtFrame, ProbeResponse,
-    StatusCode,
-};
+use ch_wifi::mgmt::MgmtFrame;
 use ch_wifi::timing;
-use ch_wifi::{Channel, MacAddr};
+use ch_wifi::Channel;
 
 use crate::ctx::CampaignCtx;
 use crate::detect::DetectionHarness;
 use crate::metrics::ExperimentMetrics;
+use crate::scan::{self, Planes, Radio, Reach, ScanScratch};
 use crate::world::{CityData, World};
 
 /// Which attacker to deploy: the declarative [`ch_attack::AttackerSpec`].
@@ -107,15 +106,7 @@ impl RunConfig {
         RunConfig {
             venue: VenueKind::SubwayPassage,
             start_hour: 8,
-            duration: SimDuration::from_mins(30),
-            attacker,
-            seed,
-            lure_budget: None,
-            loss: None,
-            population: None,
-            arrival_multiplier: None,
-            fault: None,
-            detector: None,
+            ..RunConfig::canteen_30min(attacker, seed)
         }
     }
 }
@@ -128,22 +119,21 @@ struct Agent {
     visit: Visit,
 }
 
-/// Reusable per-run arenas: the event queue, agent roster, and the
-/// probe-loop lure/frame buffers. A fleet worker builds one scratch when
+/// Reusable per-run arenas: the event queue, agent roster, and the scan
+/// kernel's probe/lure/frame buffers. A fleet worker builds one scratch when
 /// it starts and threads it through every job it executes
 /// ([`ch_fleet::run_campaign_scoped`]), so the big per-run allocations
 /// happen once per worker instead of once per job.
 ///
-/// The scratch is an allocation cache only: [`run_experiment_ctx`]
-/// clears every field before use, so results never depend on which runs
+/// The scratch is an allocation cache only: every field is cleared
+/// before use, so results never depend on which runs
 /// previously used it — a reused scratch and a fresh
 /// [`RunScratch::default`] produce bit-identical metrics.
 #[derive(Default)]
 pub struct RunScratch {
     events: EventQueue<usize>,
     agents: Vec<Agent>,
-    lures: Vec<Lure>,
-    frame_buf: Vec<u8>,
+    scan: ScanScratch,
 }
 
 impl RunScratch {
@@ -158,15 +148,13 @@ impl RunScratch {
         // its heap allocation.
         self.events.reset();
         self.agents.clear();
-        self.lures.clear();
-        self.frame_buf.clear();
     }
 }
 
 /// Observes every frame that crosses the simulated air — the hook behind
-/// pcap capture (`ch_wifi::pcap`). Implementations must be cheap when
-/// disabled; the runner skips frame construction entirely for observers
-/// that report `enabled() == false`.
+/// pcap capture (`ch_wifi::pcap`). The runner asks `enabled()` once per
+/// run and skips frame construction entirely for observers that report
+/// `false`.
 pub trait FrameObserver {
     /// `true` if frames should be materialized and delivered.
     fn enabled(&self) -> bool;
@@ -255,16 +243,6 @@ impl CollectingObserver {
         }
     }
 
-    /// Collects every delivered frame.
-    pub fn all() -> Self {
-        CollectingObserver::new(|_| true)
-    }
-
-    /// Frames collected so far, in (clamped) air order.
-    pub fn frames(&self) -> &[(SimTime, MgmtFrame)] {
-        &self.frames
-    }
-
     /// Consumes the observer and returns the collected frames.
     pub fn into_frames(self) -> Vec<(SimTime, MgmtFrame)> {
         self.frames
@@ -279,6 +257,9 @@ impl FrameObserver for CollectingObserver {
     fn observe(&mut self, at: SimTime, frame: &MgmtFrame) {
         self.last_at = self.last_at.max(at);
         if (self.filter)(frame) {
+            // Arc refcount bump: frames own no heap data beyond the
+            // Arc-backed Ssid.
+            // ch-lint: allow(hot-path-alloc)
             self.frames.push((self.last_at, frame.clone()));
         }
     }
@@ -346,11 +327,9 @@ pub fn run_experiment_observed(
     config: &RunConfig,
     observer: &mut dyn FrameObserver,
 ) -> ExperimentMetrics {
-    let world = assemble_world(data, config);
-    let mut attacker = config
-        .attacker
-        .build_default(&data.wigle, &data.heat, world.site);
-    run_with(data, config, world, attacker.as_mut(), observer)
+    let site = data.site_for(config.venue);
+    let mut attacker = config.attacker.build_default(&data.wigle, &data.heat, site);
+    run_with(data, config, attacker.as_mut(), observer)
 }
 
 /// Runs one experiment against a *caller-owned* attacker, so state (the
@@ -361,8 +340,7 @@ pub fn run_experiment_with_attacker(
     config: &RunConfig,
     attacker: &mut dyn Attacker,
 ) -> ExperimentMetrics {
-    let world = assemble_world(data, config);
-    run_with(data, config, world, attacker, &mut ())
+    run_with(data, config, attacker, &mut ())
 }
 
 /// The venue template with the config's arrival-rate override applied.
@@ -378,30 +356,16 @@ fn venue_template(config: &RunConfig) -> VenueTemplate {
     venue
 }
 
-fn assemble_world(data: &CityData, config: &RunConfig) -> World {
-    let mut world = World::assemble(data, config.venue);
-    if let Some(population) = &config.population {
-        world.population = population.clone();
-    }
-    world.venue = venue_template(config);
-    world
-}
-
 fn run_with(
     data: &CityData,
     config: &RunConfig,
-    world: World,
     attacker: &mut dyn Attacker,
     observer: &mut dyn FrameObserver,
 ) -> ExperimentMetrics {
-    // Taking the world by value lets the population parameters move into
-    // the builder instead of being cloned a second time (the first clone
-    // is `World::assemble`'s).
     let World {
-        venue,
-        population,
-        site,
-    } = world;
+        population, site, ..
+    } = World::assemble(data, config.venue);
+    let population = config.population.clone().unwrap_or(population);
     let builder = PopulationBuilder::new(&data.wigle, &data.heat, population);
     let detection = config
         .detector
@@ -409,6 +373,7 @@ fn run_with(
         .filter(|spec| !spec.is_disabled())
         .map(|spec| DetectionHarness::new(spec.clone(), data, site));
     let mut scratch = RunScratch::default();
+    let venue = venue_template(config);
     run_core(
         config,
         venue,
@@ -424,8 +389,8 @@ fn run_with(
 /// population builder, detection harness, attacker) arrives pre-built,
 /// and the run's arenas live in the caller's [`RunScratch`]. Both the
 /// legacy per-call path and the shared-context campaign path land here,
-/// so they cannot diverge.
-#[allow(clippy::too_many_lines)]
+/// so they cannot diverge; every scan instant goes through the shared
+/// scan kernel ([`scan::exchange`]), as the city's do.
 fn run_core(
     config: &RunConfig,
     venue: VenueTemplate,
@@ -441,14 +406,12 @@ fn run_core(
     let RunScratch {
         events,
         agents,
-        lures,
-        frame_buf,
+        scan,
     } = scratch;
     let root = SimRng::seed_from(config.seed);
     let mut rng_pop = root.fork("population");
     let mut rng_paths = root.fork("paths");
     let mut rng_scans = root.fork("scans");
-    let mut rng_medium = root.fork("medium");
 
     // Fault injection: the plan owns forked RNG streams of its own, so a
     // run without faults (or with the all-off spec) is draw-for-draw and
@@ -459,7 +422,11 @@ fn run_core(
         .as_ref()
         .filter(|spec| !spec.is_disabled())
         .map(|spec| FaultPlan::new(spec.clone(), &root.fork("faults")));
-    let mut agents_churned: u64 = 0;
+    let mut observer = observer.enabled().then_some(observer);
+    // Decided once per job: a run that arms no plane hands the kernel
+    // `None`, like every city district.
+    let armed = fault.is_some() || detection.is_some() || observer.is_some();
+    let mut metrics = ExperimentMetrics::new();
 
     // --- Crowd and phones -------------------------------------------------
     let process = GroupArrivalProcess::new(&venue, config.start_hour, config.duration);
@@ -473,7 +440,7 @@ fn run_core(
             if let Some(plan) = fault.as_mut() {
                 let (enter, exit) = plan.churn_visit(visit.enter_at, visit.exit_at);
                 if (enter, exit) != (visit.enter_at, visit.exit_at) {
-                    agents_churned += 1;
+                    metrics.stats.agents_churned += 1;
                     visit.enter_at = enter;
                     visit.exit_at = exit;
                 }
@@ -489,20 +456,20 @@ fn run_core(
     }
 
     // --- Radio ------------------------------------------------------------
-    let loss = config.loss.clone().unwrap_or_else(LossModel::urban_100mw);
-    let attacker_pos = venue.attacker;
-    let channel = Channel::default_attack_channel();
-    let mut deauth = DeauthScheduler::default_30s();
+    let mut radio = Radio {
+        pos: venue.attacker,
+        loss: config.loss.clone().unwrap_or_else(LossModel::urban_100mw),
+        rng: root.fork("medium"),
+        channel: Channel::default_attack_channel(),
+        budget: config
+            .lure_budget
+            .unwrap_or_else(timing::responses_per_scan),
+        deauth: DeauthScheduler::default_30s(),
+    };
 
-    let mut metrics = ExperimentMetrics::new();
-    metrics.stats.agents_churned = agents_churned;
     let end = SimTime::ZERO + config.duration;
     let mut next_sample = SimTime::ZERO;
 
-    // `lures` and `frame_buf` are the hot-loop scratch, reused across
-    // every probe of the run (and, via `RunScratch`, across runs): once
-    // warm, answering a probe and encoding its frames touches no
-    // allocator.
     while let Some((now, idx)) = events.pop_until(end) {
         while next_sample <= now {
             metrics.sample_db(next_sample, attacker.database_len());
@@ -531,188 +498,36 @@ fn run_core(
         }
 
         let agent = &mut agents[idx];
-        let Some(position) = agent.visit.position_at(now) else {
-            continue;
-        };
-        let distance = position.distance_to(attacker_pos);
-        if distance >= loss.max_range_m() {
-            // Out of radio range: the phone scans, nobody answers. Legacy
-            // phones still advance their direct-probe cursor.
-            let _ = agent.phone.probes_for_scan();
-            continue;
+        let planes = armed.then(|| Planes {
+            fault: fault.as_mut(),
+            detection: detection.as_mut(),
+            observer: observer
+                .as_mut()
+                .map(|o| &mut **o as &mut dyn FrameObserver),
+            stats: &mut metrics.stats,
+        });
+        let report = scan::exchange(
+            now,
+            &mut agent.phone,
+            &agent.visit,
+            attacker,
+            &mut radio,
+            scan,
+            planes,
+        );
+        // The per-client records consume no randomness, so folding the
+        // scan in after the exchange leaves every draw where it was.
+        let client = agent.phone.mac;
+        if report.reach == Reach::Deauth(true) {
+            metrics.deauth_frames += 1;
         }
-
-        // §V-B deauthentication of locally-connected clients.
-        if agent.phone.connected_locally && attacker.deauth_enabled() {
-            // The attacker observed this client's data traffic; spoof its
-            // AP. One cooldown-limited frame per victim.
-            let fake_ap = MacAddr::from_index([0x00, 0x90, 0x4c], 77);
-            if let Some(frame) = deauth.try_deauth(now, agent.phone.mac, fake_ap) {
-                // The spoofed frame must itself survive the channel.
-                if rng_medium.chance(loss.delivery_prob(distance)) {
-                    let deauth_frame = MgmtFrame::Deauthentication(frame);
-                    codec::encode_into(&deauth_frame, &mut *frame_buf);
-                    let mut eaten_by_burst = false;
-                    if let Some(plan) = fault.as_mut() {
-                        if plan.channel_drops() {
-                            metrics.stats.frames_burst_dropped += 1;
-                            eaten_by_burst = true;
-                        } else if plan.corrupts() {
-                            metrics.stats.frames_corrupted += 1;
-                            plan.mutate(frame_buf);
-                        }
-                    }
-                    if !eaten_by_burst {
-                        // The victim only honours bytes that decode to
-                        // the frame that was sent; a mangled deauth is
-                        // counted and ignored, never a panic.
-                        match codec::parse(frame_buf) {
-                            Ok(parsed) if parsed == deauth_frame => {
-                                if observer.enabled() {
-                                    observer.observe(now, &deauth_frame);
-                                }
-                                if let Some(det) = detection.as_mut() {
-                                    det.observe(now, &deauth_frame);
-                                }
-                                agent.phone.handle_deauth();
-                                metrics.deauth_frames += 1;
-                            }
-                            _ => metrics.stats.frames_rejected += 1,
-                        }
-                    }
-                }
-            }
-            continue; // it will probe at its next scan
+        if report.heard_broadcast + report.heard_direct > 0 {
+            metrics.observe_probe(now, client, report.heard_direct == 0);
+            metrics.record_offers(client, report.offered as usize);
         }
-
-        if !agent.phone.is_probing() {
-            continue;
-        }
-        let probes = agent.phone.probes_for_scan();
-        let client_mac = agent.phone.mac;
-
-        for probe in probes {
-            // Uplink: the probe must reach the attacker.
-            if !rng_medium.chance(loss.delivery_prob(distance)) {
-                continue;
-            }
-            if let Some(plan) = fault.as_mut() {
-                if plan.channel_drops() {
-                    metrics.stats.frames_burst_dropped += 1;
-                    continue;
-                }
-                if plan.corrupts() {
-                    // The probe's bytes are mangled in flight. The
-                    // attacker decodes what arrived; unless the mutation
-                    // hit don't-care bytes, the frame is rejected and
-                    // skipped — the attacker never learns this client
-                    // probed at all.
-                    metrics.stats.frames_corrupted += 1;
-                    let frame = MgmtFrame::ProbeRequest(probe.clone());
-                    codec::encode_into(&frame, &mut *frame_buf);
-                    plan.mutate(frame_buf);
-                    match codec::parse(frame_buf) {
-                        Ok(parsed) if parsed == frame => {}
-                        _ => {
-                            metrics.stats.frames_rejected += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-            metrics.observe_probe(now, client_mac, probe.is_broadcast());
-            if observer.enabled() || detection.is_some() {
-                let frame = MgmtFrame::ProbeRequest(probe.clone());
-                if observer.enabled() {
-                    observer.observe(now, &frame);
-                }
-                if let Some(det) = detection.as_mut() {
-                    det.observe(now, &frame);
-                }
-            }
-            let budget = config
-                .lure_budget
-                .unwrap_or_else(timing::responses_per_scan);
-            attacker.respond_to_probe_into(now, &probe, budget, &mut *lures);
-            if lures.is_empty() {
-                continue;
-            }
-            // Re-read the transmit BSSID per burst: MAC-rotation evasion
-            // moves it mid-run (a plain attacker returns a constant).
-            let bssid = attacker.bssid();
-            if let Some(det) = detection.as_mut() {
-                det.note_rogue(bssid);
-            }
-            if probe.is_broadcast() {
-                metrics.record_offers(client_mac, lures.len());
-            }
-
-            // Downlink: serialize the response burst on the channel; only
-            // frames inside the listen window can land, each subject to
-            // loss.
-            let deadline = timing::listen_deadline(now);
-            let mut elapsed = now;
-            for lure in lures.iter() {
-                elapsed += timing::PROBE_RESPONSE_AIRTIME;
-                if elapsed > deadline {
-                    break; // window closed; rest of the burst is wasted
-                }
-                if !rng_medium.chance(loss.delivery_prob(distance)) {
-                    continue;
-                }
-                if let Some(plan) = fault.as_mut() {
-                    if plan.channel_drops() {
-                        metrics.stats.frames_burst_dropped += 1;
-                        continue;
-                    }
-                }
-                let response =
-                    ProbeResponse::open_lure(bssid, client_mac, lure.ssid.clone(), channel);
-                if let Some(plan) = fault.as_mut() {
-                    if plan.corrupts() {
-                        // The lure arrives mangled; the phone rejects
-                        // anything that doesn't decode to the frame the
-                        // attacker sent and keeps listening.
-                        metrics.stats.frames_corrupted += 1;
-                        let frame = MgmtFrame::ProbeResponse(response.clone());
-                        codec::encode_into(&frame, &mut *frame_buf);
-                        plan.mutate(frame_buf);
-                        match codec::parse(frame_buf) {
-                            Ok(parsed) if parsed == frame => {}
-                            _ => {
-                                metrics.stats.frames_rejected += 1;
-                                continue;
-                            }
-                        }
-                    }
-                }
-                if observer.enabled() || detection.is_some() {
-                    let frame = MgmtFrame::ProbeResponse(response.clone());
-                    if observer.enabled() {
-                        observer.observe(elapsed, &frame);
-                    }
-                    if let Some(det) = detection.as_mut() {
-                        det.observe(elapsed, &frame);
-                    }
-                }
-                if agent.phone.evaluate_offer(&response) == JoinDecision::Join {
-                    if join_handshake(
-                        &mut agent.phone,
-                        bssid,
-                        &response,
-                        elapsed,
-                        frame_buf,
-                        observer,
-                    ) {
-                        attacker.on_hit(elapsed, client_mac, lure);
-                        metrics.record_hit(elapsed, client_mac, lure);
-                    }
-                    break;
-                }
-            }
-            if agent.phone.is_connected() {
-                break;
-            }
+        if let Some((lure, at)) = report.join {
+            attacker.on_hit(at, client, scan.lure(lure));
+            metrics.record_hit(at, client, scan.lure(lure));
         }
     }
 
@@ -727,52 +542,6 @@ fn run_core(
         metrics.detection = Some(det.report());
     }
     metrics
-}
-
-/// Runs the open-system join through the byte-level codec: auth request →
-/// auth response → association request → association response. Returns
-/// `true` (and connects the phone) on success; any codec failure would
-/// surface here exactly as it would against real hardware.
-fn join_handshake(
-    phone: &mut Phone,
-    bssid: MacAddr,
-    offer: &ProbeResponse,
-    at: SimTime,
-    frame_buf: &mut Vec<u8>,
-    observer: &mut dyn FrameObserver,
-) -> bool {
-    let legs = [
-        MgmtFrame::Authentication(Authentication::request(phone.mac, bssid)),
-        MgmtFrame::Authentication(Authentication::response(
-            bssid,
-            phone.mac,
-            StatusCode::Success,
-        )),
-        MgmtFrame::AssocRequest(AssocRequest {
-            source: phone.mac,
-            bssid,
-            ssid: offer.ssid.clone(),
-            capabilities: CapabilityInfo::open_ap(),
-        }),
-        MgmtFrame::AssocResponse(AssocResponse {
-            bssid,
-            destination: phone.mac,
-            status: StatusCode::Success,
-            association_id: 1,
-        }),
-    ];
-    for frame in &legs {
-        codec::encode_into(frame, frame_buf);
-        match codec::parse(frame_buf) {
-            Ok(parsed) if &parsed == frame => {}
-            _ => return false,
-        }
-        if observer.enabled() {
-            observer.observe(at, frame);
-        }
-    }
-    phone.connect_to(offer.ssid.clone());
-    true
 }
 
 #[cfg(test)]

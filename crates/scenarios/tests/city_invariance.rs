@@ -55,6 +55,30 @@ fn city_quick_is_byte_identical_across_shard_counts_and_jobs() {
     }
 }
 
+/// The committed render of a 16-district city. Four blocks of four
+/// districts put every attacker generation (City-Hunter, prelim, MANA,
+/// KARMA) through the scan kernel. The test above compares runs of one
+/// build with each other; this one pins the city's output across
+/// commits, so a change to any layer the city runs shows up as a diff.
+const GOLDEN_16_DISTRICTS: &str = include_str!("city_16_districts.golden");
+
+#[test]
+fn city_render_matches_the_committed_golden() {
+    let ctx = CampaignCtx::build(&CityData::standard(99));
+    let outcome = run_city(
+        &ctx,
+        &CityConfig {
+            districts: 16,
+            ..base_config()
+        },
+    );
+    assert_eq!(
+        outcome.render(),
+        GOLDEN_16_DISTRICTS,
+        "the 16-district city render moved"
+    );
+}
+
 #[test]
 fn city_seed_changes_the_city() {
     let ctx = CampaignCtx::build(&CityData::standard(99));

@@ -328,6 +328,20 @@ fn need(buf: &[u8], needed: usize) -> Result<(), CodecError> {
     }
 }
 
+/// The first SSID and the first DS-parameter channel of an element list.
+/// Every element is validated, but none is kept: parsing a frame builds
+/// no element list.
+fn ssid_and_channel(buf: &[u8]) -> Result<(Option<Ssid>, Channel), CodecError> {
+    let mut ssid = None;
+    let mut channel = None;
+    InformationElement::parse_each(buf, |element| match element {
+        InformationElement::Ssid(found) if ssid.is_none() => ssid = Some(found),
+        InformationElement::DsParameter(found) if channel.is_none() => channel = Some(found),
+        _ => {}
+    })?;
+    Ok((ssid, channel.unwrap_or_default()))
+}
+
 fn parse_body(
     subtype: MgmtSubtype,
     header: MgmtHeader,
@@ -335,10 +349,8 @@ fn parse_body(
 ) -> Result<MgmtFrame, CodecError> {
     match subtype {
         MgmtSubtype::ProbeRequest => {
-            let elements = InformationElement::parse_all(buf)?;
-            let ssid = InformationElement::find_ssid(&elements)
-                .cloned()
-                .unwrap_or_else(Ssid::wildcard);
+            let (ssid, _) = ssid_and_channel(buf)?;
+            let ssid = ssid.unwrap_or_else(Ssid::wildcard);
             Ok(MgmtFrame::ProbeRequest(ProbeRequest {
                 source: header.addr2,
                 ssid,
@@ -349,17 +361,8 @@ fn parse_body(
             let _timestamp = buf.get_u64_le();
             let _interval = buf.get_u16_le();
             let capabilities = CapabilityInfo::from_word(buf.get_u16_le());
-            let elements = InformationElement::parse_all(buf)?;
-            let ssid = InformationElement::find_ssid(&elements)
-                .cloned()
-                .ok_or(CodecError::MissingSsid)?;
-            let channel = elements
-                .iter()
-                .find_map(|e| match e {
-                    InformationElement::DsParameter(c) => Some(*c),
-                    _ => None,
-                })
-                .unwrap_or_default();
+            let (ssid, channel) = ssid_and_channel(buf)?;
+            let ssid = ssid.ok_or(CodecError::MissingSsid)?;
             Ok(MgmtFrame::ProbeResponse(ProbeResponse {
                 bssid: header.addr2,
                 destination: header.addr1,
@@ -373,17 +376,8 @@ fn parse_body(
             let _timestamp = buf.get_u64_le();
             let interval_tu = buf.get_u16_le();
             let capabilities = CapabilityInfo::from_word(buf.get_u16_le());
-            let elements = InformationElement::parse_all(buf)?;
-            let ssid = InformationElement::find_ssid(&elements)
-                .cloned()
-                .ok_or(CodecError::MissingSsid)?;
-            let channel = elements
-                .iter()
-                .find_map(|e| match e {
-                    InformationElement::DsParameter(c) => Some(*c),
-                    _ => None,
-                })
-                .unwrap_or_default();
+            let (ssid, channel) = ssid_and_channel(buf)?;
+            let ssid = ssid.ok_or(CodecError::MissingSsid)?;
             Ok(MgmtFrame::Beacon(Beacon {
                 bssid: header.addr2,
                 ssid,
@@ -411,10 +405,8 @@ fn parse_body(
             need(buf, 4)?;
             let capabilities = CapabilityInfo::from_word(buf.get_u16_le());
             let _listen = buf.get_u16_le();
-            let elements = InformationElement::parse_all(buf)?;
-            let ssid = InformationElement::find_ssid(&elements)
-                .cloned()
-                .ok_or(CodecError::MissingSsid)?;
+            let (ssid, _) = ssid_and_channel(buf)?;
+            let ssid = ssid.ok_or(CodecError::MissingSsid)?;
             Ok(MgmtFrame::AssocRequest(AssocRequest {
                 source: header.addr2,
                 bssid: header.addr1,

@@ -211,8 +211,24 @@ impl InformationElement {
     /// # Errors
     ///
     /// Any [`IeError`] on malformed input.
-    pub fn parse_all(mut bytes: &[u8]) -> Result<Vec<InformationElement>, IeError> {
+    pub fn parse_all(bytes: &[u8]) -> Result<Vec<InformationElement>, IeError> {
         let mut elements = Vec::new();
+        Self::parse_each(bytes, |element| elements.push(element))?;
+        Ok(elements)
+    }
+
+    /// Parses every element in `bytes` like
+    /// [`parse_all`](Self::parse_all), handing each to `visit` in wire
+    /// order instead of collecting them.
+    ///
+    /// # Errors
+    ///
+    /// Any [`IeError`] on malformed input; the elements before it have
+    /// been visited.
+    pub fn parse_each(
+        mut bytes: &[u8],
+        mut visit: impl FnMut(InformationElement),
+    ) -> Result<(), IeError> {
         while !bytes.is_empty() {
             if bytes.len() < 2 {
                 return Err(IeError::Truncated {
@@ -231,10 +247,10 @@ impl InformationElement {
                 });
             }
             let payload = &bytes[2..2 + len];
-            elements.push(Self::parse_one(id, payload)?);
+            visit(Self::parse_one(id, payload)?);
             bytes = &bytes[2 + len..];
         }
-        Ok(elements)
+        Ok(())
     }
 
     fn parse_one(id: u8, payload: &[u8]) -> Result<InformationElement, IeError> {
