@@ -129,6 +129,27 @@ cargo run -q --release -p ch-bench --bin perfbench -- --quick \
   --out "$perf_dir/run2.json" > /dev/null
 cmp "$perf_dir/run1.json" "$perf_dir/run2.json"
 
+echo "==> committed-artifact drift (regenerate results/, byte-compare)"
+# The committed artifacts must be exactly what the code prints today: every
+# results/*.txt is regenerated from a fresh manifest and compared byte for
+# byte, and so is the full-mode hot-path JSON. The fleet smoke's serial run
+# is the fig5 campaign at its defaults, so it stands in for fig5.
+drift_dir="target/ci-drift"
+rm -rf "$drift_dir"
+mkdir -p "$drift_dir"
+cmp "$smoke_dir/run0.txt" results/fig5.txt
+for artifact in results/*.txt; do
+  id=$(basename "$artifact" .txt)
+  test "$id" = fig5 && continue
+  cargo run -q --release -p ch-bench --bin experiment -- "$id" \
+    --manifest "$drift_dir/$id.jsonl" --fresh --no-bench \
+    > "$drift_dir/$id.txt" 2> "$drift_dir/$id.log"
+  cmp "$drift_dir/$id.txt" "$artifact"
+done
+cargo run -q --release -p ch-bench --bin perfbench -- \
+  --out "$drift_dir/BENCH_hotpath.json" > /dev/null
+cmp "$drift_dir/BENCH_hotpath.json" results/BENCH_hotpath.json
+
 echo "==> city smoke (sharded day: shard-count byte-identity + events/sec)"
 # The city-scale gate: the quick city must render byte-identically at
 # shard counts 1, 4 and 16 and across worker widths (shards are an

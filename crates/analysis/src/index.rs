@@ -22,7 +22,8 @@
 //!   named `select`, whatever type it is defined on;
 //! * a qualified call `Type::new(…)` resolves by impl-type when the index
 //!   knows a matching method, and falls back to free functions of that
-//!   name (covers `module::func` paths);
+//!   name (covers `module::func` paths); `Self::helper(…)` resolves to the
+//!   methods of the caller's own impl type;
 //! * calls that resolve to nothing (std, closures, trait-object dispatch
 //!   through `dyn`/generics where the method name never appears at the
 //!   call site) produce no edges — this is the approximation's blind spot
@@ -63,7 +64,7 @@ pub enum CallKind {
     /// `helper(…)` — resolves to free functions.
     Bare,
     /// `Qualifier::name(…)` — resolves by impl-type, falling back to free
-    /// functions (module paths).
+    /// functions (module paths); `Self` is the caller's impl type.
     Qualified(String),
     /// `value.name(…)` — resolves to every method of that name.
     Method,
@@ -370,6 +371,11 @@ impl WorkspaceIndex {
                 let matches = match &call.kind {
                     CallKind::Bare => target.impl_type.is_none(),
                     CallKind::Method => target.impl_type.is_some(),
+                    // `Self::helper` names a method of the caller's own
+                    // impl (or trait) type.
+                    CallKind::Qualified(q) if q == "Self" => {
+                        target.impl_type.is_some() && target.impl_type == self.defs[d].impl_type
+                    }
                     CallKind::Qualified(q) => {
                         // `Type::method` by impl type; `module::func` falls
                         // through to free functions.

@@ -116,11 +116,14 @@ pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "ssid-clone",
-        "Why: cloning an SSID-named String value in ch-attack/ch-arc/ch-detect \
-         re-grows the very allocations the interned-SsidId hot path removed.\n\
+        "Why: an SSID-named value cloned in ch-attack/ch-arc/ch-detect library \
+         code is either a String, re-growing the allocations the interned-SsidId \
+         hot path removed, or a 33-byte inline Ssid copy of a name the path \
+         should carry as a 4-byte SsidId.\n\
          Instead: intern once, pass SsidId, resolve at the lure boundary \
-         (db.resolve(id).clone() is an Arc refcount bump and does not match).\n\
-         Escape: // ch-lint: allow(ssid-clone) for justified refcount bumps.",
+         (db.resolve(id).clone() copies the inline Ssid, no heap, and does not \
+         match).\n\
+         Escape: // ch-lint: allow(ssid-clone) for justified copies.",
     ),
     (
         "hot-path-alloc",
@@ -134,7 +137,8 @@ pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
          cannot see through trait objects or generics when the method name never \
          appears at the call site, and .clone() is flagged whatever the receiver \
          type (the lexer has no type information — Copy clones are already \
-         denied by clippy::clone_on_copy, Arc bumps take the escape).\n\
+         denied by clippy::clone_on_copy; fixed-size inline copies such as \
+         the 33-byte Ssid take the escape).\n\
          Escape: // ch-lint: allow(hot-path-alloc) with a justification comment.",
     ),
     (
@@ -528,7 +532,7 @@ fn rule_ssid_clone(ctx: &FileContext, file: &LexedFile, findings: &mut Vec<Findi
             format!(
                 "`{receiver}.clone()` in the library code of `{}`; the probe \
                  hot path compares interned `SsidId`s — intern the SSID (or \
-                 justify the refcount bump with an allow comment)",
+                 justify the copy with an allow comment)",
                 ctx.crate_name
             ),
         );
@@ -543,7 +547,8 @@ fn rule_ssid_clone(ctx: &FileContext, file: &LexedFile, findings: &mut Vec<Findi
 /// claim is "no allocation at steady state", and those amortize to zero.
 /// `.clone()` is flagged unconditionally — the lexer cannot see types, so
 /// `Copy` clones (already denied workspace-wide by `clippy::clone_on_copy`)
-/// and sanctioned `Arc` refcount bumps both need the allow comment.
+/// and sanctioned fixed-size copies with no heap (the inline `Ssid`) both
+/// need the allow comment.
 fn allocating_construct(toks: &[Token], i: usize) -> Option<String> {
     let name = toks[i].ident()?;
     let prev_dot = i >= 1 && toks[i - 1].is_punct('.');

@@ -15,7 +15,7 @@ pub fn mimic(probe: &Probe) -> String {
 }
 
 pub fn justified(probe: &Probe) -> String {
-    probe.ssid.clone() // ch-lint: allow(ssid-clone) — refcount bump off the hot path
+    probe.ssid.clone() // ch-lint: allow(ssid-clone) — justified copy off the hot path
 }
 
 pub fn resolved_at_the_edge(names: &[String], idx: usize) -> String {

@@ -329,6 +329,31 @@ fn r6_catches_allocation_on_unexecuted_cold_branch() {
     );
 }
 
+/// `Self::helper(…)` resolves to the caller's own impl type: the root
+/// reaches the allocation only that way, and a same-named method of
+/// another type stays out of reach.
+#[test]
+fn r6_follows_self_qualified_calls_into_the_callers_impl() {
+    let files = vec![(
+        FileContext {
+            crate_name: "ch-wifi".to_string(),
+            path: "crates/wifi/src/parser.rs".to_string(),
+            kind: FileKind::Library,
+        },
+        include_str!("fixtures/hot_path_self.rs").to_string(),
+    )];
+    let config = hot_path_config("crates/wifi/src/parser.rs::parse");
+    let got: Vec<(String, u32)> = analyze_files(&files, &config)
+        .into_iter()
+        .map(|f| (f.rule.to_string(), f.line))
+        .collect();
+    assert_eq!(
+        got,
+        vec![("hot-path-alloc".to_string(), 13)],
+        "Parser::copy_payload's .to_vec() fires; Printer's format! must not"
+    );
+}
+
 #[test]
 fn r6_directory_scope_and_unmatched_roots() {
     let files = hot_path_files();

@@ -161,13 +161,13 @@ pub fn direct_reply(probe: &ProbeRequest) -> Vec<Lure> {
 }
 
 /// [`direct_reply`] into a caller-owned vector (cleared first). The SSID
-/// handoff is an `Arc` refcount bump, so a warm `out` makes this
+/// handoff is a fixed-size inline copy, so a warm `out` makes this
 /// allocation-free.
 pub fn direct_reply_into(probe: &ProbeRequest, out: &mut Vec<Lure>) {
     debug_assert!(!probe.is_broadcast());
     out.clear();
     out.push(Lure::new(
-        // ch-lint: allow(ssid-clone, hot-path-alloc) — Arc clone, no heap.
+        // ch-lint: allow(ssid-clone, hot-path-alloc) — inline copy, no heap.
         probe.ssid.clone(),
         LureSource::DirectProbe,
         LureLane::DirectReply,

@@ -121,6 +121,23 @@ impl AdaptiveBuffers {
         self.adaptive
     }
 
+    /// How many entries of each candidate list
+    /// [`select_into`](AdaptiveBuffers::select_into) can read for `budget`:
+    /// lists cut to this length give the same picks and the same RNG draws
+    /// as the full lists, so callers filter no further than this.
+    ///
+    /// With `b = min(budget, total)` and quotas `p + f = b`, selection
+    /// reads `by_weight` below `max(b, pb_core + GHOST_LEN)`: the backfill
+    /// stops within `b` reads, because it skips only already-picked ids. It
+    /// reads `by_freshness` below `fb_core + 1 + p + GHOST_LEN`: the core
+    /// loop consumes one extra entry, and the two walks skip at most the
+    /// `p` popularity picks. Both are at most `b + GHOST_LEN + 1`. The
+    /// bound assumes duplicate-free lists, as the untried filter and the
+    /// database rankings produce.
+    pub fn read_bound(&self, budget: usize) -> usize {
+        budget.min(self.total) + GHOST_LEN + 1
+    }
+
     /// The §IV-C size invariants: the split always sums to the joint
     /// budget and neither buffer adapts below [`MIN_BUFFER`].
     fn check_invariants(&self) {
@@ -495,7 +512,102 @@ mod tests {
         }
     }
 
+    /// Two duplicate-free candidate lists drawn in random order from one id
+    /// space of `space` ids, so they overlap and interleave as the filtered
+    /// rankings do; a small `space` makes the overlap heavy.
+    fn candidate_lists(
+        n_weight: usize,
+        n_fresh: usize,
+        space: usize,
+        seed: u64,
+    ) -> (Vec<SsidId>, Vec<SsidId>) {
+        let mut interner = SsidInterner::new();
+        let mut ids = ssids(&mut interner, "s", space);
+        let mut rng = SimRng::seed_from(seed);
+        rng.shuffle(&mut ids);
+        let weight = ids[..n_weight.min(space)].to_vec();
+        rng.shuffle(&mut ids);
+        let fresh = ids[..n_fresh.min(space)].to_vec();
+        (weight, fresh)
+    }
+
+    /// Selection on both lists cut to [`AdaptiveBuffers::read_bound`] must
+    /// pick exactly what it picks on the full lists, and leave the RNG in
+    /// the same state.
+    fn assert_bounded_prefix_exact(
+        b: &AdaptiveBuffers,
+        weight: &[SsidId],
+        fresh: &[SsidId],
+        budget: usize,
+        seed: u64,
+    ) {
+        let bound = b.read_bound(budget);
+        let (mut rng_full, mut rng_cut) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+        let full = b.select(weight, fresh, budget, &mut rng_full);
+        let cut = b.select(
+            &weight[..bound.min(weight.len())],
+            &fresh[..bound.min(fresh.len())],
+            budget,
+            &mut rng_cut,
+        );
+        let case = format!(
+            "sizes {:?}/{} adaptive {} budget {budget} lists {}/{} seed {seed}",
+            b.sizes(),
+            b.total(),
+            b.is_adaptive(),
+            weight.len(),
+            fresh.len()
+        );
+        assert_eq!(full, cut, "{case}");
+        assert_eq!(rng_full.save_state(), rng_cut.save_state(), "{case}");
+    }
+
+    #[test]
+    fn read_bound_prefix_is_exact_for_every_split() {
+        // Every split of the paper's 40, both MIN_BUFFER ends included,
+        // frozen and adaptive, budgets past the total; rich overlapping
+        // lists, short ones, and a freshness list longer than the weights.
+        let shapes = [
+            (400, 400, 450),
+            (400, 60, 400),
+            (30, 10, 35),
+            (45, 300, 320),
+        ];
+        for (shape, &(n_weight, n_fresh, space)) in shapes.iter().enumerate() {
+            let (weight, fresh) = candidate_lists(n_weight, n_fresh, space, shape as u64);
+            for p in MIN_BUFFER..=40 - MIN_BUFFER {
+                for adaptive in [false, true] {
+                    let b = AdaptiveBuffers::new(p, 40 - p, 40, adaptive);
+                    for budget in 1..=160 {
+                        let seed = (p * 1_000 + budget) as u64;
+                        assert_bounded_prefix_exact(&b, &weight, &fresh, budget, seed);
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// The bounded prefix gives the full-list selection for any lists
+        /// of 0–400 ids, any valid split of any total, and budgets 1–160.
+        #[test]
+        fn prop_read_bound_prefix_is_exact(
+            n_weight in 0usize..401,
+            n_fresh in 0usize..401,
+            extra_space in 0usize..401,
+            total in (2 * MIN_BUFFER)..81,
+            p_pick in 0usize..1_000,
+            adaptive in any::<bool>(),
+            budget in 1usize..161,
+            seed in 0u64..10_000,
+        ) {
+            let space = n_weight.max(n_fresh) + extra_space;
+            let (weight, fresh) = candidate_lists(n_weight, n_fresh, space, seed);
+            let p = MIN_BUFFER + p_pick % (total - 2 * MIN_BUFFER + 1);
+            let b = AdaptiveBuffers::new(p, total - p, total, adaptive);
+            assert_bounded_prefix_exact(&b, &weight, &fresh, budget, seed);
+        }
+
         /// Selection never exceeds the budget, never duplicates, and only
         /// returns offered candidates.
         #[test]

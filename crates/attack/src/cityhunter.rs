@@ -113,11 +113,11 @@ impl CityHunter {
         let mut db = SsidDatabase::new();
         if config.use_wigle {
             for (ssid, w) in &plan.by_heat {
-                // ch-lint: allow(ssid-clone) — construction-time refcount bump.
+                // ch-lint: allow(ssid-clone) — construction-time inline copy, no heap.
                 db.seed_from_wigle(ssid.clone(), *w, SimTime::ZERO);
             }
             for (ssid, w) in &plan.nearby_open {
-                // ch-lint: allow(ssid-clone) — construction-time refcount bump.
+                // ch-lint: allow(ssid-clone) — construction-time inline copy, no heap.
                 db.seed_from_wigle(ssid.clone(), *w, SimTime::ZERO);
             }
         }
@@ -259,15 +259,17 @@ impl Attacker for CityHunter {
         out.clear();
 
         // Step 3: build candidate lists, filtered to this client's untried
-        // SSIDs when tracking is on. Everything below runs on interned ids
-        // and warm scratch — no heap traffic at steady state.
+        // SSIDs when tracking is on, and only as deep as the selection can
+        // read. Everything below runs on interned ids and warm scratch — no
+        // heap traffic at steady state.
         let client = probe.source;
         let (ranked, fresh) = self.db.ranked_and_fresh();
+        let limit = self.buffers.read_bound(budget);
         let by_weight: &[SsidId] = if self.config.untried_tracking {
             self.tracker.select_untried_into(
                 client,
                 ranked,
-                ranked.len(),
+                limit,
                 &mut self.scratch.seen,
                 &mut self.scratch.by_weight,
             );
@@ -280,7 +282,7 @@ impl Attacker for CityHunter {
                 self.tracker.select_untried_into(
                     client,
                     fresh,
-                    fresh.len(),
+                    limit,
                     &mut self.scratch.seen,
                     &mut self.scratch.by_freshness,
                 );
@@ -307,8 +309,8 @@ impl Attacker for CityHunter {
         }
         for &(id, lane) in &self.scratch.picked {
             let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
-            // resolve() hands back an Arc; the clone is a refcount bump,
-            // the sanctioned lure handoff.
+            // The lure owns its Ssid: the clone is a fixed-size inline
+            // copy with no heap, the sanctioned lure handoff.
             // ch-lint: allow(hot-path-alloc)
             out.push(Lure::new(self.db.resolve(id).clone(), source, lane));
         }
@@ -615,6 +617,100 @@ mod tests {
         let a = reference.respond_to_probe(SimTime::from_secs(10), &probe, 40);
         let b = crashed.respond_to_probe(SimTime::from_secs(10), &probe, 40);
         assert_eq!(a, b);
+    }
+
+    /// The answer to a broadcast probe computed from the *full* filtered
+    /// lists through the public accessors, with a copy of the attacker's
+    /// RNG. Returns the lures and the RNG state after the draw.
+    fn full_list_answer(ch: &CityHunter, client: MacAddr, budget: usize) -> (Vec<Lure>, [u64; 5]) {
+        let db = ch.database();
+        let config = ch.config();
+        let (ranked, fresh) = db.ranked_and_fresh();
+        let untried = |list: &[SsidId]| {
+            if config.untried_tracking {
+                ch.tracker().select_untried(client, list, list.len())
+            } else {
+                list.to_vec()
+            }
+        };
+        let by_weight = untried(ranked);
+        let by_freshness = if config.use_freshness {
+            untried(fresh)
+        } else {
+            Vec::new()
+        };
+        let mut rng = SimRng::from_state(ch.rng_state());
+        let picked = ch
+            .buffers()
+            .select(&by_weight, &by_freshness, budget, &mut rng);
+        let lures = picked
+            .into_iter()
+            .map(|(id, lane)| {
+                let source = db.source_of(id).unwrap_or(LureSource::Wigle);
+                Lure::new(db.resolve(id).clone(), source, lane)
+            })
+            .collect();
+        (lures, rng.save_state())
+    }
+
+    #[test]
+    fn bounded_prefix_answers_equal_full_list_answers() {
+        // Random broadcast, direct and hit events over 64 clients. Four
+        // clients probe far more often than the rest, so they are sent the
+        // whole database and walk past its end; the others stop at every
+        // depth on the way. Hits reorder freshness and move the split.
+        for config in [
+            CityHunterConfig::default(),
+            CityHunterConfig {
+                use_freshness: false,
+                ..CityHunterConfig::default()
+            },
+            CityHunterConfig {
+                untried_tracking: false,
+                ..CityHunterConfig::default()
+            },
+        ] {
+            let mut ch = hunter(config);
+            let mut rng = SimRng::seed_from(77);
+            let mut offered: Vec<Lure> = Vec::new();
+            let mut deepest = 0usize;
+            for step in 0..1_200u64 {
+                let now = SimTime::from_secs(step);
+                let client = if rng.chance(0.3) {
+                    mac(rng.range_usize(0, 4) as u8)
+                } else {
+                    mac(rng.range_usize(4, 64) as u8)
+                };
+                match rng.range_usize(0, 10) {
+                    0 => {
+                        let name = format!("Harvested-{}", rng.range_usize(0, 400));
+                        let probe = ProbeRequest::direct(client, Ssid::new_lossy(name));
+                        let _ = ch.respond_to_probe(now, &probe, 40);
+                    }
+                    1 | 2 if !offered.is_empty() => {
+                        let lure = offered[rng.range_usize(0, offered.len())].clone();
+                        ch.on_hit(now, client, &lure);
+                    }
+                    _ => {
+                        let budget = [40, 40, 40, 1, 7, 13, 39, 100][rng.range_usize(0, 8)];
+                        let (want, rng_after) = full_list_answer(&ch, client, budget);
+                        let got =
+                            ch.respond_to_probe(now, &ProbeRequest::broadcast(client), budget);
+                        assert_eq!(got, want, "step {step}, client {client}, budget {budget}");
+                        assert_eq!(ch.rng_state(), rng_after, "step {step}");
+                        offered.extend(got);
+                        deepest = deepest.max(ch.tracker().sent_count(client));
+                    }
+                }
+            }
+            if ch.config().untried_tracking {
+                assert!(
+                    deepest + 40 >= ch.database_len(),
+                    "some client must be sent nearly the whole database: {deepest} of {}",
+                    ch.database_len()
+                );
+            }
+        }
     }
 
     #[test]

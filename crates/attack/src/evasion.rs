@@ -294,8 +294,8 @@ impl Attacker for EvasiveAttacker {
         if !self.spec.beacon_clone {
             return None;
         }
-        // ch-lint: allow(ssid-clone) — Arc refcount bump; the beacon poll
-        // is outside the probe hot path.
+        // ch-lint: allow(ssid-clone) — inline Ssid copy, no heap; the
+        // beacon poll is outside the probe hot path.
         let target = self.clone_target.clone()?;
         // Drain the schedule (catch-up after a quiet stretch) but emit at
         // most one beacon per poll, so a backlog never floods the air.

@@ -61,7 +61,8 @@ impl Attacker for KarmaAttacker {
             out.clear();
         } else {
             if !self.ssids_mimicked.contains(&probe.ssid) {
-                // Arc refcount bump into the mimic log, off the hot path.
+                // Inline Ssid copy (no heap) into the mimic log, off the
+                // hot path.
                 // ch-lint: allow(ssid-clone, hot-path-alloc)
                 self.ssids_mimicked.push(probe.ssid.clone());
             }

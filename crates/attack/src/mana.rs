@@ -134,7 +134,7 @@ impl Attacker for ManaAttacker {
             };
             for &id in replay.iter().take(budget) {
                 out.push(Lure::new(
-                    // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
+                    // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
                     self.db.resolve(id).clone(),
                     LureSource::DirectProbe,
                     LureLane::Database,

@@ -63,11 +63,11 @@ impl PrelimCityHunter {
             }
         };
         for (ssid, _w) in &plan.nearby_open {
-            // ch-lint: allow(ssid-clone) — construction-time refcount bump.
+            // ch-lint: allow(ssid-clone) — construction-time inline copy, no heap.
             push(&mut db, &mut reply_order, ssid.clone());
         }
         for ssid in &plan.by_ap_count {
-            // ch-lint: allow(ssid-clone) — construction-time refcount bump.
+            // ch-lint: allow(ssid-clone) — construction-time inline copy, no heap.
             push(&mut db, &mut reply_order, ssid.clone());
         }
         PrelimCityHunter {
@@ -142,7 +142,7 @@ impl Attacker for PrelimCityHunter {
             for &id in &self.picked {
                 let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
                 out.push(Lure::new(
-                    // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
+                    // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
                     self.db.resolve(id).clone(),
                     source,
                     LureLane::Database,

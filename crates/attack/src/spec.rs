@@ -117,7 +117,7 @@ impl AttackerSpec {
                 // Plan prefixes equal smaller scans, so the head of the
                 // nearby-open list is exactly `nearest_open_ssids(site, 1)`.
                 let clone_target = if evasion.beacon_clone {
-                    // ch-lint: allow(ssid-clone) — construction-time refcount bump.
+                    // ch-lint: allow(ssid-clone) — construction-time inline copy.
                     plan.nearby_open.first().map(|(ssid, _)| ssid.clone())
                 } else {
                     None

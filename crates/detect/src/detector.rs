@@ -224,8 +224,9 @@ impl ApProfile {
 
     fn note_advertised(&mut self, ssid: &Ssid, bait: bool) {
         if !self.advertised.contains(ssid) {
-            // Arc refcount bump into the detector's bookkeeping set; the
-            // scan kernel reaches it only with a detector armed.
+            // A fixed-size inline copy of the Ssid (no heap) into the
+            // detector's bookkeeping set; the scan kernel reaches it only
+            // with a detector armed.
             // ch-lint: allow(ssid-clone, hot-path-alloc)
             self.advertised.insert(ssid.clone());
             if bait {
@@ -314,7 +315,8 @@ impl Detector {
                 }
                 None => {
                     self.direct_probes.insert(
-                        // Arc refcount bump keying the recently-probed pool.
+                        // Fixed-size inline Ssid copy (no heap) keying the
+                        // recently-probed pool.
                         // ch-lint: allow(ssid-clone, hot-path-alloc)
                         probe.ssid.clone(),
                         DirectProbe {
@@ -367,7 +369,8 @@ impl Detector {
             profile.rogue_ie = true;
         }
         if bait && !profile.window_bait.contains(&response.ssid) {
-            // Arc refcount bump into the per-window bait evidence set.
+            // Fixed-size inline Ssid copy (no heap) into the per-window
+            // bait evidence set.
             // ch-lint: allow(ssid-clone, hot-path-alloc)
             profile.window_bait.insert(response.ssid.clone());
         }

@@ -140,7 +140,7 @@ impl Phone {
             let n = self.pnl.len();
             for k in 0..entries_per_scan.min(n) {
                 let entry = &self.pnl.entries()[(self.direct_cursor + k) % n];
-                // Arc refcount bump, not a heap allocation.
+                // A fixed-size inline Ssid copy, not a heap allocation.
                 out.push(ProbeRequest::direct(self.mac, entry.ssid.clone())); // ch-lint: allow(hot-path-alloc)
             }
             if n > 0 {

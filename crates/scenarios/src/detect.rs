@@ -108,8 +108,8 @@ impl DetectionHarness {
     pub fn tick(&mut self, now: SimTime, attacker: &mut dyn Attacker) {
         for ap in &mut self.legit_aps {
             while let Some(due) = ap.beacons.pop_due(now) {
-                // ch-lint: allow(ssid-clone) — Arc refcount bump on the
-                // beacon plane, outside the probe hot path.
+                // ch-lint: allow(ssid-clone) — inline Ssid copy (no heap) on
+                // the beacon plane, outside the probe hot path.
                 let beacon = Beacon::open(ap.bssid, ap.ssid.clone(), Channel::default());
                 self.detector.observe(due, &MgmtFrame::Beacon(beacon));
             }

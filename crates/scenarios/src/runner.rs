@@ -257,8 +257,8 @@ impl FrameObserver for CollectingObserver {
     fn observe(&mut self, at: SimTime, frame: &MgmtFrame) {
         self.last_at = self.last_at.max(at);
         if (self.filter)(frame) {
-            // Arc refcount bump: frames own no heap data beyond the
-            // Arc-backed Ssid.
+            // A fixed-size copy: frames own no heap data, and their Ssid
+            // is stored inline.
             // ch-lint: allow(hot-path-alloc)
             self.frames.push((self.last_at, frame.clone()));
         }
@@ -301,8 +301,8 @@ pub fn run_experiment_ctx(
                 plan.attack
                     .nearby_open
                     .iter()
-                    // ch-lint: allow(ssid-clone) — construction-time Arc
-                    // refcount bump, off the probe hot path.
+                    // ch-lint: allow(ssid-clone) — construction-time inline
+                    // copy (no heap), off the probe hot path.
                     .map(|(ssid, _)| ssid.clone()),
             )
         });

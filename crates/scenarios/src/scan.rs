@@ -11,8 +11,8 @@
 //! observer. Callers fold the returned [`ScanReport`] into their own
 //! records and keep `Attacker::on_hit` outside. [`exchange`] is a
 //! `ch-lint` `[hot-path]` root: with warm scratch a scan allocates
-//! nothing, and its `.clone()`s are `Arc` refcount bumps of the `Ssid`,
-//! the only heap data a management frame owns.
+//! nothing, and its `.clone()`s copy frames whose only variable part, the
+//! `Ssid`, is stored inline: fixed-size copies with no heap.
 
 use ch_attack::ext::DeauthScheduler;
 use ch_attack::{Attacker, Lure};
@@ -207,7 +207,7 @@ pub(crate) fn exchange(
             continue; // lost on the uplink
         }
         if let Some(planes) = planes.as_mut() {
-            // ch-lint: allow(hot-path-alloc) — Arc refcount bump of the Ssid.
+            // ch-lint: allow(hot-path-alloc) — fixed-size copy, inline Ssid, no heap.
             let frame = MgmtFrame::ProbeRequest(probe.clone());
             // A mangled probe is rejected: the attacker never learns
             // this client probed at all.
@@ -247,12 +247,12 @@ pub(crate) fn exchange(
             let response = ProbeResponse::open_lure(
                 bssid,
                 client,
-                // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
+                // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
                 lure.ssid.clone(),
                 radio.channel,
             );
             if let Some(planes) = planes.as_mut() {
-                // ch-lint: allow(hot-path-alloc) — Arc refcount bump of the Ssid.
+                // ch-lint: allow(hot-path-alloc) — fixed-size copy, inline Ssid, no heap.
                 let frame = MgmtFrame::ProbeResponse(response.clone());
                 // A mangled lure is rejected; the phone keeps listening.
                 if !planes.lands(elapsed, &frame, frame_buf) {
@@ -294,7 +294,7 @@ fn join(
         MgmtFrame::AssocRequest(AssocRequest {
             source: phone.mac,
             bssid,
-            // ch-lint: allow(hot-path-alloc) — Arc refcount bump.
+            // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
             ssid: offer.ssid.clone(),
             capabilities: CapabilityInfo::open_ap(),
         }),

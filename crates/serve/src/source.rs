@@ -151,8 +151,9 @@ fn convert_frame(t_us: u64, frame: &MgmtFrame) -> Option<InputEvent> {
             ssid: if probe.is_broadcast() {
                 None
             } else {
-                // ch-lint: allow(ssid-clone) — stream materialization is an
-                // Arc refcount bump per frame, off the probe hot path.
+                // ch-lint: allow(ssid-clone) — stream materialization is a
+                // fixed-size inline copy per frame (no heap), off the probe
+                // hot path.
                 Some(probe.ssid.clone())
             },
         }),

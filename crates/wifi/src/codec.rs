@@ -9,7 +9,7 @@
 
 use crate::channel::Channel;
 use crate::frame::{FrameControl, MgmtHeader, MgmtSubtype};
-use crate::ie::{element_id, IeError, InformationElement, DEFAULT_RATES};
+use crate::ie::{element_id, ElementRef, IeError, InformationElement, DEFAULT_RATES};
 use crate::mac::MacAddr;
 use crate::mgmt::{
     AssocRequest, AssocResponse, Authentication, Beacon, CapabilityInfo, Deauthentication,
@@ -329,14 +329,14 @@ fn need(buf: &[u8], needed: usize) -> Result<(), CodecError> {
 }
 
 /// The first SSID and the first DS-parameter channel of an element list.
-/// Every element is validated, but none is kept: parsing a frame builds
-/// no element list.
+/// Every element is validated, but none is kept and no payload is copied:
+/// parsing a frame allocates nothing.
 fn ssid_and_channel(buf: &[u8]) -> Result<(Option<Ssid>, Channel), CodecError> {
     let mut ssid = None;
     let mut channel = None;
     InformationElement::parse_each(buf, |element| match element {
-        InformationElement::Ssid(found) if ssid.is_none() => ssid = Some(found),
-        InformationElement::DsParameter(found) if channel.is_none() => channel = Some(found),
+        ElementRef::Ssid(found) if ssid.is_none() => ssid = Some(found),
+        ElementRef::DsParameter(found) if channel.is_none() => channel = Some(found),
         _ => {}
     })?;
     Ok((ssid, channel.unwrap_or_default()))

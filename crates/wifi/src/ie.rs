@@ -104,6 +104,96 @@ pub enum InformationElement {
     },
 }
 
+/// One information element as parsed from a buffer: validated exactly as
+/// [`InformationElement::parse_all`] validates it, but every
+/// variable-length payload borrows the buffer instead of copying it, and
+/// the SSID is an inline [`Ssid`] — so parsing one allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ElementRef<'a> {
+    /// SSID element; wildcard (empty) in broadcast probe requests.
+    Ssid(Ssid),
+    /// Supported-rates element (the raw rate bytes).
+    SupportedRates(&'a [u8]),
+    /// DS parameter set: the current channel.
+    DsParameter(Channel),
+    /// RSN element.
+    Rsn(RsnInfo),
+    /// Vendor-specific element (OUI + opaque body).
+    Vendor {
+        /// Organizationally unique identifier of the vendor.
+        oui: [u8; 3],
+        /// Opaque vendor payload.
+        data: &'a [u8],
+    },
+    /// Any element this model does not interpret.
+    Unknown {
+        /// Raw element ID.
+        id: u8,
+        /// Raw payload.
+        data: &'a [u8],
+    },
+}
+
+impl<'a> ElementRef<'a> {
+    /// Parses and validates one element's payload.
+    fn parse(id: u8, payload: &'a [u8]) -> Result<Self, IeError> {
+        Ok(match id {
+            element_id::SSID => {
+                if payload.len() > MAX_SSID_LEN {
+                    return Err(IeError::OversizedSsid { len: payload.len() });
+                }
+                let text = std::str::from_utf8(payload).map_err(|_| IeError::NonUtf8Ssid)?;
+                ElementRef::Ssid(
+                    Ssid::new(text).map_err(|_| IeError::OversizedSsid { len: payload.len() })?,
+                )
+            }
+            element_id::SUPPORTED_RATES => ElementRef::SupportedRates(payload),
+            element_id::DS_PARAMETER => {
+                let number = *payload.first().ok_or(IeError::BadChannel { number: 0 })?;
+                ElementRef::DsParameter(
+                    Channel::new(number).map_err(|_| IeError::BadChannel { number })?,
+                )
+            }
+            element_id::RSN => {
+                let flags = payload.get(2).copied().unwrap_or(0);
+                ElementRef::Rsn(RsnInfo {
+                    ccmp: flags & 1 != 0,
+                    psk: flags & 2 != 0,
+                })
+            }
+            element_id::VENDOR => match payload {
+                [a, b, c, data @ ..] => ElementRef::Vendor {
+                    oui: [*a, *b, *c],
+                    data,
+                },
+                _ => return Err(IeError::ShortVendor),
+            },
+            other => ElementRef::Unknown {
+                id: other,
+                data: payload,
+            },
+        })
+    }
+
+    /// The owned element, payloads copied out of the buffer.
+    fn into_owned(self) -> InformationElement {
+        match self {
+            ElementRef::Ssid(ssid) => InformationElement::Ssid(ssid),
+            ElementRef::SupportedRates(rates) => InformationElement::SupportedRates(rates.to_vec()),
+            ElementRef::DsParameter(channel) => InformationElement::DsParameter(channel),
+            ElementRef::Rsn(rsn) => InformationElement::Rsn(rsn),
+            ElementRef::Vendor { oui, data } => InformationElement::Vendor {
+                oui,
+                data: data.to_vec(),
+            },
+            ElementRef::Unknown { id, data } => InformationElement::Unknown {
+                id,
+                data: data.to_vec(),
+            },
+        }
+    }
+}
+
 /// Error parsing an information element stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IeError {
@@ -213,21 +303,22 @@ impl InformationElement {
     /// Any [`IeError`] on malformed input.
     pub fn parse_all(bytes: &[u8]) -> Result<Vec<InformationElement>, IeError> {
         let mut elements = Vec::new();
-        Self::parse_each(bytes, |element| elements.push(element))?;
+        Self::parse_each(bytes, |element| elements.push(element.into_owned()))?;
         Ok(elements)
     }
 
-    /// Parses every element in `bytes` like
+    /// Parses and validates every element in `bytes` like
     /// [`parse_all`](Self::parse_all), handing each to `visit` in wire
-    /// order instead of collecting them.
+    /// order as a borrowed [`ElementRef`] instead of collecting owned
+    /// elements: nothing is allocated.
     ///
     /// # Errors
     ///
     /// Any [`IeError`] on malformed input; the elements before it have
     /// been visited.
-    pub fn parse_each(
-        mut bytes: &[u8],
-        mut visit: impl FnMut(InformationElement),
+    pub fn parse_each<'a>(
+        mut bytes: &'a [u8],
+        mut visit: impl FnMut(ElementRef<'a>),
     ) -> Result<(), IeError> {
         while !bytes.is_empty() {
             if bytes.len() < 2 {
@@ -247,51 +338,10 @@ impl InformationElement {
                 });
             }
             let payload = &bytes[2..2 + len];
-            visit(Self::parse_one(id, payload)?);
+            visit(ElementRef::parse(id, payload)?);
             bytes = &bytes[2 + len..];
         }
         Ok(())
-    }
-
-    fn parse_one(id: u8, payload: &[u8]) -> Result<InformationElement, IeError> {
-        Ok(match id {
-            element_id::SSID => {
-                if payload.len() > MAX_SSID_LEN {
-                    return Err(IeError::OversizedSsid { len: payload.len() });
-                }
-                let text = std::str::from_utf8(payload).map_err(|_| IeError::NonUtf8Ssid)?;
-                InformationElement::Ssid(
-                    Ssid::new(text).map_err(|_| IeError::OversizedSsid { len: payload.len() })?,
-                )
-            }
-            element_id::SUPPORTED_RATES => InformationElement::SupportedRates(payload.to_vec()),
-            element_id::DS_PARAMETER => {
-                let number = *payload.first().ok_or(IeError::BadChannel { number: 0 })?;
-                InformationElement::DsParameter(
-                    Channel::new(number).map_err(|_| IeError::BadChannel { number })?,
-                )
-            }
-            element_id::RSN => {
-                let flags = payload.get(2).copied().unwrap_or(0);
-                InformationElement::Rsn(RsnInfo {
-                    ccmp: flags & 1 != 0,
-                    psk: flags & 2 != 0,
-                })
-            }
-            element_id::VENDOR => {
-                if payload.len() < 3 {
-                    return Err(IeError::ShortVendor);
-                }
-                InformationElement::Vendor {
-                    oui: [payload[0], payload[1], payload[2]],
-                    data: payload[3..].to_vec(),
-                }
-            }
-            other => InformationElement::Unknown {
-                id: other,
-                data: payload.to_vec(),
-            },
-        })
     }
 
     /// Finds the first SSID element in a parsed list.

@@ -3,9 +3,10 @@
 
 use ch_sim::DetHashMap;
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock};
 
 /// Maximum SSID length in bytes, per IEEE 802.11.
 pub const MAX_SSID_LEN: usize = 32;
@@ -20,11 +21,14 @@ pub const MAX_SSID_LEN: usize = 32;
 /// The empty SSID (the *wildcard*) is what a broadcast probe request
 /// carries; [`Ssid::is_wildcard`] tests for it.
 ///
-/// The name is stored behind an `Arc<str>`, so `Ssid::clone` is a
-/// reference-count bump, not a heap copy — the per-probe hot path can hand
-/// SSIDs around by value without allocating. For the places that compare or
-/// dedup SSIDs in bulk (the attacker database and lure buffers), use
-/// [`SsidInterner`] and compare [`SsidId`]s instead.
+/// The name is stored inline — a length byte and a zero-padded
+/// `[u8; MAX_SSID_LEN]`, 33 bytes in all — so an `Ssid` owns no heap memory
+/// and `Ssid::clone` is a fixed-size copy: the per-probe hot path can hand
+/// SSIDs around by value without allocating or chasing a pointer.
+/// Equality, ordering, hashing and `Debug` are exactly those of the
+/// [`str`] it holds, so `Borrow<str>` lookups work. For the places that
+/// compare or dedup SSIDs in bulk (the attacker database and lure buffers),
+/// use [`SsidInterner`] and compare [`SsidId`]s instead.
 ///
 /// ```
 /// use ch_wifi::Ssid;
@@ -33,8 +37,14 @@ pub const MAX_SSID_LEN: usize = 32;
 /// assert!(!ssid.is_wildcard());
 /// # Ok::<(), ch_wifi::SsidError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Ssid(Arc<str>);
+#[derive(Clone)]
+pub struct Ssid {
+    /// Byte length, at most [`MAX_SSID_LEN`].
+    len: u8,
+    /// The name in `bytes[..len]` (always UTF-8, cut on a char boundary);
+    /// every byte past it is zero.
+    bytes: [u8; MAX_SSID_LEN],
+}
 
 /// Error constructing an [`Ssid`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,60 +70,110 @@ impl std::error::Error for SsidError {}
 
 impl Ssid {
     /// The wildcard (zero-length) SSID carried by broadcast probe requests.
-    ///
-    /// The backing allocation is shared process-wide, so constructing
-    /// wildcards in the probe loop is allocation-free.
-    pub fn wildcard() -> Self {
-        static WILDCARD: OnceLock<Arc<str>> = OnceLock::new();
-        Ssid(Arc::clone(WILDCARD.get_or_init(|| Arc::from(""))))
+    pub const fn wildcard() -> Self {
+        Ssid {
+            len: 0,
+            bytes: [0; MAX_SSID_LEN],
+        }
     }
 
-    /// Creates an SSID, validating the length bound.
+    /// Creates an SSID, validating the length bound. Copies the name
+    /// straight from the `&str` — no intermediate `String`.
     ///
     /// # Errors
     ///
     /// Returns [`SsidError::TooLong`] if `name` exceeds 32 bytes.
-    pub fn new(name: impl Into<String>) -> Result<Self, SsidError> {
-        let name = name.into();
+    pub fn new(name: impl AsRef<str>) -> Result<Self, SsidError> {
+        let name = name.as_ref();
         if name.len() > MAX_SSID_LEN {
             return Err(SsidError::TooLong { len: name.len() });
         }
-        Ok(Ssid(Arc::from(name)))
+        Ok(Ssid::inline(name))
     }
 
     /// Creates an SSID, truncating to the 32-byte bound on a UTF-8
     /// character boundary instead of failing. Handy for generated names.
-    pub fn new_lossy(name: impl Into<String>) -> Self {
-        let mut name = name.into();
-        while name.len() > MAX_SSID_LEN {
-            name.pop();
+    pub fn new_lossy(name: impl AsRef<str>) -> Self {
+        let name = name.as_ref();
+        let mut end = name.len().min(MAX_SSID_LEN);
+        while !name.is_char_boundary(end) {
+            end -= 1;
         }
-        Ssid(Arc::from(name))
+        Ssid::inline(name.get(..end).unwrap_or_default())
+    }
+
+    /// Copies `name` (at most [`MAX_SSID_LEN`] bytes, checked by the
+    /// callers) into a zero-padded inline array.
+    fn inline(name: &str) -> Self {
+        let mut ssid = Ssid::wildcard();
+        let len = name.len().min(MAX_SSID_LEN);
+        if let (Some(dst), Some(src)) = (ssid.bytes.get_mut(..len), name.as_bytes().get(..len)) {
+            dst.copy_from_slice(src);
+        }
+        ssid.len = len as u8;
+        ssid
     }
 
     /// The SSID as text.
     pub fn as_str(&self) -> &str {
-        &self.0
+        // Every constructor copies a `&str` cut on a char boundary, so the
+        // bytes are always UTF-8 and the empty fallback is never taken.
+        std::str::from_utf8(self.as_bytes()).unwrap_or_default()
     }
 
     /// The SSID bytes as they appear in the SSID information element.
     pub fn as_bytes(&self) -> &[u8] {
-        self.0.as_bytes()
+        self.bytes.get(..self.len()).unwrap_or_default()
     }
 
     /// Byte length (what the IE length field carries).
     pub fn len(&self) -> usize {
-        self.0.len()
+        usize::from(self.len)
     }
 
     /// `true` for the zero-length wildcard SSID.
     pub fn is_wildcard(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 
     /// Alias for [`Ssid::is_wildcard`], for collection-like call sites.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.is_wildcard()
+    }
+}
+
+// Equality, ordering and hashing are the `str`'s own, as `Borrow<str>`
+// requires. Padding bytes are always zero, so comparing the whole fixed
+// array is the same as comparing the names.
+impl PartialEq for Ssid {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.bytes == other.bytes
+    }
+}
+
+impl Eq for Ssid {}
+
+impl PartialOrd for Ssid {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ssid {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Ssid {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Ssid {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Ssid").field(&self.as_str()).finish()
     }
 }
 
@@ -122,7 +182,7 @@ impl fmt::Display for Ssid {
         if self.is_wildcard() {
             write!(f, "<wildcard>")
         } else {
-            f.write_str(&self.0)
+            f.write_str(self.as_str())
         }
     }
 }
@@ -224,15 +284,16 @@ impl SsidInterner {
     }
 
     /// Interns `ssid`, returning its id. The first intern of a given SSID
-    /// clones it (a reference-count bump) and assigns the next dense id;
+    /// copies it (a fixed-size inline copy) and assigns the next dense id;
     /// repeat interns are a single hash lookup.
     pub fn intern(&mut self, ssid: &Ssid) -> SsidId {
         if let Some(&id) = self.ids.get(ssid) {
             return id;
         }
         let id = SsidId(self.names.len() as u32);
-        // Both clones are `Arc<str>` refcount bumps, and first-intern is
-        // the sanctioned once-per-SSID slow path (map/vec growth included).
+        // Both clones are fixed-size inline copies with no heap, and
+        // first-intern is the sanctioned once-per-SSID slow path (map/vec
+        // growth included).
         self.ids.insert(ssid.clone(), id); // ch-lint: allow(hot-path-alloc)
         self.names.push(ssid.clone()); // ch-lint: allow(hot-path-alloc)
         id
@@ -252,10 +313,8 @@ impl SsidInterner {
     /// resolve to the wildcard SSID rather than panicking — `ch-wifi` is a
     /// panic-free crate and a stale id is a caller bug, not a crash.
     pub fn resolve(&self, id: SsidId) -> &Ssid {
-        static FALLBACK: OnceLock<Ssid> = OnceLock::new();
-        self.names
-            .get(id.index())
-            .unwrap_or_else(|| FALLBACK.get_or_init(Ssid::wildcard))
+        static FALLBACK: Ssid = Ssid::wildcard();
+        self.names.get(id.index()).unwrap_or(&FALLBACK)
     }
 
     /// The id at dense index `index`, if this interner has assigned it —
@@ -290,10 +349,19 @@ mod tests {
 
     #[test]
     fn length_bound_enforced() {
-        assert!(Ssid::new("x".repeat(32)).is_ok());
+        assert_eq!(Ssid::new("").unwrap(), Ssid::wildcard());
+        let full = Ssid::new("x".repeat(32)).unwrap();
+        assert_eq!((full.len(), full.as_str()), (32, "x".repeat(32).as_str()));
         let err = Ssid::new("x".repeat(33)).unwrap_err();
         assert_eq!(err, SsidError::TooLong { len: 33 });
         assert!(err.to_string().contains("33"));
+        // The bound is in bytes, not chars: 11 × '日' is 33 bytes.
+        assert_eq!(
+            Ssid::new("日".repeat(11)).unwrap_err(),
+            SsidError::TooLong { len: 33 }
+        );
+        assert!(Ssid::try_from("y".repeat(33).as_str()).is_err());
+        assert!("z".repeat(33).parse::<Ssid>().is_err());
     }
 
     #[test]
@@ -302,6 +370,14 @@ mod tests {
         let s = Ssid::new_lossy("日".repeat(17));
         assert!(s.len() <= 32);
         assert_eq!(s.as_str().chars().count(), 10);
+        // "a" + 11 × '日' is 34 bytes: byte 32 falls inside the eleventh
+        // '日', so the cut lands at 31.
+        let s = Ssid::new_lossy(format!("a{}", "日".repeat(11)));
+        assert_eq!(s.as_str(), format!("a{}", "日".repeat(10)));
+        assert_eq!(s.len(), 31);
+        // Names within the bound pass through untouched.
+        assert_eq!(Ssid::new_lossy("x".repeat(32)).len(), 32);
+        assert_eq!(Ssid::new_lossy(""), Ssid::wildcard());
     }
 
     #[test]
@@ -310,6 +386,65 @@ mod tests {
         set.insert(Ssid::new("CSL").unwrap());
         assert!(set.contains("CSL"));
         assert!(!set.contains("CMCC-WEB"));
+        let mut det: DetHashMap<Ssid, u32> = DetHashMap::default();
+        det.insert(Ssid::new("café-hotspot").unwrap(), 7);
+        det.insert(Ssid::wildcard(), 0);
+        assert_eq!(det.get("café-hotspot"), Some(&7));
+        assert_eq!(det.get(""), Some(&0));
+        assert_eq!(det.get("cafe-hotspot"), None);
+        let tree: std::collections::BTreeSet<Ssid> = ["b", "a", "日"]
+            .into_iter()
+            .map(|n| Ssid::new(n).unwrap())
+            .collect();
+        assert!(tree.contains("日") && !tree.contains("c"));
+    }
+
+    /// The `str`'s hash of `name`, and the `Ssid`'s, under hasher `H`.
+    fn both_hashes<H: Hasher>(name: &str, mut new: impl FnMut() -> H) -> (u64, u64) {
+        let mut want = new();
+        name.hash(&mut want);
+        let mut got = new();
+        Ssid::new(name).unwrap().hash(&mut got);
+        (want.finish(), got.finish())
+    }
+
+    #[test]
+    fn hash_equals_the_str_hash() {
+        for name in [
+            "",
+            "CSL",
+            "7-Eleven Free WiFi",
+            "café",
+            "日本",
+            &"x".repeat(32),
+        ] {
+            let (want, got) = both_hashes(name, ch_sim::FxHasher::default);
+            assert_eq!(want, got, "FxHasher, {name:?}");
+            let (want, got) = both_hashes(name, std::collections::hash_map::DefaultHasher::new);
+            assert_eq!(want, got, "DefaultHasher, {name:?}");
+        }
+    }
+
+    #[test]
+    fn debug_text_is_the_str_in_a_tuple() {
+        assert_eq!(format!("{:?}", Ssid::new("CSL").unwrap()), "Ssid(\"CSL\")");
+        assert_eq!(format!("{:?}", Ssid::wildcard()), "Ssid(\"\")");
+        let quoted = Ssid::new("a\"b\tc").unwrap();
+        assert_eq!(format!("{quoted:?}"), format!("Ssid({:?})", "a\"b\tc"));
+        assert_eq!(
+            format!("{:#?}", Ssid::new("日").unwrap()),
+            "Ssid(\n    \"日\",\n)"
+        );
+    }
+
+    #[test]
+    fn clone_is_a_fixed_size_inline_copy() {
+        // A length byte and the 32-byte array: no pointer, no heap.
+        assert_eq!(std::mem::size_of::<Ssid>(), 1 + MAX_SSID_LEN);
+        let a = Ssid::new("7-Eleven Free WiFi").unwrap();
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_ne!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
     }
 
     #[test]
@@ -325,13 +460,6 @@ mod tests {
             let ssid: Ssid = name.parse().unwrap();
             assert_eq!(ssid.as_str(), name);
         }
-    }
-
-    #[test]
-    fn clone_shares_the_allocation() {
-        let a = Ssid::new("7-Eleven Free WiFi").unwrap();
-        let b = a.clone();
-        assert!(std::sync::Arc::ptr_eq(&a.0, &b.0));
     }
 
     #[test]
@@ -375,6 +503,33 @@ mod tests {
         fn prop_roundtrip_via_str(name in "[ -~]{0,32}") {
             let ssid = Ssid::new(name.clone()).unwrap();
             prop_assert_eq!(ssid.as_str(), name.as_str());
+        }
+
+        /// Order, equality and hash agree with the `str`'s on multibyte
+        /// names (at most 8 chars of at most 4 bytes: always valid).
+        #[test]
+        fn prop_ord_eq_hash_match_str(
+            a in "[a-cAé日🦀 ]{0,8}",
+            b in "[a-cAé日🦀 ]{0,8}",
+        ) {
+            let (sa, sb) = (Ssid::new(&a).unwrap(), Ssid::new(&b).unwrap());
+            prop_assert_eq!(sa.cmp(&sb), a.as_str().cmp(b.as_str()));
+            prop_assert_eq!(sa.partial_cmp(&sb), a.as_str().partial_cmp(b.as_str()));
+            prop_assert_eq!(sa == sb, a == b);
+            let (want, got) = both_hashes(&a, ch_sim::FxHasher::default);
+            prop_assert_eq!(want, got);
+        }
+
+        /// `new_lossy` keeps the longest char-boundary prefix within the
+        /// bound, exactly as popping chars off a `String` would.
+        #[test]
+        fn prop_new_lossy_is_the_longest_valid_prefix(name in ".{0,48}") {
+            let mut want = name.clone();
+            while want.len() > MAX_SSID_LEN {
+                want.pop();
+            }
+            let ssid = Ssid::new_lossy(&name);
+            prop_assert_eq!(ssid.as_str(), want.as_str());
         }
     }
 }

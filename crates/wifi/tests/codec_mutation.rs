@@ -11,11 +11,12 @@
 use ch_sim::SimRng;
 use ch_wifi::channel::Channel;
 use ch_wifi::codec::{encode, parse};
+use ch_wifi::ie::{element_id, InformationElement};
 use ch_wifi::mgmt::{
     AssocRequest, AssocResponse, Authentication, Beacon, CapabilityInfo, Deauthentication,
     ProbeRequest, ProbeResponse, ReasonCode, StatusCode,
 };
-use ch_wifi::{MacAddr, MgmtFrame, Ssid};
+use ch_wifi::{CodecError, FrameControl, MacAddr, MgmtFrame, MgmtSubtype, Ssid};
 
 fn mac(i: u8) -> MacAddr {
     MacAddr::new([2, 0, 0, 0, 0, i])
@@ -163,6 +164,104 @@ fn random_garbage_never_panics() {
             bytes[0] &= 0b1111_0011;
             bytes[1] = 0;
             let _ = parse(&bytes);
+        }
+    }
+}
+
+/// Where a frame's element list starts: the 24-byte header plus the
+/// subtype's fixed fields, for the subtypes that carry elements and are
+/// long enough to reach them. `None` when no element list gets parsed.
+fn elements_offset(bytes: &[u8]) -> Option<(MgmtSubtype, usize)> {
+    let word = u16::from_le_bytes([*bytes.first()?, *bytes.get(1)?]);
+    let subtype = FrameControl::from_word(word)?.subtype;
+    let fixed = match subtype {
+        MgmtSubtype::ProbeRequest => 0,
+        MgmtSubtype::ProbeResponse | MgmtSubtype::Beacon => 12,
+        MgmtSubtype::AssocRequest => 4,
+        _ => return None,
+    };
+    (bytes.len() >= 24 + fixed).then_some((subtype, 24 + fixed))
+}
+
+/// `codec::parse` validates elements without collecting them; it must
+/// agree with a decode built on the owned `InformationElement::parse_all`
+/// list: the same `IeError` when that rejects, and otherwise the first SSID
+/// (or `MissingSsid`) and the first DS channel of the list.
+fn assert_parse_agrees_with_parse_all(bytes: &[u8], what: &str) {
+    let Some((subtype, start)) = elements_offset(bytes) else {
+        return;
+    };
+    let reference = InformationElement::parse_all(&bytes[start..]);
+    let got = parse(bytes);
+    let elements = match reference {
+        Err(want) => {
+            assert_eq!(got, Err(CodecError::Ie(want)), "{what}");
+            return;
+        }
+        Ok(elements) => elements,
+    };
+    let first_ssid = InformationElement::find_ssid(&elements).cloned();
+    let first_channel = elements
+        .iter()
+        .find_map(|e| match e {
+            InformationElement::DsParameter(channel) => Some(*channel),
+            _ => None,
+        })
+        .unwrap_or_default();
+    match got {
+        Ok(MgmtFrame::ProbeRequest(p)) => {
+            assert_eq!(
+                Some(p.ssid),
+                first_ssid.or(Some(Ssid::wildcard())),
+                "{what}"
+            );
+        }
+        Ok(MgmtFrame::ProbeResponse(p)) => {
+            assert_eq!(
+                (Some(p.ssid), p.channel),
+                (first_ssid, first_channel),
+                "{what}"
+            );
+        }
+        Ok(MgmtFrame::Beacon(b)) => {
+            assert_eq!(
+                (Some(b.ssid), b.channel),
+                (first_ssid, first_channel),
+                "{what}"
+            );
+        }
+        Ok(MgmtFrame::AssocRequest(a)) => assert_eq!(Some(a.ssid), first_ssid, "{what}"),
+        Err(CodecError::MissingSsid) => {
+            assert!(first_ssid.is_none(), "{what}");
+            assert_ne!(subtype, MgmtSubtype::ProbeRequest, "{what}");
+        }
+        other => panic!("{what}: elements parse, but codec::parse gave {other:?}"),
+    }
+}
+
+#[test]
+fn parse_agrees_with_parse_all_on_every_mutant() {
+    // The corpus: every sample frame, plus a beacon that also carries a
+    // vendor and an unknown element, so mutants reach the vendor-length
+    // and unknown-element paths too.
+    let mut corpus: Vec<Vec<u8>> = sample_frames().iter().map(encode).collect();
+    let mut rich = encode(&sample_frames()[3]);
+    rich.extend_from_slice(&[element_id::VENDOR, 5, 0x00, 0x50, 0xf2, 1, 2]);
+    rich.extend_from_slice(&[7, 2, b'H', b'K']);
+    corpus.push(rich);
+    let mut rng = SimRng::seed_from(0xD1FF_C0DE);
+    for (f, original) in corpus.iter().enumerate() {
+        assert_parse_agrees_with_parse_all(original, &format!("frame {f}"));
+        for len in 0..original.len() {
+            assert_parse_agrees_with_parse_all(
+                &original[..len],
+                &format!("frame {f}, prefix {len}"),
+            );
+        }
+        for case in 0..2_000 {
+            let mut bytes = original.clone();
+            mutate(&mut bytes, &mut rng);
+            assert_parse_agrees_with_parse_all(&bytes, &format!("frame {f}, mutant {case}"));
         }
     }
 }
