@@ -102,7 +102,8 @@ echo "==> registry smoke (experiment --list, torn-manifest resume)"
 # bytes.
 cargo run -q --release -p ch-bench --bin experiment -- --list \
   > "$smoke_dir/list.txt"
-for id in table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 arms_race; do
+for id in table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 arms_race \
+  defense defense_live; do
   grep -q "^  $id " "$smoke_dir/list.txt"
 done
 t1_args=(table1 1 --manifest "$smoke_dir/fleet_table1.jsonl" --no-bench)
@@ -206,6 +207,21 @@ cargo run -q --release -p ch-bench --bin experiment -- arms_race 1 --quick --job
 grep -q '36 executed, 0 cached, 0 failed' "$arms_dir/parallel.log"
 cmp "$arms_dir/serial.txt" "$arms_dir/parallel.txt"
 grep -q 'stealth cost' "$arms_dir/serial.txt"
+
+echo "==> defense smoke (countermeasure study, serial vs parallel, byte-identical)"
+# The §VI countermeasure study is an ordinary ch-scenarios fleet campaign:
+# frames to the first ch-detect verdict per attacker generation must print
+# the same bytes at any worker width.
+defense_dir="target/ci-defense-smoke"
+rm -rf "$defense_dir"
+mkdir -p "$defense_dir"
+cargo run -q --release -p ch-bench --bin experiment -- defense 1 --jobs 1 \
+  > "$defense_dir/serial.txt" 2> "$defense_dir/serial.log"
+grep -q '4 executed, 0 cached, 0 failed' "$defense_dir/serial.log"
+cargo run -q --release -p ch-bench --bin experiment -- defense 1 --jobs 2 \
+  > "$defense_dir/parallel.txt" 2> "$defense_dir/parallel.log"
+grep -q '4 executed, 0 cached, 0 failed' "$defense_dir/parallel.log"
+cmp "$defense_dir/serial.txt" "$defense_dir/parallel.txt"
 
 echo "==> serve chaos smoke (kill -9 mid-stream, recover, byte-identical)"
 # The crash-safety gate for the ch-serve streaming service: an

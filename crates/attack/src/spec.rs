@@ -2,8 +2,8 @@
 //! stack.
 //!
 //! Every place that deploys an attacker (the `ch-scenarios` runner, the
-//! ablation matrix, sweeps, replication, and the `ch-defense` detection
-//! evaluation) used to construct `KarmaAttacker`/`ManaAttacker`/… by
+//! ablation matrix, sweeps, replication, and the `defense` countermeasure
+//! study) used to construct `KarmaAttacker`/`ManaAttacker`/… by
 //! hand. [`AttackerSpec`] centralizes that: a spec is plain data naming
 //! which generation to deploy (and, for the full City-Hunter, its
 //! configuration), and [`AttackerSpec::build`] is the single constructor

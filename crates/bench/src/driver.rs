@@ -8,25 +8,17 @@
 //! resumable manifest, bench telemetry) and one output contract: fleet
 //! stats on stderr, the artifact bytes on stdout.
 //!
-//! The two countermeasure studies ([`registry`] entries marked
-//! `external`) execute here rather than in `ch-scenarios` because they
-//! need the `ch-defense` detector stack; they run as ordinary fleet
-//! campaigns whose job records are the rendered report lines.
+//! The one [`registry`] entry marked `external`, `city`, executes here
+//! rather than in `ch-scenarios` because it wraps the driver's wall clock
+//! around the run.
 
 use std::path::PathBuf;
 
-use ch_attack::AttackerSpec;
-use ch_defense::detectors::DetectorBank;
-use ch_defense::eval::{evaluate_spec, EvalSpecOptions};
-use ch_defense::monitor::NetworkMonitor;
-use ch_fleet::{fingerprint, run_campaign, FleetOptions, JobSpec, JobStatus, Json, Stopwatch};
+use ch_fleet::{fingerprint, FleetOptions, Json, Stopwatch};
 use ch_scenarios::experiments as exp;
 use ch_scenarios::registry::{self, Artifact, ExperimentSpec, RunParams, REGISTRY};
-use ch_scenarios::runner::{run_experiment_observed, FrameObserver, RunConfig};
-use ch_scenarios::{run_city, AttackerKind, CampaignCtx, CityConfig, CityData};
-use ch_sim::{SimDuration, SimTime};
-use ch_wifi::mgmt::MgmtFrame;
-use ch_wifi::Ssid;
+use ch_scenarios::{run_city, CampaignCtx, CityConfig};
+use ch_sim::SimDuration;
 
 /// Flags that take a value.
 const VALUE_FLAGS: &[&str] = &[
@@ -188,7 +180,7 @@ fn run_spec(spec: &'static ExperimentSpec, cli: &Cli, seed: u64) -> Result<(), S
     // population pool are shared by all of this run's jobs.
     let ctx = CampaignCtx::build(&exp::standard_city());
     let artifact = if spec.external {
-        run_external(spec, &ctx, &params, &opts, cli)?
+        run_external(spec, &ctx, &params, cli)?
     } else {
         spec.run(&ctx, &params, &opts)?
     };
@@ -308,34 +300,15 @@ pub fn main_reproduce_all() -> Result<(), String> {
     Ok(())
 }
 
-/// One attacker-generation job of the `defense` study.
-struct DefenseJob {
-    slug: &'static str,
-    spec: AttackerSpec,
-    /// Direct probes pre-harvested before the evaluation (MANA's head
-    /// start from earlier victims).
-    preharvest: usize,
-}
-
-impl JobSpec for DefenseJob {
-    fn key(&self) -> String {
-        format!("defense/{}", self.slug)
-    }
-}
-
-/// Runs the registry's external entries: the detector-stack studies as
-/// fleet campaigns whose records are the rendered report lines, and the
-/// city benchmark (which must wrap a wall clock around the run).
+/// Runs the registry's external entry: the city benchmark, which must
+/// wrap a wall clock around the run.
 fn run_external(
     spec: &'static ExperimentSpec,
     ctx: &CampaignCtx,
     params: &RunParams,
-    opts: &FleetOptions,
     cli: &Cli,
 ) -> Result<Artifact, String> {
     match spec.id {
-        "defense" => run_defense(ctx.data(), opts),
-        "defense_live" => run_defense_live(ctx.data(), params.seed, opts),
         "city" => run_city_experiment(ctx, params, cli),
         other => Err(format!("experiment `{other}` is not an external study")),
     }
@@ -435,196 +408,6 @@ fn run_city_experiment(
         id: "city",
         text: outcome.render(),
         stats: None,
-    })
-}
-
-/// The `defense` study: frames-to-detection per attacker generation,
-/// one fleet job per [`AttackerSpec`].
-fn run_defense(data: &CityData, opts: &FleetOptions) -> Result<Artifact, String> {
-    let site = data.site_for(ch_mobility::VenueKind::Canteen);
-    let corp = Ssid::new("Corp-WPA2").expect("short ssid");
-    let jobs = [
-        DefenseJob {
-            slug: "karma",
-            spec: AttackerSpec::Karma,
-            preharvest: 0,
-        },
-        DefenseJob {
-            slug: "mana",
-            spec: AttackerSpec::Mana,
-            preharvest: 30,
-        },
-        DefenseJob {
-            slug: "prelim",
-            spec: AttackerSpec::Prelim,
-            preharvest: 0,
-        },
-        DefenseJob {
-            slug: "city-hunter",
-            spec: AttackerSpec::CityHunter(Default::default()),
-            preharvest: 0,
-        },
-    ];
-    let report = run_campaign(&jobs, opts, |job: &DefenseJob| {
-        let mut bank = DetectorBank::client_standard([corp.clone()]);
-        let outcome = evaluate_spec(
-            &job.spec,
-            &data.wigle,
-            &data.heat,
-            site,
-            &mut bank,
-            &EvalSpecOptions {
-                preharvest_direct: job.preharvest,
-                rounds: 10,
-                direct_ssid: Some(corp.clone()),
-            },
-        );
-        format!(
-            "{:<28} {:>10} {:>10} {:>8}",
-            outcome.attacker,
-            outcome
-                .frames_to_detection
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "never".into()),
-            outcome
-                .rounds_to_detection
-                .map(|r| (r + 1).to_string())
-                .unwrap_or_else(|| "-".into()),
-            outcome.total_alarms,
-        )
-    })?;
-
-    let mut text = String::from(
-        "Detector bank: co-location(8) + silent-ap(20) + \
-         downgrade([Corp-WPA2]) + deauth-flood(5/60s)\n\n",
-    );
-    text.push_str(&format!(
-        "{:<28} {:>10} {:>10} {:>8}\n",
-        "attacker", "frames", "rounds", "alarms"
-    ));
-    for outcome in &report.outcomes {
-        match &outcome.status {
-            JobStatus::Done(row) | JobStatus::Cached(row) => {
-                text.push_str(row);
-                text.push('\n');
-            }
-            JobStatus::Failed(error) => {
-                return Err(format!("defense job `{}` failed: {error}", outcome.key));
-            }
-        }
-    }
-    text.push_str(
-        "\nreading: the richer the lure database, the faster the co-location \
-         heuristic fires — City-Hunter is the *least* stealthy generation.\n",
-    );
-    Ok(Artifact {
-        id: "defense",
-        text,
-        stats: Some(report.stats),
-    })
-}
-
-/// One live-deployment job of the `defense_live` study.
-struct LiveJob {
-    seed: u64,
-}
-
-impl JobSpec for LiveJob {
-    fn key(&self) -> String {
-        format!("defense-live/canteen/s{}", self.seed)
-    }
-}
-
-/// The `defense_live` study: a detector bank listening to an actual
-/// City-Hunter canteen run through the runner's frame observer. The
-/// whole rendered report is the job record, so a manifest caches it.
-fn run_defense_live(data: &CityData, seed: u64, opts: &FleetOptions) -> Result<Artifact, String> {
-    struct BankObserver {
-        bank: DetectorBank,
-        frames: u64,
-    }
-
-    impl FrameObserver for BankObserver {
-        fn enabled(&self) -> bool {
-            true
-        }
-
-        fn observe(&mut self, at: SimTime, frame: &MgmtFrame) {
-            self.frames += 1;
-            self.bank.observe(at, frame);
-        }
-    }
-
-    let jobs = [LiveJob { seed }];
-    let report = run_campaign(&jobs, opts, |job: &LiveJob| {
-        let config =
-            RunConfig::canteen_30min(AttackerKind::CityHunter(Default::default()), job.seed);
-        let mut observer = BankObserver {
-            bank: DetectorBank::client_standard([Ssid::new("Corp-WPA2").expect("short ssid")]),
-            frames: 0,
-        };
-        let metrics = run_experiment_observed(data, &config, &mut observer);
-
-        let first_alarm = observer.bank.first_alarm_at();
-        let victims_total =
-            metrics.summary("x").broadcast_connected + metrics.summary("x").direct_connected;
-        let victims_before = first_alarm
-            .map(|t| {
-                metrics
-                    .clients()
-                    .filter(|(_, rec)| rec.hit.as_ref().is_some_and(|h| h.at <= t))
-                    .count()
-            })
-            .unwrap_or(victims_total);
-
-        let mut text =
-            String::from("live detection against a 30-minute City-Hunter canteen run:\n");
-        text.push_str(&format!(
-            "  frames on air:            {}\n",
-            observer.frames
-        ));
-        text.push_str(&format!("  total victims:            {victims_total}\n"));
-        match first_alarm {
-            Some(t) => {
-                text.push_str(&format!(
-                    "  first alarm at:           {t} (simulation clock)\n"
-                ));
-                text.push_str(&format!("  victims before detection: {victims_before}\n"));
-                text.push_str(&format!(
-                    "  exposure window:          {}\n",
-                    SimDuration::from_micros(t.as_micros())
-                ));
-            }
-            None => text.push_str("  never detected (unexpected)\n"),
-        }
-        text.push_str(&format!(
-            "  total alarms:             {}\n",
-            observer.bank.alarm_count()
-        ));
-
-        // Operator fusion: name the rogue.
-        let mut monitor = NetworkMonitor::new();
-        for (_, alarms) in observer.bank.report() {
-            monitor.ingest_all(alarms);
-        }
-        for (bssid, at) in monitor.rogues() {
-            text.push_str(&format!(
-                "  rogue verdict:            {bssid} (flagged at {at})\n"
-            ));
-        }
-        text
-    })?;
-
-    let text = match &report.outcomes[0].status {
-        JobStatus::Done(body) | JobStatus::Cached(body) => body.clone(),
-        JobStatus::Failed(error) => {
-            return Err(format!("defense_live job failed: {error}"));
-        }
-    };
-    Ok(Artifact {
-        id: "defense_live",
-        text,
-        stats: Some(report.stats),
     })
 }
 

@@ -13,8 +13,7 @@
 //! | [`phone`] | `ch-phone` | PNL generation, probing policies, auto-join logic |
 //! | [`arc`] | `ch-arc` | the ARC cache (the §IV-C design inspiration) + baselines |
 //! | [`attack`] | `ch-attack` | KARMA, MANA, preliminary & full City-Hunter |
-//! | [`defense`] | `ch-defense` | client/operator-side evil-twin detection |
-//! | [`detect`] | `ch-detect` | signature/behavior rogue-AP monitor + arms-race scoring |
+//! | [`detect`] | `ch-detect` | signature/behavior rogue-AP monitor: arms race and countermeasure studies |
 //! | [`scenarios`] | `ch-scenarios` | experiment runner, metrics, table/figure drivers |
 //!
 //! ## Quickstart
@@ -47,7 +46,6 @@
 
 pub use ch_arc as arc;
 pub use ch_attack as attack;
-pub use ch_defense as defense;
 pub use ch_detect as detect;
 pub use ch_geo as geo;
 pub use ch_mobility as mobility;

@@ -11,7 +11,16 @@
 //! * **PNL replay** — an AP advertising an SSID some *other* client just
 //!   probed for, the MANA harvest-and-replay tell;
 //! * **implausible co-location** — one BSSID claiming to be dozens of
-//!   distinct networks.
+//!   distinct networks;
+//! * **security downgrade** — an SSID on the database's protected list
+//!   offered open, the classic evil-twin tell;
+//! * **deauth flood** — one source deauthenticating
+//!   [`DEAUTH_FLOOD_VICTIMS`] distinct clients inside one evidence window,
+//!   the §V-B forced-rescan attack. A real AP drops an occasional client;
+//!   the attack sprays the room.
+//!
+//! Either of the last two alone crosses the [`Strictness::Standard`]
+//! threshold.
 //!
 //! When an AP's combined score crosses the active [`Strictness`] threshold
 //! the detector emits a scored [`DetectionVerdict`] (at most one per AP per
@@ -22,11 +31,23 @@
 
 use ch_sim::{det_hash_map, DetHashMap, SimDuration, SimTime};
 use ch_wifi::mac::MacAddr;
-use ch_wifi::mgmt::{Beacon, MgmtFrame, ProbeRequest, ProbeResponse};
+use ch_wifi::mgmt::{Beacon, Deauthentication, MgmtFrame, ProbeRequest, ProbeResponse};
 use ch_wifi::ssid::Ssid;
 
 use crate::signature::{SignatureDb, ROGUE_MINIMAL_IE};
 use crate::verdict::{DetectionVerdict, Reason};
+
+/// Points an open offer of a protected SSID scores: alone it crosses the
+/// [`Strictness::Standard`] threshold.
+const DOWNGRADE_POINTS: u32 = 7;
+
+/// Distinct clients one source must deauthenticate inside one evidence
+/// window before the deauth-flood tell fires.
+pub const DEAUTH_FLOOD_VICTIMS: usize = 5;
+
+/// Points a deauth flood scores: alone it crosses the
+/// [`Strictness::Standard`] threshold.
+const DEAUTH_FLOOD_POINTS: u32 = 7;
 
 /// How aggressively the detector flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -177,6 +198,8 @@ pub struct ApProfile {
     pub beacons: u64,
     /// Lowest and highest beacon interval observed, in TU.
     pub beacon_interval_range: Option<(u16, u16)>,
+    /// Offered a protected SSID open (sticky, like `bait_ssid`).
+    downgrade: bool,
     /// Every distinct SSID this BSSID has advertised.
     advertised: ch_sim::DetHashSet<Ssid>,
     /// Current evidence window index.
@@ -185,6 +208,11 @@ pub struct ApProfile {
     window_bait: ch_sim::DetHashSet<Ssid>,
     /// PNL-replay observations this window.
     window_replays: u32,
+    /// Distinct clients this source deauthenticated this window; the
+    /// first `window_victim_count` slots are live. Fixed-size: counting
+    /// stops at the flood threshold, so a deauth allocates nothing.
+    window_victims: [MacAddr; DEAUTH_FLOOD_VICTIMS],
+    window_victim_count: usize,
     /// A verdict was already emitted this window.
     window_flagged: bool,
 }
@@ -200,10 +228,13 @@ impl ApProfile {
             responses: 0,
             beacons: 0,
             beacon_interval_range: None,
+            downgrade: false,
             advertised: ch_sim::det_hash_set(),
             window: 0,
             window_bait: ch_sim::det_hash_set(),
             window_replays: 0,
+            window_victims: [MacAddr::default(); DEAUTH_FLOOD_VICTIMS],
+            window_victim_count: 0,
             window_flagged: false,
         }
     }
@@ -218,7 +249,19 @@ impl ApProfile {
             self.window = window;
             self.window_bait.clear();
             self.window_replays = 0;
+            self.window_victim_count = 0;
             self.window_flagged = false;
+        }
+    }
+
+    fn note_victim(&mut self, victim: MacAddr) {
+        let count = self.window_victim_count;
+        if self.window_victims.iter().take(count).any(|&v| v == victim) {
+            return;
+        }
+        if let Some(slot) = self.window_victims.get_mut(count) {
+            *slot = victim;
+            self.window_victim_count = count + 1;
         }
     }
 
@@ -298,8 +341,9 @@ impl Detector {
             MgmtFrame::ProbeRequest(probe) => self.observe_probe(at, probe),
             MgmtFrame::ProbeResponse(response) => self.observe_response(at, response),
             MgmtFrame::Beacon(beacon) => self.observe_beacon(at, beacon),
-            // The auth/assoc/deauth legs carry no AP-fingerprinting signal
-            // this detector models; they still count as observed traffic.
+            MgmtFrame::Deauthentication(deauth) => self.observe_deauth(at, deauth),
+            // The auth/assoc legs carry no AP-fingerprinting signal this
+            // detector models; they still count as observed traffic.
             _ => {}
         }
     }
@@ -349,6 +393,18 @@ impl Detector {
         )
     }
 
+    /// The profile of `bssid` (created on its first frame), rolled to the
+    /// evidence window holding `at`.
+    fn profile_at(&mut self, at: SimTime, bssid: MacAddr) -> &mut ApProfile {
+        let denylisted = self.db.oui_denylisted(bssid.oui());
+        let profile = self
+            .profiles
+            .entry(bssid)
+            .or_insert_with(|| ApProfile::new(at, denylisted, bssid.is_locally_administered()));
+        profile.roll_window(at.bucket(self.spec.window));
+        profile
+    }
+
     fn observe_response(&mut self, at: SimTime, response: &ProbeResponse) {
         let replay = self.is_replay(at, &response.ssid, response.destination);
         let bait = matches!(
@@ -356,14 +412,11 @@ impl Detector {
             Some(&t) if at.saturating_since(t) <= self.params.broadcast_reply_window
         ) && !self.is_own_request(at, &response.ssid, response.destination);
         let bait_wording = self.db.matches_bait(&response.ssid);
-        let denylisted = self.db.oui_denylisted(response.bssid.oui());
-        let window = at.bucket(self.spec.window);
+        let downgrade = !response.capabilities.privacy && self.db.is_protected(&response.ssid);
 
-        let profile = self.profiles.entry(response.bssid).or_insert_with(|| {
-            ApProfile::new(at, denylisted, response.bssid.is_locally_administered())
-        });
-        profile.roll_window(window);
+        let profile = self.profile_at(at, response.bssid);
         profile.responses += 1;
+        profile.downgrade |= downgrade;
         profile.note_advertised(&response.ssid, bait_wording);
         if response.ie_fingerprint() == ROGUE_MINIMAL_IE {
             profile.rogue_ie = true;
@@ -383,20 +436,23 @@ impl Detector {
     fn observe_beacon(&mut self, at: SimTime, beacon: &Beacon) {
         let replay = self.is_replay(at, &beacon.ssid, beacon.bssid);
         let bait_wording = self.db.matches_bait(&beacon.ssid);
-        let denylisted = self.db.oui_denylisted(beacon.bssid.oui());
-        let window = at.bucket(self.spec.window);
+        let downgrade = !beacon.capabilities.privacy && self.db.is_protected(&beacon.ssid);
 
-        let profile = self.profiles.entry(beacon.bssid).or_insert_with(|| {
-            ApProfile::new(at, denylisted, beacon.bssid.is_locally_administered())
-        });
-        profile.roll_window(window);
+        let profile = self.profile_at(at, beacon.bssid);
         profile.beacons += 1;
+        profile.downgrade |= downgrade;
         profile.note_interval(beacon.interval_tu);
         profile.note_advertised(&beacon.ssid, bait_wording);
         if replay {
             profile.window_replays = profile.window_replays.saturating_add(1);
         }
         self.evaluate(at, beacon.bssid);
+    }
+
+    fn observe_deauth(&mut self, at: SimTime, deauth: &Deauthentication) {
+        self.profile_at(at, deauth.source)
+            .note_victim(deauth.destination);
+        self.evaluate(at, deauth.source);
     }
 
     fn evaluate(&mut self, at: SimTime, bssid: MacAddr) {
@@ -422,6 +478,14 @@ impl Detector {
         if profile.advertised.len() >= self.params.colocation_min {
             score += self.params.colocation_points;
             reasons.insert(Reason::ImplausibleCoLocation);
+        }
+        if profile.downgrade {
+            score += DOWNGRADE_POINTS;
+            reasons.insert(Reason::SecurityDowngrade);
+        }
+        if profile.window_victim_count >= DEAUTH_FLOOD_VICTIMS {
+            score += DEAUTH_FLOOD_POINTS;
+            reasons.insert(Reason::DeauthFlood);
         }
         if score >= threshold {
             profile.window_flagged = true;
@@ -675,6 +739,24 @@ mod tests {
     }
 
     #[test]
+    fn first_flag_time_sticks() {
+        let mut detector = Detector::new(DetectorSpec::standard());
+        drive_cityhunter_burst(&mut detector, t(10), 12);
+        // A later window re-flags the rogue; a flood flags a second AP.
+        drive_cityhunter_burst(&mut detector, t(70), 12);
+        for victim in 1..=DEAUTH_FLOOD_VICTIMS as u8 {
+            let (at, frame) = deauth(80, legit(), victim);
+            detector.observe(at, &frame);
+        }
+        assert_eq!(detector.verdicts().len(), 3);
+        assert_eq!(detector.first_flag(rogue()), Some(t(10)));
+        assert_eq!(detector.flagged_count(), 2);
+        let mut flagged: Vec<_> = detector.flagged().collect();
+        flagged.sort_by_key(|&(_, at)| at);
+        assert_eq!(flagged, vec![(rogue(), t(10)), (legit(), t(80))]);
+    }
+
+    #[test]
     fn windowed_evidence_resets() {
         let mut detector = Detector::new(DetectorSpec::standard());
         drive_cityhunter_burst(&mut detector, t(10), 12);
@@ -714,6 +796,231 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(!a.is_empty());
+    }
+
+    fn protecting(names: &[&str]) -> Detector {
+        let db = SignatureDb {
+            protected_ssids: names.iter().map(|n| ssid(n)).collect(),
+            ..SignatureDb::standard()
+        };
+        Detector::with_db(DetectorSpec::standard(), db, BehaviorParams::default())
+    }
+
+    fn deauth(secs: u64, source: MacAddr, victim: u8) -> (SimTime, MgmtFrame) {
+        (
+            t(secs),
+            MgmtFrame::Deauthentication(Deauthentication {
+                source,
+                destination: client(victim),
+                reason: ch_wifi::mgmt::ReasonCode::PrevAuthExpired,
+            }),
+        )
+    }
+
+    fn flood_verdicts(detector: &Detector) -> Vec<DetectionVerdict> {
+        detector
+            .verdicts()
+            .iter()
+            .filter(|v| v.reasons.contains(Reason::DeauthFlood))
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn downgrade_fires_only_for_a_listed_ssid_offered_open() {
+        // A clean vendor AP beaconing the listed SSID open: the downgrade
+        // alone crosses the standard threshold.
+        let mut detector = protecting(&["Corp"]);
+        detector.observe(t(1), &beacon(legit(), "Open-Cafe"));
+        assert!(detector.verdicts().is_empty());
+        detector.observe(t(2), &beacon(legit(), "Corp"));
+        let v = detector.verdicts()[0];
+        assert_eq!(v.bssid, legit());
+        assert_eq!(v.score, DOWNGRADE_POINTS);
+        assert!(v.reasons.contains(Reason::SecurityDowngrade));
+        // An open probe response of a listed SSID is the same tell.
+        let mut responder = protecting(&["Corp"]);
+        responder.observe(t(1), &response(legit(), client(1), "Corp"));
+        assert!(responder.verdicts()[0]
+            .reasons
+            .contains(Reason::SecurityDowngrade));
+        // The stock database lists nothing, so the same frames are clean.
+        let mut stock = Detector::new(DetectorSpec::standard());
+        stock.observe(t(2), &beacon(legit(), "Corp"));
+        stock.observe(t(2), &response(legit(), client(1), "Corp"));
+        assert!(stock.verdicts().is_empty());
+    }
+
+    #[test]
+    fn protected_beacon_of_a_listed_ssid_is_no_downgrade() {
+        let mut detector = protecting(&["Corp"]);
+        let mut wpa2 = Beacon::open(legit(), ssid("Corp"), Channel::default());
+        wpa2.capabilities = ch_wifi::mgmt::CapabilityInfo::protected_ap();
+        for i in 0..30 {
+            detector.observe(t(i), &MgmtFrame::Beacon(wpa2.clone()));
+        }
+        assert!(detector.verdicts().is_empty());
+        assert!(!detector.profile(legit()).unwrap().downgrade);
+    }
+
+    #[test]
+    fn deauth_flood_fires_once_per_source_at_n_victims() {
+        let mut detector = Detector::new(DetectorSpec::standard());
+        for victim in 1..DEAUTH_FLOOD_VICTIMS as u8 {
+            let (at, frame) = deauth(u64::from(victim), legit(), victim);
+            detector.observe(at, &frame);
+        }
+        assert!(detector.verdicts().is_empty(), "one victim short");
+        let (at, frame) = deauth(10, legit(), DEAUTH_FLOOD_VICTIMS as u8);
+        detector.observe(at, &frame);
+        // The flood alone crosses the standard threshold and names the
+        // deauthenticating source.
+        let floods = flood_verdicts(&detector);
+        assert_eq!(floods.len(), 1);
+        assert_eq!(floods[0].bssid, legit());
+        assert_eq!(floods[0].score, DEAUTH_FLOOD_POINTS);
+        assert_eq!(floods[0].at, t(10));
+        // Flooding on inside the window raises nothing new.
+        for victim in 20..30 {
+            let (at, frame) = deauth(20, legit(), victim);
+            detector.observe(at, &frame);
+        }
+        assert_eq!(detector.verdicts().len(), 1);
+    }
+
+    #[test]
+    fn deauth_flood_ignores_repeat_and_spread_out_victims() {
+        // One victim deauthenticated over and over is an AP dropping a
+        // client, not a flood.
+        let mut repeats = Detector::new(DetectorSpec::standard());
+        for i in 0..40 {
+            let (at, frame) = deauth(i, legit(), 1);
+            repeats.observe(at, &frame);
+        }
+        assert!(repeats.verdicts().is_empty());
+        // N distinct victims, one per window: the count restarts each
+        // window and never reaches N.
+        let mut spread = Detector::new(DetectorSpec::standard());
+        for victim in 0..3 * DEAUTH_FLOOD_VICTIMS as u8 {
+            let (at, frame) = deauth(61 * u64::from(victim), legit(), victim);
+            spread.observe(at, &frame);
+        }
+        assert!(spread.verdicts().is_empty());
+    }
+
+    #[test]
+    fn deauth_flood_sources_count_independently() {
+        let other = MacAddr::from_index([0x00, 0x90, 0x4c], 10);
+        let mut detector = Detector::new(DetectorSpec::standard());
+        // Both sources hit the same N − 1 victims: neither alone reached N.
+        for victim in 1..DEAUTH_FLOOD_VICTIMS as u8 {
+            for source in [legit(), other] {
+                let (at, frame) = deauth(u64::from(victim), source, victim);
+                detector.observe(at, &frame);
+            }
+        }
+        assert!(detector.verdicts().is_empty());
+        let (at, frame) = deauth(9, other, 99);
+        detector.observe(at, &frame);
+        let floods = flood_verdicts(&detector);
+        assert_eq!(floods.len(), 1);
+        assert_eq!(floods[0].bssid, other);
+        assert!(!detector.is_flagged(legit()));
+    }
+
+    #[test]
+    fn beaconing_responder_is_never_silent_but_still_co_located() {
+        // A beaconing rogue answers 30 directed probes with 30 SSIDs over
+        // three windows: the silent-responder tell stays quiet, the
+        // co-location tell does not.
+        let run = |beacons: bool| {
+            let mut detector = Detector::new(DetectorSpec::standard());
+            if beacons {
+                detector.observe(t(0), &beacon(rogue(), "venue"));
+            }
+            for i in 0..30u64 {
+                let name = format!("net-{i}");
+                detector.observe(t(5 * i), &direct(client(1), &name));
+                detector.observe(t(5 * i), &response(rogue(), client(1), &name));
+            }
+            detector.verdicts().to_vec()
+        };
+        let beaconing = run(true);
+        assert!(beaconing
+            .iter()
+            .any(|v| v.reasons.contains(Reason::ImplausibleCoLocation)));
+        assert!(beaconing
+            .iter()
+            .all(|v| !v.reasons.contains(Reason::SilentResponder)));
+        // The same responder without a beacon does earn it.
+        assert!(run(false)
+            .iter()
+            .any(|v| v.reasons.contains(Reason::SilentResponder)));
+    }
+
+    #[test]
+    fn colocation_fires_once_at_threshold() {
+        // A clean vendor AP beaconing ever more SSIDs: co-location is its
+        // only tell, and alone it reaches the paranoid threshold.
+        let params = BehaviorParams::default();
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        for i in 1..params.colocation_min as u64 {
+            detector.observe(t(i), &beacon(legit(), &format!("venue-net-{i}")));
+        }
+        assert!(detector.verdicts().is_empty(), "one SSID short");
+        let at = t(params.colocation_min as u64);
+        detector.observe(at, &beacon(legit(), "venue-net-last"));
+        let v = detector.verdicts()[0];
+        assert_eq!(v.at, at);
+        assert_eq!(v.score, params.colocation_points);
+        assert!(v.reasons.contains(Reason::ImplausibleCoLocation));
+        assert_eq!(
+            detector.profile(legit()).unwrap().advertised_ssids(),
+            params.colocation_min
+        );
+        // More SSIDs inside the window raise nothing new.
+        detector.observe(at, &beacon(legit(), "venue-net-extra"));
+        assert_eq!(detector.verdicts().len(), 1);
+        assert_eq!(detector.first_flag(legit()), Some(at));
+    }
+
+    #[test]
+    fn silent_responder_fires_at_min_responses_without_beacons() {
+        // Answering its own client's directed probes, a clean vendor AP
+        // scores silent responder (3) + rogue IE (1): the paranoid
+        // threshold, reached on the 20th beaconless response.
+        let answer = |detector: &mut Detector, i: u64| {
+            detector.observe(t(i), &direct(client(1), "X"));
+            detector.observe(t(i), &response(legit(), client(1), "X"));
+        };
+        let mut silent = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        for i in 1..20 {
+            answer(&mut silent, i);
+        }
+        assert!(silent.verdicts().is_empty(), "one response short");
+        answer(&mut silent, 20);
+        assert_eq!(silent.verdicts().len(), 1);
+        assert!(silent.verdicts()[0]
+            .reasons
+            .contains(Reason::SilentResponder));
+        // The same AP beaconing once is never flagged, however long it
+        // answers.
+        let mut beaconing = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        beaconing.observe(t(0), &beacon(legit(), "X"));
+        for i in 1..=50 {
+            answer(&mut beaconing, i);
+        }
+        assert!(beaconing.verdicts().is_empty());
+    }
+
+    #[test]
+    fn colocation_ignores_repeats_of_one_ssid() {
+        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        for i in 0..50 {
+            detector.observe(t(i), &beacon(legit(), "SameNet"));
+        }
+        assert_eq!(detector.profile(legit()).unwrap().advertised_ssids(), 1);
+        assert!(detector.verdicts().is_empty());
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!    karma-style minimal IE fingerprint.
 //! 2. **Behavior** ([`detector`]) — windowed evidence accumulation keyed
 //!    on the City-Hunter tell (one AP answering broadcast probes with many
-//!    distinct directed SSIDs), MANA-style PNL replay, and implausible
-//!    SSID co-location, with a [`Strictness`] knob setting the flagging
-//!    threshold.
+//!    distinct directed SSIDs), MANA-style PNL replay, implausible SSID
+//!    co-location, a protected SSID offered open (security downgrade) and
+//!    one source deauthenticating many clients (deauth flood), with a
+//!    [`Strictness`] knob setting the flagging threshold.
 //!
 //! The detector draws no randomness: its verdict stream is a pure function
 //! of the observed frame sequence, so detection composes with the

@@ -174,6 +174,10 @@ pub struct SignatureDb {
     pub oui_denylist: Vec<[u8; 3]>,
     /// Bait SSID wording.
     pub bait_patterns: Vec<SsidPattern>,
+    /// SSIDs the defended clients know as protected (WPA2): an AP offering
+    /// one open is an evil twin downgrading the network. Empty in the
+    /// stock database, which knows no client's networks.
+    pub protected_ssids: Vec<Ssid>,
     /// Active rules.
     pub rules: Vec<SignatureRule>,
 }
@@ -192,6 +196,7 @@ impl SignatureDb {
                 SsidPattern::Contains("open wifi"),
                 SsidPattern::Prefix("freewifi"),
             ],
+            protected_ssids: Vec::new(),
             rules: vec![
                 SignatureRule::OuiDenylist { weight: 4 },
                 SignatureRule::LocallyAdministeredBssid { weight: 3 },
@@ -218,6 +223,11 @@ impl SignatureDb {
     /// `true` if `ssid` matches any bait pattern.
     pub fn matches_bait(&self, ssid: &Ssid) -> bool {
         self.bait_patterns.iter().any(|p| p.matches(ssid))
+    }
+
+    /// `true` if `ssid` is on the protected list.
+    pub fn is_protected(&self, ssid: &Ssid) -> bool {
+        self.protected_ssids.contains(ssid)
     }
 
     /// `true` if `bssid` trips either MAC-level signature.

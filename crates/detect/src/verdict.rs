@@ -29,10 +29,16 @@ pub enum Reason {
     PnlReplay = 1 << 7,
     /// One BSSID advertising implausibly many distinct SSIDs.
     ImplausibleCoLocation = 1 << 8,
+    /// Offered an SSID on the protected list as an open network — the
+    /// evil-twin downgrade.
+    SecurityDowngrade = 1 << 9,
+    /// Deauthenticated many distinct clients in one evidence window — the
+    /// §V-B forced-rescan flood (Bellardo & Savage 2003).
+    DeauthFlood = 1 << 10,
 }
 
 /// All reasons, in bit order (stable for rendering).
-pub const ALL_REASONS: [Reason; 9] = [
+pub const ALL_REASONS: [Reason; 11] = [
     Reason::DenylistedOui,
     Reason::LocallyAdministeredBssid,
     Reason::BaitSsid,
@@ -42,6 +48,8 @@ pub const ALL_REASONS: [Reason; 9] = [
     Reason::BroadcastBait,
     Reason::PnlReplay,
     Reason::ImplausibleCoLocation,
+    Reason::SecurityDowngrade,
+    Reason::DeauthFlood,
 ];
 
 impl Reason {
@@ -57,6 +65,8 @@ impl Reason {
             Reason::BroadcastBait => "broadcast-bait",
             Reason::PnlReplay => "pnl-replay",
             Reason::ImplausibleCoLocation => "implausible-co-location",
+            Reason::SecurityDowngrade => "security-downgrade",
+            Reason::DeauthFlood => "deauth-flood",
         }
     }
 }
@@ -172,8 +182,13 @@ mod tests {
         assert!(!set.contains(Reason::PnlReplay));
         assert_eq!(set.to_string(), "denylisted-oui+broadcast-bait");
         assert_eq!(ReasonSet::empty().to_string(), "-");
-        // Unknown bits are dropped.
-        assert!(ReasonSet::from_bits(0b1111_1110_0000_0000).is_empty());
+        // Unknown bits (11–15) are dropped.
+        assert!(ReasonSet::from_bits(0b1111_1000_0000_0000).is_empty());
+        let mut new = ReasonSet::empty();
+        new.insert(Reason::SecurityDowngrade);
+        new.insert(Reason::DeauthFlood);
+        assert_eq!(ReasonSet::from_bits(new.bits()), new);
+        assert_eq!(new.to_string(), "security-downgrade+deauth-flood");
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! * [`ablation`] — the design-choice ablation matrix;
 //! * [`sweeps`] — one-dimensional sensitivity sweeps;
 //! * [`warm`] — the warm-start (database carry-over) study;
-//! * [`faults`] — the fault-injection / graceful-degradation study.
-//! * [`arms_race`] — attacker evasion vs the `ch-detect` rogue-AP monitor.
+//! * [`faults`] — the fault-injection / graceful-degradation study;
+//! * [`arms_race`] — attacker evasion vs the `ch-detect` rogue-AP monitor;
+//! * [`defense`] — the `defense`/`defense_live` countermeasure studies.
 
 pub mod ablation;
 pub mod arms_race;
 pub mod campaign;
+pub mod defense;
 pub mod faults;
 pub mod figures;
 pub mod sweeps;
@@ -40,6 +42,7 @@ pub use campaign::{
     campaign, campaign_fleet, campaign_jobs, campaign_with, CampaignOutcome, HourResult,
     VenueSeries,
 };
+pub use defense::{defense_fleet, defense_live_fleet};
 pub use faults::{
     faults, faults_fleet, faults_jobs, faults_with, profile_fault, FaultJob, FaultsOutcome,
     FaultsRecord, FAULT_ATTACKERS, FAULT_PROFILES,

@@ -8,10 +8,10 @@
 //! and returns the rendered [`Artifact`]. The `ch-bench` `experiment`
 //! binary dispatches through this table; `reproduce_all` iterates it.
 //!
-//! Entries whose implementation needs the detector stack (`ch-defense`)
-//! are marked [`ExperimentSpec::external`]: they are listed here — the
-//! registry stays the single inventory — but executed by the `ch-bench`
-//! driver, which has the extra dependency.
+//! The one entry that needs a wall clock, `city`, is marked
+//! [`ExperimentSpec::external`]: it is listed here — the registry stays
+//! the single inventory — but executed by the `ch-bench` driver, which
+//! times the run.
 
 use ch_fleet::{FleetOptions, FleetStats};
 use ch_sim::SimDuration;
@@ -116,8 +116,8 @@ pub struct ExperimentSpec {
     /// Id of the entry whose campaign (and manifest) this one shares —
     /// `fig6` is a second view of `fig5`'s jobs.
     pub shares_campaign_with: Option<&'static str>,
-    /// Runs in the `ch-bench` driver (needs `ch-defense` or wall-clock
-    /// telemetry); `run` errors.
+    /// Runs in the `ch-bench` driver (needs wall-clock telemetry); `run`
+    /// errors.
     pub external: bool,
 }
 
@@ -354,28 +354,28 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         title: "Defense",
         paper_ref: "beyond",
         output: OutputKind::Study,
-        summary: "frames-to-detection per attacker generation (4 jobs)",
+        summary: "frames to the first ch-detect verdict per attacker generation (4 jobs)",
         campaign: Some("defense"),
         default_manifest: None,
         default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
-        external: true,
+        external: false,
     },
     ExperimentSpec {
         id: "defense_live",
         title: "Defense (live)",
         paper_ref: "beyond",
         output: OutputKind::Study,
-        summary: "detector bank against a live canteen deployment (1 job)",
+        summary: "the ch-detect monitor in a live canteen deployment (1 job)",
         campaign: Some("defense-live"),
         default_manifest: None,
         default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
-        external: true,
+        external: false,
     },
     ExperimentSpec {
         id: "city",
@@ -537,6 +537,14 @@ impl ExperimentSpec {
                 let (outcome, stats) = exp::arms_race_fleet(ctx, seed, params.quick, opts)?;
                 (line(outcome.render()), Some(stats))
             }
+            "defense" => {
+                let (text, stats) = exp::defense_fleet(ctx, opts)?;
+                (text, Some(stats))
+            }
+            "defense_live" => {
+                let (text, stats) = exp::defense_live_fleet(ctx, seed, opts)?;
+                (text, Some(stats))
+            }
             "sweep" => {
                 let replicas = self.replicas(params);
                 let (outcomes, stats) = exp::sweep_suite_fleet(ctx, seed, replicas, opts)?;
@@ -549,8 +557,8 @@ impl ExperimentSpec {
             }
             _ => {
                 return Err(format!(
-                    "experiment `{}` is external (detector stack or wall-clock \
-                     telemetry); run it via the ch-bench `experiment` driver",
+                    "experiment `{}` is external (wall-clock telemetry); run it \
+                     via the ch-bench `experiment` driver",
                     self.id
                 ));
             }
@@ -630,15 +638,22 @@ mod tests {
     #[test]
     fn external_entries_refuse_to_run_here() {
         let ctx = CampaignCtx::build(&crate::world::CityData::standard(7));
-        let spec = find("defense").unwrap();
+        let spec = find("city").unwrap();
         let err = spec
             .run(
                 &ctx,
                 &RunParams::new(1),
-                &FleetOptions::in_memory("defense", 0),
+                &FleetOptions::in_memory("city", 0),
             )
             .unwrap_err();
         assert!(err.contains("ch-bench"), "{err}");
+        // `city` is the only entry that needs the driver's wall clock.
+        let external: Vec<&str> = REGISTRY
+            .iter()
+            .filter(|s| s.external)
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(external, ["city"]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::world::{CityData, World};
 ///
 /// Historically this enum lived here; it is now the workspace-wide spec
 /// layer in `ch-attack`, shared with the ablation/sweep/replication
-/// studies and the `ch-defense` detection evaluation. The `AttackerKind`
+/// studies and the `defense` countermeasure study. The `AttackerKind`
 /// name stays as an alias so existing call sites keep reading naturally.
 pub use ch_attack::AttackerSpec as AttackerKind;
 

@@ -27,7 +27,7 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn registry_reproduces_the_committed_artifacts_at_the_default_seed() {
-    for id in ["table1", "table2", "fig2"] {
+    for id in ["table1", "table2", "fig2", "defense", "defense_live"] {
         let spec = registry::find(id).expect("registered artifact");
         let params = RunParams::new(1);
         let opts = FleetOptions::in_memory(spec.campaign.unwrap_or(id), 0);

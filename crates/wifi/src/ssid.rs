@@ -167,7 +167,10 @@ impl Ord for Ssid {
 
 impl Hash for Ssid {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        // What `str::hash` feeds a stable `Hasher` (`write_str`'s default:
+        // the bytes, then `0xff`), minus `as_str`'s UTF-8 re-check.
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 

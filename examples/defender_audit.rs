@@ -5,14 +5,16 @@
 //! "can still work as effective countermeasures for the City-Hunter". This
 //! example runs the workspace's real detection subsystem — the same
 //! signature/behavior [`Detector`] the `arms_race` experiment arms — on
-//! the actual byte-level frames our attacker emits. Two of its cheapest
-//! signals fire here:
+//! the actual byte-level frames our attacker emits. Two kinds of its
+//! cheapest signals fire here:
 //!
-//! 1. **signature tells** — the rogue BSSID's OUI is denylisted and the
-//!    lure advertises a remembered network as open;
-//! 2. **implausible SSID co-location** — one BSSID answering a broadcast
-//!    probe with many unrelated SSIDs within a second (the signature of
-//!    KARMA-style mimicry).
+//! 1. **signature tells** — the rogue BSSID's OUI is denylisted, a lure
+//!    carries free-WiFi bait wording, the responses carry the karma-style
+//!    minimal IE set, and the BSSID answers probes but never beacons (a
+//!    silent responder);
+//! 2. **implausible SSID co-location** — one BSSID answering broadcast
+//!    probes with dozens of unrelated SSIDs (the signature of KARMA-style
+//!    mimicry).
 //!
 //! ```text
 //! cargo run --release -p city-hunter --example defender_audit [seed]

@@ -1,24 +1,22 @@
-//! Countermeasures against live deployments: the detector bank rides the
-//! runner's frame observer through full experiments.
+//! Countermeasures against live deployments: the `ch-detect` monitor rides
+//! full experiments, armed through `RunConfig.detector` or tapping the
+//! runner's frame observer.
 
-use city_hunter::defense::detectors::{AlarmKind, DetectorBank};
-use city_hunter::defense::monitor::NetworkMonitor;
+use city_hunter::detect::{Detector, DetectorSpec, Reason};
 use city_hunter::prelude::*;
 use city_hunter::scenarios::runner::{run_experiment_observed, FrameObserver};
-use city_hunter::sim::{SimDuration, SimTime};
 use city_hunter::wifi::mgmt::MgmtFrame;
 
-struct BankObserver {
-    bank: DetectorBank,
-}
+/// A monitor tapping every delivered frame, deauths included.
+struct MonitorTap(Detector);
 
-impl FrameObserver for BankObserver {
+impl FrameObserver for MonitorTap {
     fn enabled(&self) -> bool {
         true
     }
 
     fn observe(&mut self, at: SimTime, frame: &MgmtFrame) {
-        self.bank.observe(at, frame);
+        self.0.observe(at, frame);
     }
 }
 
@@ -41,16 +39,31 @@ fn config(deauth: bool, seed: u64) -> RunConfig {
     }
 }
 
+/// The deauth-flood verdicts of a tapped run.
+fn flood_verdicts(data: &CityData, deauth: bool, seed: u64) -> (u64, Vec<MacAddr>) {
+    let mut tap = MonitorTap(Detector::new(DetectorSpec::standard()));
+    let metrics = run_experiment_observed(data, &config(deauth, seed), &mut tap);
+    let floods = tap
+        .0
+        .verdicts()
+        .iter()
+        .filter(|v| v.reasons.contains(Reason::DeauthFlood))
+        .map(|v| v.bssid)
+        .collect();
+    (metrics.deauth_frames, floods)
+}
+
 #[test]
 fn live_city_hunter_detected_before_first_victim() {
     let data = CityData::standard(0xDEF1);
-    let mut observer = BankObserver {
-        bank: DetectorBank::client_standard([]),
+    let armed = RunConfig {
+        detector: Some(DetectorSpec::standard()),
+        ..config(false, 1)
     };
-    let metrics = run_experiment_observed(&data, &config(false, 1), &mut observer);
-    let first_alarm = observer
-        .bank
-        .first_alarm_at()
+    let metrics = run_experiment(&data, &armed);
+    let report = metrics.detection.expect("the detector was armed");
+    let first_verdict = report
+        .time_to_detect()
         .expect("City-Hunter must be detected");
     // Detection precedes the first successful lure.
     let first_hit = metrics
@@ -59,59 +72,35 @@ fn live_city_hunter_detected_before_first_victim() {
         .min();
     if let Some(hit_at) = first_hit {
         assert!(
-            first_alarm <= hit_at,
-            "first alarm {first_alarm} after first victim {hit_at}"
+            first_verdict <= hit_at,
+            "first verdict {first_verdict} after first victim {hit_at}"
         );
     }
-    // The operator monitor names exactly one rogue: the attacker.
-    let mut monitor = NetworkMonitor::new();
-    for (_, alarms) in observer.bank.report() {
-        monitor.ingest_all(alarms);
-    }
-    let rogues: Vec<_> = monitor.rogues().collect();
-    assert_eq!(rogues.len(), 1, "{rogues:?}");
+    // Exactly one AP is flagged, the attacker; none of the legitimate
+    // neighbourhood APs beaconing around it.
+    assert!(report.legit_aps > 0);
+    assert_eq!(report.flagged_legit, 0, "{report:?}");
+    assert_eq!(report.flagged_rogue, 1, "{report:?}");
+    assert_eq!(report.flagged, 1, "{report:?}");
 }
 
 #[test]
 fn deauth_extension_trips_the_flood_detector() {
     let data = CityData::standard(0xDEF2);
-    let mut observer = BankObserver {
-        bank: DetectorBank::client_standard([]),
-    };
-    let metrics = run_experiment_observed(&data, &config(true, 2), &mut observer);
-    assert!(metrics.deauth_frames >= 5, "{}", metrics.deauth_frames);
-    let report = observer.bank.report();
-    let flood_alarms = report
-        .iter()
-        .find(|(name, _)| *name == "deauth-flood")
-        .map(|(_, alarms)| alarms.len())
-        .unwrap_or(0);
-    assert!(
-        flood_alarms >= 1,
-        "deauth flood must be flagged: {report:?}"
-    );
-    // The flood verdict points at the spoofed source.
-    let (_, alarms) = report
-        .iter()
-        .find(|(name, _)| *name == "deauth-flood")
-        .expect("detector present");
-    assert!(alarms
-        .iter()
-        .all(|a| matches!(a.kind, AlarmKind::DeauthFlood { .. })));
+    let (deauths, floods) = flood_verdicts(&data, true, 2);
+    assert!(deauths >= 5, "{deauths}");
+    assert!(!floods.is_empty(), "deauth flood must be flagged");
+    // The flood verdict names the spoofed AP the deauths claim to come
+    // from, not the rogue's own BSSID.
+    for source in &floods {
+        assert_eq!(source.oui(), [0x00, 0x90, 0x4c], "{source}");
+    }
 }
 
 #[test]
 fn no_deauth_no_flood_alarm() {
     let data = CityData::standard(0xDEF3);
-    let mut observer = BankObserver {
-        bank: DetectorBank::client_standard([]),
-    };
-    let _ = run_experiment_observed(&data, &config(false, 3), &mut observer);
-    let report = observer.bank.report();
-    let flood_alarms = report
-        .iter()
-        .find(|(name, _)| *name == "deauth-flood")
-        .map(|(_, alarms)| alarms.len())
-        .unwrap_or(0);
-    assert_eq!(flood_alarms, 0, "no deauth, no flood alarm");
+    let (deauths, floods) = flood_verdicts(&data, false, 3);
+    assert_eq!(deauths, 0);
+    assert!(floods.is_empty(), "no deauth, no flood verdict: {floods:?}");
 }
