@@ -151,7 +151,7 @@ cargo run -q --release -p ch-bench --bin perfbench -- \
   --out "$drift_dir/BENCH_hotpath.json" > /dev/null
 cmp "$drift_dir/BENCH_hotpath.json" results/BENCH_hotpath.json
 
-echo "==> city smoke (sharded day: shard-count byte-identity + events/sec)"
+echo "==> city smoke (sharded day: shard-count byte-identity, events/sec, scaling)"
 # The city-scale gate: the quick city must render byte-identically at
 # shard counts 1, 4 and 16 and across worker widths (shards are an
 # execution arrangement, never a semantic one), report wall-clock
@@ -173,6 +173,34 @@ cmp "$city_dir/s1.txt" "$city_dir/j4.txt"
 grep -q 'events/sec (wall-clock)' "$city_dir/s1.log"
 grep -q '"schema":"ch-city-bench-v1"' "$city_dir/BENCH_city.json"
 cp "$city_dir/BENCH_city.json" "$lint_dir/BENCH_city.json"
+# City scaling gate: the 16-district hour (every venue meets every
+# attacker; about 0.5 s serial, long enough that thread start-up cannot
+# decide the ratio) runs at --jobs 1 and --jobs 2, must render the same
+# bytes, and the 2-worker leg must never be slower than serial (hard
+# floor 1.0x; the >=0.7xN target stays report-only). On a single-core
+# host the --jobs 2 leg is clamped to one worker: assert the clamp
+# instead, as the fleet smoke does.
+city_gate=(city 1 --districts 16 --minutes 60)
+for j in 1 2; do
+  cargo run -q --release -p ch-bench --bin experiment -- "${city_gate[@]}" --jobs "$j" \
+    --bench "$city_dir/BENCH_city_j$j.json" \
+    > "$city_dir/gate_j$j.txt" 2> "$city_dir/gate_j$j.log"
+done
+cmp "$city_dir/gate_j1.txt" "$city_dir/gate_j2.txt"
+serial_ms=$(grep -o '"elapsed_ms":[0-9.eE+-]*' "$city_dir/BENCH_city_j1.json" | cut -d: -f2)
+par_ms=$(grep -o '"elapsed_ms":[0-9.eE+-]*' "$city_dir/BENCH_city_j2.json" | cut -d: -f2)
+city_threads=$(grep -o '"jobs":[0-9]*' "$city_dir/BENCH_city_j2.json" | cut -d: -f2)
+test -n "$serial_ms" && test -n "$par_ms" && test -n "$city_threads"
+test "$city_threads" -le "$(nproc)"
+city_speedup=$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { printf "%.2f", a / (b > 0 ? b : 1) }')
+if [ "$city_threads" -ge 2 ]; then
+  echo "scaling: city --jobs 2 ran ${city_speedup}x vs serial ($city_threads workers; gate: >= 1.0)"
+  awk -v s="$city_speedup" 'BEGIN { exit !(s >= 1.0) }'
+  awk -v s="$city_speedup" -v n="$city_threads" 'BEGIN { exit !(s >= 0.7 * n) }' \
+    || echo "scaling: below the 0.7xN target (report-only)"
+else
+  echo "scaling: single-core host, city --jobs 2 clamped to 1 worker (${city_speedup}x vs serial, report-only)"
+fi
 
 echo "==> chaos smoke (faults study, serial vs parallel, byte-identical)"
 # The fault-injection gate: every attacker under burst loss, corruption,

@@ -33,6 +33,7 @@ use crate::{FileContext, FileKind, Finding};
 /// Crates whose state must be bit-for-bit reproducible across runs (R1).
 pub const DETERMINISM_CRATES: &[&str] = &[
     "ch-sim",
+    "ch-geo",
     "ch-phone",
     "ch-mobility",
     "ch-fleet",

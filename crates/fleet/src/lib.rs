@@ -13,7 +13,8 @@
 //!   scheduling order;
 //! * [`pool`] — a scoped-thread worker pool ([`scoped_parallel_map`])
 //!   with a shared work queue and *ordered* aggregation, so parallel
-//!   output is identical to serial output;
+//!   output is identical to serial output, and its multi-round form
+//!   ([`scoped_lockstep`]) for epoch-by-epoch simulations;
 //! * [`manifest`] — a resumable run manifest: results stream to a JSONL
 //!   artifact as each job completes, and re-running a campaign skips
 //!   jobs whose keys are already recorded;
@@ -60,7 +61,7 @@ pub use job::{derive_seed, fingerprint, JobSpec};
 pub use json::Json;
 pub use manifest::{Manifest, ManifestCodec};
 pub use pool::{
-    effective_jobs, scoped_parallel_map, scoped_parallel_map_with, scoped_parallel_map_with_state,
-    worker_cap,
+    effective_jobs, scoped_lockstep, scoped_parallel_map, scoped_parallel_map_with,
+    scoped_parallel_map_with_state, worker_cap,
 };
 pub use telemetry::{record_bench, BenchRun, Stopwatch};

@@ -18,9 +18,7 @@
 //! what makes the §V-B carrier extension interesting. They live in
 //! [`carrier_ssids`].
 
-use std::collections::HashMap;
-
-use ch_sim::SimRng;
+use ch_sim::{det_hash_map, DetHashMap, SimRng};
 use ch_wifi::{MacAddr, Ssid};
 
 use crate::city::{CityModel, PoiKind};
@@ -106,14 +104,14 @@ pub fn carrier_ssids() -> Vec<Ssid> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WigleSnapshot {
     records: Vec<NetworkRecord>,
-    by_ssid: HashMap<Ssid, Vec<usize>>,
+    by_ssid: DetHashMap<Ssid, Vec<usize>>,
 }
 
 impl WigleSnapshot {
     /// Builds a snapshot from explicit records (used by tests and failure
     /// injection; experiments use [`WigleSnapshot::synthesize`]).
     pub fn from_records(records: Vec<NetworkRecord>) -> Self {
-        let mut by_ssid: HashMap<Ssid, Vec<usize>> = HashMap::new();
+        let mut by_ssid: DetHashMap<Ssid, Vec<usize>> = det_hash_map();
         for (i, r) in records.iter().enumerate() {
             by_ssid.entry(r.ssid.clone()).or_default().push(i);
         }
@@ -361,7 +359,7 @@ impl WigleSnapshot {
     /// AP), nearest first — the "100 SSIDs near the attacking location"
     /// seed of §III-B.
     pub fn nearest_open_ssids(&self, point: GeoPoint, n: usize) -> Vec<Ssid> {
-        let mut best: HashMap<&Ssid, f64> = HashMap::new();
+        let mut best: DetHashMap<&Ssid, f64> = det_hash_map();
         for r in &self.records {
             if !r.open {
                 continue;

@@ -16,8 +16,9 @@
 //!   instant runs the scan kernel shared with the runner
 //!   ([`crate::scan`]);
 //! * districts are grouped into contiguous **shards**; each epoch (one
-//!   sim minute) every shard advances independently on `ch-fleet`'s
-//!   worker-local-state pool;
+//!   sim minute) every shard advances independently, as one round of
+//!   `ch-fleet`'s lockstep pool, whose workers (each with warm scratch)
+//!   live for the whole run;
 //! * clients that leave one district for another travel through a
 //!   deterministic **handoff mailbox**: departures append to the source
 //!   district's outbox, and outboxes are drained into destination
@@ -531,18 +532,15 @@ impl District {
 
 /// Routes every outbox into its destination inbox, in district-id order
 /// — the serial boundary step that makes cross-shard traffic
-/// deterministic at any shard count and any worker width. `transfer` is
-/// a reused staging buffer.
-fn route_handoffs(
-    shards: &mut [Mutex<Vec<District>>],
-    per_shard: usize,
-    transfer: &mut Vec<Transit>,
-) {
+/// deterministic at any shard count and any worker width. It runs between
+/// epochs, when no worker holds a shard. `transfer` is a reused staging
+/// buffer.
+fn route_handoffs(shards: &[Mutex<Vec<District>>], per_shard: usize, transfer: &mut Vec<Transit>) {
     // Pass 1: collect. Shards hold contiguous id ranges, so shard order
     // then in-shard order *is* global district-id order; within one
     // district the outbox preserves emission (event) order.
-    for shard in shards.iter_mut() {
-        let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
+    for shard in shards {
+        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         for district in shard.iter_mut() {
             transfer.append(&mut district.outbox);
         }
@@ -550,8 +548,8 @@ fn route_handoffs(
     // Pass 2: deliver in that same global order.
     for transit in transfer.drain(..) {
         let dest = transit.to as usize;
-        let shard = shards[dest / per_shard]
-            .get_mut()
+        let mut shard = shards[dest / per_shard]
+            .lock()
             .unwrap_or_else(PoisonError::into_inner);
         shard[dest % per_shard].inbox.push(transit);
     }
@@ -709,29 +707,29 @@ fn build_shards(ctx: &CampaignCtx, config: &CityConfig) -> (Vec<Mutex<Vec<Distri
     (shards, plan.per_shard)
 }
 
-/// Runs the whole city: epochs advance in lockstep across shards (each
-/// shard on a pool worker with worker-local scratch), with the handoff
-/// mailbox routed serially at every epoch boundary.
+/// Runs the whole city: epochs advance in lockstep across shards, one
+/// round of `ch-fleet`'s lockstep pool per epoch on workers spawned once
+/// for the run (each with its own warm scratch), with the handoff mailbox
+/// routed serially on the calling thread between epochs.
 pub fn run_city(ctx: &CampaignCtx, config: &CityConfig) -> CityOutcome {
-    let (mut shards, per_shard) = build_shards(ctx, config);
+    let (shards, per_shard) = build_shards(ctx, config);
     let threads = ch_fleet::effective_jobs(config.jobs)
         .min(ch_fleet::worker_cap())
         .min(shards.len());
     let mut transfer: Vec<Transit> = Vec::new();
-    for epoch in 0..config.epochs {
-        ch_fleet::scoped_parallel_map_with_state(
-            &shards,
-            threads,
-            ScanScratch::default,
-            |shard, scratch| {
-                let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                for district in shard.iter_mut() {
-                    district.run_epoch(epoch, scratch);
-                }
-            },
-        );
-        route_handoffs(&mut shards, per_shard, &mut transfer);
-    }
+    ch_fleet::scoped_lockstep(
+        &shards,
+        threads,
+        config.epochs,
+        ScanScratch::default,
+        |epoch, shard, scratch| {
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            for district in shard.iter_mut() {
+                district.run_epoch(epoch, scratch);
+            }
+        },
+        |_, _| route_handoffs(&shards, per_shard, &mut transfer),
+    );
     let reports = shards
         .into_iter()
         .flat_map(|shard| shard.into_inner().unwrap_or_else(PoisonError::into_inner))
@@ -813,7 +811,7 @@ mod tests {
             push(&mut shards, 1, 0, phones.next().unwrap());
             push(&mut shards, 1, 0, phones.next().unwrap());
             let mut transfer = Vec::new();
-            route_handoffs(&mut shards, per_shard, &mut transfer);
+            route_handoffs(&shards, per_shard, &mut transfer);
             assert!(transfer.is_empty(), "staging buffer drains fully");
             let collect = |shards: &mut [Mutex<Vec<District>>], id: usize| -> Vec<u32> {
                 let shard = shards[id / per_shard].get_mut().unwrap();

@@ -193,6 +193,11 @@ pub(crate) fn exchange(
             });
         if landed {
             phone.handle_deauth();
+            // The attacker's radio sent this frame: its spoofed source is
+            // a rogue MAC for the detector's ground truth.
+            if let Some(det) = planes.as_mut().and_then(|p| p.detection.as_deref_mut()) {
+                det.note_rogue(fake_ap);
+            }
         }
         return ScanReport::reached(Reach::Deauth(landed));
     }

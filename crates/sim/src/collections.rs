@@ -12,6 +12,28 @@
 //! (MACs, SSIDs, u64 ids) the simulation uses. Iteration order is then a
 //! pure function of the insertion history, which a seeded simulation
 //! replays identically.
+//!
+//! # Why `finish` folds
+//!
+//! hashbrown picks a bucket from the hash's *low* bits and stores its
+//! top 7 bits as the probe tag. Fx's state is a product, and the low `k`
+//! bits of a product depend only on the low `k` bits of its factors. A
+//! MAC is hashed as one little-endian word whose low 24 bits are the OUI,
+//! so the raw state's low 24 bits are the same for every address of one
+//! vendor: every phone of a run (`ac:37:43`) and every phone of a city
+//! district (`d1:5c:<id>`) shared one bucket, and 1,000 of them landed in
+//! 1 of 4,096 buckets, turning each lookup into a walk of one long probe
+//! chain. Real probe traffic clusters by vendor OUI the same way.
+//!
+//! [`FxHasher::finish`] therefore folds the state once: xor-shift, one
+//! multiply, xor-shift. Then both the bucket bits and the tag depend on
+//! every key byte, and the three key shapes the tests pin (1,000 salted
+//! and 4,096 sequential ids under one OUI, 256 MACs differing only in the
+//! last octet) reach as many distinct buckets and tags as uniformly
+//! random hashes do: 882 buckets and 128 tags for the 1,000 salted ids,
+//! where random hashes reach 887 and 128 in expectation. A bare rotate,
+//! the fix `rustc-hash` 2 chose, spreads the buckets but leaves the
+//! salted ids on 4 distinct tags.
 
 // This module is the sanctioned place that re-binds std's maps with an
 // explicit deterministic hasher.
@@ -46,6 +68,9 @@ pub fn det_hash_set_with_capacity<T>(capacity: usize) -> DetHashSet<T> {
 }
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// The multiplier of [`FxHasher::finish`]'s fold: 2^64 divided by the
+/// golden ratio, Fibonacci hashing's constant.
+const FOLD_MUL: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
 
 /// The Fx multiply-xor hash. Deterministic across processes and platforms
 /// with 64-bit `usize`; not DoS-resistant, which is fine for simulation
@@ -105,9 +130,13 @@ impl Hasher for FxHasher {
         self.add_to_hash(n as u64);
     }
 
+    /// The state, folded so that hashbrown's bucket bits (the low bits)
+    /// and its tag (the top 7 bits) both depend on every key byte (see
+    /// the module docs).
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let folded = (self.hash ^ (self.hash >> 32)).wrapping_mul(FOLD_MUL);
+        folded ^ (folded >> 32)
     }
 }
 
@@ -135,6 +164,39 @@ mod tests {
                 h.write_u64(0xdead_beef);
                 h.finish()
             }
+        );
+    }
+
+    /// Pins `finish` for a few fixed keys. Changing the hasher reorders
+    /// every `DetHashMap` iteration, so a change must be deliberate: this
+    /// test fails until its digests are updated along with the hasher.
+    #[test]
+    fn digests_are_pinned() {
+        let digest = |feed: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        let digests = [
+            digest(&|h| h.write_u64(1)),
+            digest(&|h| h.write_u64(0xdead_beef)),
+            digest(&|h| h.write_u32(7)),
+            digest(&|h| h.write(b"PCCW1x")),
+            // A MAC as `[u8; 6]` hashes it: length prefix, then the bytes.
+            digest(&|h| {
+                h.write_usize(6);
+                h.write(&[0xac, 0x37, 0x43, 0x00, 0x00, 0x2a]);
+            }),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0x18a3_dd21_2d5c_fceb,
+                0xe344_2ebf_f1e4_7823,
+                0xe9c5_4596_c128_fef3,
+                0xa76b_0b1a_35c5_834a,
+                0xefdf_b497_9114_6cc1,
+            ]
         );
     }
 

@@ -186,6 +186,63 @@ mod tests {
         assert_ne!(MacAddr::randomized_from(1), MacAddr::randomized_from(2));
     }
 
+    /// Distinct values of `bits(finish)` over `keys`, and the count that
+    /// uniformly random hashes reach in expectation: `m (1 - (1 - 1/m)^n)`
+    /// for `m` possible values and `n` keys.
+    fn spread(keys: &[MacAddr], bits: impl Fn(u64) -> u64, m: u32) -> (usize, f64) {
+        use std::hash::{Hash, Hasher};
+        let distinct: std::collections::BTreeSet<u64> = keys
+            .iter()
+            .map(|mac| {
+                let mut h = ch_sim::collections::FxHasher::default();
+                mac.hash(&mut h);
+                bits(h.finish())
+            })
+            .collect();
+        let m = f64::from(m);
+        let random = m * (1.0 - (1.0 - 1.0 / m).powf(keys.len() as f64));
+        (distinct.len(), random)
+    }
+
+    /// hashbrown buckets by the low bits and tags by the top 7: both must
+    /// spread MACs that share an OUI about as well as random hashes do,
+    /// so one vendor's clients never share a probe chain.
+    #[test]
+    fn same_oui_macs_spread_over_buckets_and_tags() {
+        let oui = [0xac, 0x37, 0x43];
+        let salt = 0x5a_3c_e1;
+        let key_sets: [(&str, Vec<MacAddr>); 3] = [
+            (
+                "1,000 salted ids",
+                (0..1_000)
+                    .map(|i| MacAddr::from_index(oui, i ^ salt))
+                    .collect(),
+            ),
+            (
+                "4,096 sequential ids",
+                (0..4_096).map(|i| MacAddr::from_index(oui, i)).collect(),
+            ),
+            (
+                "256 last octets",
+                (0..=255u8)
+                    .map(|b| MacAddr::new([0xd1, 0x5c, 0x07, 0x00, 0x00, b]))
+                    .collect(),
+            ),
+        ];
+        for (name, keys) in &key_sets {
+            let (buckets, random_buckets) = spread(keys, |h| h & 0xfff, 4_096);
+            let (tags, random_tags) = spread(keys, |h| h >> 57, 128);
+            assert!(
+                buckets as f64 >= 0.9 * random_buckets,
+                "{name}: {buckets} buckets of {random_buckets:.0} for random hashes"
+            );
+            assert!(
+                tags as f64 >= 0.9 * random_tags,
+                "{name}: {tags} tags of {random_tags:.0} for random hashes"
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_display_parse_roundtrip(octets in proptest::array::uniform6(0u8..)) {

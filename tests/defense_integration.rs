@@ -104,3 +104,22 @@ fn no_deauth_no_flood_alarm() {
     assert_eq!(deauths, 0);
     assert!(floods.is_empty(), "no deauth, no flood verdict: {floods:?}");
 }
+
+#[test]
+fn spoofed_deauth_source_counts_as_rogue() {
+    // The flood verdict names the spoofed AP; the attacker's radio sent
+    // those frames, so ground truth counts that MAC as rogue and every
+    // flag of the run points at the attacker.
+    let data = CityData::standard(0xDEF2);
+    let armed = RunConfig {
+        detector: Some(DetectorSpec::standard()),
+        ..config(true, 2)
+    };
+    let metrics = run_experiment(&data, &armed);
+    let report = metrics.detection.expect("the detector was armed");
+    assert!(metrics.deauth_frames >= 5, "{}", metrics.deauth_frames);
+    assert!(report.flagged >= 2, "rogue and spoofed source: {report:?}");
+    assert_eq!(report.flagged_legit, 0, "{report:?}");
+    assert_eq!(report.flagged_rogue, report.flagged, "{report:?}");
+    assert_eq!(report.precision(), Some(1.0), "{report:?}");
+}
