@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, clippy (warnings are errors), the
-# project's own static-analysis pass, and the test suite. Run before
-# pushing; CI runs the same four steps.
+# The full local gate: formatting, clippy and rustdoc (warnings are
+# errors), the project's own static-analysis pass, and the test suite. Run
+# before pushing; CI runs the same steps.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -10,6 +10,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+# Intra-doc links must resolve: a doc that names a deleted or private item
+# fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> ch-lint (text + JSON artifact + explain smoke)"
 cargo run -q -p ch-analysis --bin ch-lint

@@ -103,7 +103,7 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
 /// Analyzes every workspace crate under `root`, honouring `config`.
 ///
 /// Two passes: first every file is collected (so the symbol index spans
-/// the whole workspace), then [`analyze_files`] lexes, indexes and runs
+/// the whole workspace), then [`crate::analyze_files`] lexes, indexes and runs
 /// the rules. Config filtering (levels, `[scoped-allow]`) applies last.
 pub fn analyze_workspace(root: &Path, config: &Config) -> Result<Report, String> {
     let crates_dir = root.join("crates");

@@ -18,12 +18,11 @@ use std::hash::Hash;
 use ch_sim::ch_invariant;
 
 use crate::ordered::OrderedSet;
-use crate::traits::Cache;
 
 /// A faithful ARC cache.
 ///
 /// ```
-/// use ch_arc::{ArcCache, Cache};
+/// use ch_arc::ArcCache;
 ///
 /// let mut arc = ArcCache::new(100);
 /// for i in 0..100 {
@@ -112,29 +111,36 @@ impl<K: Eq + Hash + Clone> ArcCache<K> {
             self.b1.push_mru(victim);
         }
     }
-}
 
-impl<K: Eq + Hash + Clone> Cache<K> for ArcCache<K> {
-    fn request(&mut self, key: &K) -> bool {
+    /// Looks up `key`; on a miss, admits it (evicting per ARC). Returns
+    /// `true` on a hit. Querying and updating are one operation, as in the
+    /// cache-replacement literature.
+    pub fn request(&mut self, key: &K) -> bool {
         let hit = self.request_inner(key);
         self.check_invariants();
         hit
     }
 
-    fn contains(&self, key: &K) -> bool {
+    /// `true` if `key` is resident in T1 or T2 (no state change).
+    pub fn contains(&self, key: &K) -> bool {
         self.t1.contains(key) || self.t2.contains(key)
     }
 
-    fn len(&self) -> usize {
+    /// Number of resident keys, `|T1| + |T2|`.
+    pub fn len(&self) -> usize {
         self.t1.len() + self.t2.len()
     }
 
-    fn capacity(&self) -> usize {
+    /// `true` if no keys are resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Maximum number of resident keys.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl<K: Eq + Hash + Clone> ArcCache<K> {
     fn request_inner(&mut self, key: &K) -> bool {
         let c = self.capacity;
 
@@ -189,9 +195,12 @@ impl<K: Eq + Hash + Clone> ArcCache<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lru::LruCache;
-    use crate::traits::hits_on_trace;
     use proptest::prelude::*;
+
+    /// Runs a trace through the cache and returns the hit count.
+    fn hits_on_trace(arc: &mut ArcCache<u32>, trace: &[u32]) -> usize {
+        trace.iter().filter(|key| arc.request(key)).count()
+    }
 
     /// The four ARC structural invariants from the paper.
     fn assert_invariants<K: Eq + Hash + Clone>(arc: &ArcCache<K>) {
@@ -316,33 +325,29 @@ mod tests {
                 trace.push(1_000 + round * 8 + s);
             }
         }
+        // An LRU of the same capacity scores 2,400 hits on this trace:
+        // only the second sweep of each round hits.
+        const LRU_HITS: usize = 2_400;
         let mut arc = ArcCache::new(capacity);
-        let mut lru = LruCache::new(capacity);
-        let arc_hits = hits_on_trace(&mut arc, trace.iter().copied());
-        let lru_hits = hits_on_trace(&mut lru, trace.iter().copied());
+        let arc_hits = hits_on_trace(&mut arc, &trace);
         assert!(
-            arc_hits > lru_hits,
-            "ARC {arc_hits} should beat LRU {lru_hits} on scans"
+            arc_hits > LRU_HITS,
+            "ARC {arc_hits} should beat LRU {LRU_HITS} on scans"
         );
         assert_invariants(&arc);
     }
 
     #[test]
     fn recency_workload_not_crippled() {
-        // Pure reuse-within-window workload where LRU is optimal: ARC must
-        // stay in the same ballpark (adaptivity claim).
+        // A 30-key loop fits a 32-entry cache, LRU's best case: after the
+        // first touch of each key every request hits, so the best any
+        // policy can score is 4,000 - 30 = 3,970. ARC must lose none of
+        // those hits to its adaptivity.
         let capacity = 32;
-        let mut trace = Vec::new();
-        for i in 0..4_000u32 {
-            trace.push(i % 40); // cycling window slightly over capacity
-        }
+        let trace: Vec<u32> = (0..4_000u32).map(|i| i % 30).collect();
         let mut arc = ArcCache::new(capacity);
-        let mut lru = LruCache::new(capacity);
-        let arc_hits = hits_on_trace(&mut arc, trace.iter().copied());
-        let lru_hits = hits_on_trace(&mut lru, trace.iter().copied());
-        // A 40-loop over a 32-cache is LRU's pathological case (0 hits);
-        // ARC should do at least as well.
-        assert!(arc_hits >= lru_hits, "arc={arc_hits} lru={lru_hits}");
+        assert_eq!(hits_on_trace(&mut arc, &trace), 4_000 - 30);
+        assert_invariants(&arc);
     }
 
     #[test]

@@ -4,7 +4,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-//! # ch-arc — Adaptive Replacement Cache and baselines
+//! # ch-arc — the Adaptive Replacement Cache and the lure seen-set
 //!
 //! City-Hunter's dynamic popularity/freshness buffer split (§IV-C) is
 //! "inspired by the Adaptive Replacement Cache algorithm (ARC)" of Megiddo
@@ -13,14 +13,14 @@
 //! recently evicted keys.
 //!
 //! This crate implements the real thing — [`ArcCache`], a faithful ARC with
-//! the T1/T2/B1/B2 structure and the adaptation parameter `p` — together
-//! with [`LruCache`], [`LfuCache`] and [`TwoQCache`] baselines and a common
-//! [`Cache`] trait. `ch-attack` uses the same ghost-list adaptation idea for its SSID
-//! buffers, and the test suite here validates the canonical behaviour that
-//! design borrows (scan resistance, loop resistance, adaptation direction).
+//! the T1/T2/B1/B2 structure and the adaptation parameter `p`. `ch-attack`
+//! uses the same ghost-list adaptation idea for its SSID buffers, and
+//! `tests/arc_correspondence.rs` checks that both adapt in the same
+//! direction. [`EpochSet`] is the O(1) seen-set the lure buffers dedup
+//! with.
 //!
 //! ```
-//! use ch_arc::{ArcCache, Cache};
+//! use ch_arc::ArcCache;
 //!
 //! let mut cache = ArcCache::new(2);
 //! assert!(!cache.request(&"a"));  // miss
@@ -31,16 +31,8 @@
 //! ```
 
 pub mod arc;
-pub mod lfu;
-pub mod lru;
 mod ordered;
 pub mod seen;
-pub mod traits;
-pub mod twoq;
 
 pub use arc::ArcCache;
-pub use lfu::LfuCache;
-pub use lru::LruCache;
 pub use seen::EpochSet;
-pub use traits::Cache;
-pub use twoq::TwoQCache;

@@ -1,9 +1,9 @@
 //! An insertion-ordered set with O(log n) LRU operations.
 //!
-//! Backs the T/B lists of [`crate::ArcCache`] and the [`crate::LruCache`]:
-//! a `HashMap` from key to a monotonically increasing sequence number plus
-//! a `BTreeMap` from sequence number back to key. "Most recently used" is
-//! the largest sequence number.
+//! Backs the T/B lists of [`crate::ArcCache`]: a `HashMap` from key to a
+//! monotonically increasing sequence number plus a `BTreeMap` from
+//! sequence number back to key. "Most recently used" is the largest
+//! sequence number.
 
 use std::collections::BTreeMap;
 
@@ -30,6 +30,7 @@ impl<K: Eq + Hash + Clone> OrderedSet<K> {
         self.seq_of.len()
     }
 
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.seq_of.is_empty()
     }
@@ -68,6 +69,7 @@ impl<K: Eq + Hash + Clone> OrderedSet<K> {
     }
 
     /// Keys from LRU to MRU.
+    #[cfg(test)]
     pub(crate) fn iter_lru_to_mru(&self) -> impl Iterator<Item = &K> {
         self.key_of.values()
     }

@@ -153,16 +153,9 @@ pub trait Attacker: Send {
 
 /// Shared helper: the canonical reply to a *direct* probe — mimic the
 /// requested SSID (all four attackers do this identically, §IV "for the
-/// direct probes, City-Hunter utilizes the same approach as in KARMA").
-pub fn direct_reply(probe: &ProbeRequest) -> Vec<Lure> {
-    let mut out = Vec::with_capacity(1);
-    direct_reply_into(probe, &mut out);
-    out
-}
-
-/// [`direct_reply`] into a caller-owned vector (cleared first). The SSID
-/// handoff is a fixed-size inline copy, so a warm `out` makes this
-/// allocation-free.
+/// direct probes, City-Hunter utilizes the same approach as in KARMA") —
+/// into a caller-owned vector (cleared first). The SSID handoff is a
+/// fixed-size inline copy, so a warm `out` makes this allocation-free.
 pub fn direct_reply_into(probe: &ProbeRequest, out: &mut Vec<Lure>) {
     debug_assert!(!probe.is_broadcast());
     out.clear();
@@ -184,8 +177,13 @@ mod tests {
             MacAddr::new([2, 0, 0, 0, 0, 1]),
             Ssid::new("CafeNet").unwrap(),
         );
-        let lures = direct_reply(&probe);
-        assert_eq!(lures.len(), 1);
+        let mut lures = vec![Lure::new(
+            Ssid::new("stale").unwrap(),
+            LureSource::Wigle,
+            LureLane::Popularity,
+        )];
+        direct_reply_into(&probe, &mut lures);
+        assert_eq!(lures.len(), 1, "the stale lure is cleared first");
         assert_eq!(lures[0].ssid.as_str(), "CafeNet");
         assert_eq!(lures[0].lane, LureLane::DirectReply);
         assert_eq!(lures[0].source, LureSource::DirectProbe);

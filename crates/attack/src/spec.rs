@@ -127,8 +127,9 @@ impl AttackerSpec {
         }
     }
 
-    /// [`build`](AttackerSpec::build) under [`default_bssid`]
-    /// (AttackerSpec::default_bssid) — what every experiment driver uses.
+    /// [`build`](AttackerSpec::build) under
+    /// [`default_bssid`](AttackerSpec::default_bssid) — what every
+    /// experiment driver uses.
     pub fn build_default(
         &self,
         wigle: &WigleSnapshot,

@@ -1,7 +1,8 @@
 //! perfbench — the deterministic hot-path performance gate.
 //!
-//! Unlike the criterion benches (wall-clock, noisy, advisory), this binary
-//! measures only quantities that are *bit-identical across runs*:
+//! Unlike wall-clock timings (noisy; `benchmark/` reports those with
+//! quartiles), this binary measures only quantities that are
+//! *bit-identical across runs*:
 //!
 //! * **allocation medians** — with [`ch_sim::alloc::CountingAlloc`]
 //!   installed as the global allocator, it counts heap allocations per

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use ch_fleet::{fingerprint, FleetOptions, Json, Stopwatch};
 use ch_scenarios::experiments as exp;
 use ch_scenarios::registry::{self, Artifact, ExperimentSpec, RunParams, REGISTRY};
-use ch_scenarios::{run_city, CampaignCtx, CityConfig};
+use ch_scenarios::{run_city, CampaignCtx, CityConfig, CityPlan};
 use ch_sim::SimDuration;
 
 /// Flags that take a value.
@@ -327,21 +327,8 @@ fn run_city_experiment(
     params: &RunParams,
     cli: &Cli,
 ) -> Result<Artifact, String> {
-    let mut config = if params.quick {
-        CityConfig::quick(params.seed)
-    } else {
-        CityConfig::full(params.seed)
-    };
-    if let Some(districts) = cli.positive("--districts") {
-        config.districts = districts;
-    }
-    if let Some(shards) = cli.positive("--shards") {
-        config.shards = shards;
-    }
-    if cli.value_of("--minutes").is_some() {
-        config.epochs = params.minutes;
-    }
-    config.jobs = cli.positive("--jobs");
+    let config = city_config(params, cli);
+    let layout = CityPlan::build(&config).layout(config.jobs);
 
     let clock = Stopwatch::start();
     let outcome = run_city(ctx, &config);
@@ -349,11 +336,10 @@ fn run_city_experiment(
     let events = outcome.events();
     let (handoffs_out, handoffs_in) = outcome.handoffs();
     let events_per_sec = events as f64 / (elapsed_ms / 1e3).max(1e-9);
-    let jobs = ch_fleet::effective_jobs(config.jobs).min(ch_fleet::worker_cap());
     eprintln!(
         "city: {} districts x {} sim-min | {} devices, {} events, {} hits, {}/{} handoffs | \
          {:.0} ms wall ({} shards, {} jobs) — {:.0} events/sec (wall-clock)",
-        config.districts,
+        layout.districts,
         config.epochs,
         outcome.devices(),
         events,
@@ -361,8 +347,8 @@ fn run_city_experiment(
         handoffs_out,
         handoffs_in,
         elapsed_ms,
-        config.shards.min(config.districts),
-        jobs,
+        layout.shards,
+        layout.workers,
         events_per_sec,
     );
 
@@ -378,12 +364,9 @@ fn run_city_experiment(
                 Json::str(if params.quick { "quick" } else { "full" }),
             ),
             ("seed".into(), Json::from_u64(config.seed)),
-            ("districts".into(), Json::from_usize(config.districts)),
-            (
-                "shards".into(),
-                Json::from_usize(config.shards.min(config.districts)),
-            ),
-            ("jobs".into(), Json::from_usize(jobs)),
+            ("districts".into(), Json::from_usize(layout.districts)),
+            ("shards".into(), Json::from_usize(layout.shards)),
+            ("jobs".into(), Json::from_usize(layout.workers)),
             ("sim_minutes".into(), Json::from_u64(config.epochs)),
             ("devices".into(), Json::from_u64(outcome.devices())),
             ("events".into(), Json::from_u64(events)),
@@ -409,6 +392,27 @@ fn run_city_experiment(
         text: outcome.render(),
         stats: None,
     })
+}
+
+/// The city run the flags ask for: the mode's defaults with `--districts`,
+/// `--shards`, `--minutes` and `--jobs` overrides.
+fn city_config(params: &RunParams, cli: &Cli) -> CityConfig {
+    let mut config = if params.quick {
+        CityConfig::quick(params.seed)
+    } else {
+        CityConfig::full(params.seed)
+    };
+    if let Some(districts) = cli.positive("--districts") {
+        config.districts = districts;
+    }
+    if let Some(shards) = cli.positive("--shards") {
+        config.shards = shards;
+    }
+    if cli.value_of("--minutes").is_some() {
+        config.epochs = params.minutes;
+    }
+    config.jobs = cli.positive("--jobs");
+    config
 }
 
 #[cfg(test)]
@@ -460,6 +464,28 @@ mod tests {
                 spec.id
             );
         }
+    }
+
+    #[test]
+    fn city_reports_the_layout_that_runs() {
+        let layout = |args: &[&str]| {
+            let cli = cli(args);
+            let config = city_config(&run_params(&cli, 1), &cli);
+            CityPlan::build(&config).layout(config.jobs)
+        };
+        // One shard keeps one worker busy, whatever --jobs asks for.
+        assert_eq!(
+            layout(&["--quick", "--shards", "1", "--jobs", "2"]).workers,
+            1
+        );
+        // 48 districts in chunks of ceil(48/32) = 2 make 24 shards.
+        assert_eq!(layout(&["--districts", "48", "--shards", "32"]).shards, 24);
+        // The plan lays out at most 256 districts.
+        assert_eq!(layout(&["--districts", "300"]).districts, 256);
+        // ci.sh's city gate: 16 districts on 16 shards.
+        let gate = layout(&["--districts", "16", "--minutes", "60", "--jobs", "2"]);
+        assert_eq!((gate.districts, gate.shards), (16, 16));
+        assert_eq!(gate.workers, 2.min(ch_fleet::worker_cap()));
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`wifi`] | `ch-wifi` | 802.11 management frames, SSIDs, MACs, codec, scan timing |
-//! | [`sim`] | `ch-sim` | deterministic discrete-event kernel, RNG, radio medium |
+//! | [`sim`] | `ch-sim` | deterministic discrete-event kernel, RNG, radio loss model, fault injection |
 //! | [`geo`] | `ch-geo` | synthetic city, WiGLE-like AP snapshot, photo heat map |
 //! | [`mobility`] | `ch-mobility` | venues, arrival processes, trajectories |
 //! | [`phone`] | `ch-phone` | PNL generation, probing policies, auto-join logic |
-//! | [`arc`] | `ch-arc` | the ARC cache (the §IV-C design inspiration) + baselines |
+//! | [`arc`] | `ch-arc` | the ARC cache (the §IV-C design inspiration) + the lure seen-set |
 //! | [`attack`] | `ch-attack` | KARMA, MANA, preliminary & full City-Hunter |
 //! | [`detect`] | `ch-detect` | signature/behavior rogue-AP monitor: arms race and countermeasure studies |
 //! | [`scenarios`] | `ch-scenarios` | experiment runner, metrics, table/figure drivers |

@@ -2,7 +2,7 @@
 //!
 //! The sim knows which MACs the rogue actually transmitted from (evasion
 //! may rotate through several) and which APs were legitimate; scoring a
-//! [`Detector`](crate::Detector) against that ground truth yields the
+//! [`Detector`] against that ground truth yields the
 //! precision / recall / time-to-detect numbers the `arms_race` experiment
 //! tabulates.
 

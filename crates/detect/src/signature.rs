@@ -4,7 +4,7 @@
 //! by attack tooling, bait SSID wording, beacon intervals no stock firmware
 //! uses, and the minimal information-element set karma-style responders
 //! emit. Each [`SignatureRule`] scores one such tell against the running
-//! [`ApProfile`](crate::detector::ApProfile) an observer accumulates per
+//! [`ApProfile`] an observer accumulates per
 //! BSSID; the detector sums rule scores into the signature half of an AP's
 //! suspicion score.
 

@@ -112,6 +112,8 @@ pub fn is_transient(message: &str) -> bool {
 /// — computed, never measured, so the schedule for a given
 /// `(seed, key)` pair is reproducible across runs and machines. Backoff
 /// only ever changes wall-clock, never results.
+///
+/// [`derive_seed`]: crate::derive_seed
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: usize,
@@ -161,6 +163,8 @@ impl RetryPolicy {
     /// [`derive_seed`]`(seed, key#backoff{attempt})`, not a clock, and
     /// lands in `[window/2, window]` where
     /// `window = min(cap, base · 2^(attempt-1))`.
+    ///
+    /// [`derive_seed`]: crate::derive_seed
     pub fn backoff_ms(&self, seed: u64, key: &str, attempt: usize) -> u64 {
         if self.backoff_base_ms == 0 || attempt == 0 {
             return 0;

@@ -6,15 +6,16 @@
 //! at hardware speed without giving up the workspace's core guarantee —
 //! bit-for-bit reproducible results:
 //!
-//! * [`job`] — the [`JobSpec`](job::JobSpec) model: every job has a
-//!   stable, human-readable key, and per-job seeds are derived from
+//! * [`job`] — the [`JobSpec`] model: every job has a stable,
+//!   human-readable key, and per-job seeds are derived from
 //!   `(campaign seed, key)` via the same SplitMix/FNV construction as
 //!   [`ch_sim::SimRng::fork`] — no ambient randomness, no dependence on
 //!   scheduling order;
-//! * [`pool`] — a scoped-thread worker pool ([`scoped_parallel_map`])
-//!   with a shared work queue and *ordered* aggregation, so parallel
-//!   output is identical to serial output, and its multi-round form
-//!   ([`scoped_lockstep`]) for epoch-by-epoch simulations;
+//! * [`pool`] — a scoped-thread worker pool ([`scoped_lockstep`]) with a
+//!   shared work queue and *ordered* aggregation, so parallel output is
+//!   identical to serial output: run for many rounds it advances
+//!   epoch-by-epoch simulations, and its one-round case
+//!   ([`scoped_parallel_map_with_state`]) runs campaigns;
 //! * [`manifest`] — a resumable run manifest: results stream to a JSONL
 //!   artifact as each job completes, and re-running a campaign skips
 //!   jobs whose keys are already recorded;
@@ -22,8 +23,8 @@
 //!   `BENCH_fleet.json` emitter. This is the **only** module in the
 //!   determinism-critical crates allowed to read the wall clock (the
 //!   allowance is scoped in `ch-lint.toml` and pinned by a test);
-//! * [`engine`] — [`run_campaign`](engine::run_campaign) ties the above
-//!   together and isolates per-job panics: a poisoned job reports
+//! * [`engine`] — [`run_campaign`] ties the above together and isolates
+//!   per-job panics: a poisoned job reports
 //!   [`Failed`](engine::JobStatus::Failed) instead of killing the run;
 //! * [`json`] — the minimal JSON value the manifest and telemetry
 //!   artifacts are written in (the workspace builds offline; no serde).
@@ -60,8 +61,5 @@ pub use engine::{
 pub use job::{derive_seed, fingerprint, JobSpec};
 pub use json::Json;
 pub use manifest::{Manifest, ManifestCodec};
-pub use pool::{
-    effective_jobs, scoped_lockstep, scoped_parallel_map, scoped_parallel_map_with,
-    scoped_parallel_map_with_state, worker_cap,
-};
+pub use pool::{effective_jobs, scoped_lockstep, scoped_parallel_map_with_state, worker_cap};
 pub use telemetry::{record_bench, BenchRun, Stopwatch};

@@ -3,16 +3,16 @@
 //! Workers pull indices from a shared atomic cursor (a work queue with no
 //! allocation) and write each result into its *input-order* slot, so the
 //! output of a parallel run is identical to a serial run — completion
-//! order never leaks into results. This map started life inside
-//! `ch-scenarios::replicate` and moved here so the workspace has exactly
-//! one parallel-map implementation.
+//! order never leaks into results. The workspace has exactly one
+//! parallel-map implementation.
 //!
 //! [`scoped_lockstep`] is that implementation. It runs the map for a
 //! number of *rounds* on workers spawned once per call, the calling
 //! thread working too, with a gate closing each round and a caller-side
 //! step between rounds: the shape of a simulation that advances every
-//! shard one epoch at a time and exchanges state between epochs. The
-//! one-shot maps below are its one-round case.
+//! shard one epoch at a time and exchanges state between epochs.
+//! [`scoped_parallel_map_with_state`], the campaign engine's one-shot map,
+//! is its one-round case.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -68,27 +68,12 @@ fn worker_cap_from(requested: Option<usize>, available: usize) -> usize {
     }
 }
 
-/// A scoped-thread parallel map over a slice (ordered results), using
-/// [`effective_jobs`]`(None)` workers. Falls back to sequential execution
-/// for tiny inputs.
-pub fn scoped_parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    scoped_parallel_map_with(items, effective_jobs(None), f)
-}
-
-/// [`scoped_parallel_map`] with an explicit worker count.
-pub fn scoped_parallel_map_with<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    scoped_parallel_map_with_state(items, threads, || (), |item, ()| f(item))
-}
-
-/// [`scoped_parallel_map_with`] plus **worker-local state**: every worker
-/// calls `init` exactly once when it starts and threads the resulting
-/// scratch value `&mut S` through each item it pulls, so allocations made
-/// for one job (buffers, arenas, queues) are reused by the next instead
-/// of being rebuilt per item.
+/// A scoped-thread parallel map over a slice on `threads` workers, with
+/// results in input order and **worker-local state**: every worker calls
+/// `init` exactly once when it starts and threads the resulting scratch
+/// value `&mut S` through each item it pulls, so allocations made for one
+/// job (buffers, arenas, queues) are reused by the next instead of being
+/// rebuilt per item. Falls back to sequential execution for tiny inputs.
 ///
 /// Determinism contract: `f` must produce the same `R` for a given item
 /// regardless of which scratch it runs on — scratch is an *allocation*
@@ -322,12 +307,17 @@ impl Drop for StopOnDrop<'_> {
 mod tests {
     use super::*;
 
+    /// A stateless map through the pool.
+    fn map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        scoped_parallel_map_with_state(items, threads, || (), |item, ()| f(item))
+    }
+
     #[test]
     fn preserves_input_order_at_any_width() {
         let items: Vec<usize> = (0..64).collect();
-        let serial = scoped_parallel_map_with(&items, 1, |&x| x * 3);
+        let serial = map(&items, 1, |&x| x * 3);
         for threads in [2, 4, 9, 64, 1000] {
-            let parallel = scoped_parallel_map_with(&items, threads, |&x| x * 3);
+            let parallel = map(&items, threads, |&x| x * 3);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -335,8 +325,8 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let none: Vec<u8> = Vec::new();
-        assert!(scoped_parallel_map(&none, |&x| x).is_empty());
-        assert_eq!(scoped_parallel_map(&[5u8], |&x| x + 1), vec![6]);
+        assert!(map(&none, 4, |&x| x).is_empty());
+        assert_eq!(map(&[5u8], 4, |&x| x + 1), vec![6]);
     }
 
     #[test]

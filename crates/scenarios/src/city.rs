@@ -200,6 +200,33 @@ impl CityPlan {
     pub fn shard_count(&self) -> usize {
         self.districts.len().div_ceil(self.per_shard)
     }
+
+    /// What a run of this plan executes with `jobs` requested workers
+    /// (`None` = `CH_JOBS` / machine width). [`run_city`] spawns exactly
+    /// `workers` threads, and the `city` driver reports these counts.
+    pub fn layout(&self, jobs: Option<usize>) -> CityLayout {
+        let shards = self.shard_count();
+        CityLayout {
+            districts: self.districts.len(),
+            shards,
+            workers: ch_fleet::effective_jobs(jobs)
+                .min(ch_fleet::worker_cap())
+                .min(shards),
+        }
+    }
+}
+
+/// The district, shard and worker counts a city run executes; see
+/// [`CityPlan::layout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CityLayout {
+    /// Districts laid out: the requested count clamped to `1..=256`.
+    pub districts: usize,
+    /// Shards after chunking the districts into contiguous id ranges.
+    pub shards: usize,
+    /// Worker threads: the requested jobs, capped by
+    /// [`ch_fleet::worker_cap`] and by the shard count.
+    pub workers: usize,
 }
 
 /// Per-district counters; all totals in the run artifact derive from
@@ -689,13 +716,14 @@ fn venue_slug(kind: VenueKind) -> &'static str {
     }
 }
 
-/// The city's districts in id order, chunked into contiguous shards, and
-/// the districts-per-shard width.
-fn build_shards(ctx: &CampaignCtx, config: &CityConfig) -> (Vec<Mutex<Vec<District>>>, usize) {
-    let plan = CityPlan::build(config);
+/// The plan's districts in id order, chunked into contiguous shards.
+fn build_shards(
+    ctx: &CampaignCtx,
+    config: &CityConfig,
+    plan: &CityPlan,
+) -> Vec<Mutex<Vec<District>>> {
     let duration = SimDuration::from_mins(config.epochs);
-    let shards = plan
-        .districts
+    plan.districts
         .chunks(plan.per_shard)
         .map(|specs| {
             let districts = specs
@@ -703,8 +731,7 @@ fn build_shards(ctx: &CampaignCtx, config: &CityConfig) -> (Vec<Mutex<Vec<Distri
                 .map(|spec| District::new(spec, config, ctx, duration));
             Mutex::new(districts.collect())
         })
-        .collect();
-    (shards, plan.per_shard)
+        .collect()
 }
 
 /// Runs the whole city: epochs advance in lockstep across shards, one
@@ -712,14 +739,13 @@ fn build_shards(ctx: &CampaignCtx, config: &CityConfig) -> (Vec<Mutex<Vec<Distri
 /// for the run (each with its own warm scratch), with the handoff mailbox
 /// routed serially on the calling thread between epochs.
 pub fn run_city(ctx: &CampaignCtx, config: &CityConfig) -> CityOutcome {
-    let (shards, per_shard) = build_shards(ctx, config);
-    let threads = ch_fleet::effective_jobs(config.jobs)
-        .min(ch_fleet::worker_cap())
-        .min(shards.len());
+    let plan = CityPlan::build(config);
+    let shards = build_shards(ctx, config, &plan);
+    let per_shard = plan.per_shard;
     let mut transfer: Vec<Transit> = Vec::new();
     ch_fleet::scoped_lockstep(
         &shards,
-        threads,
+        plan.layout(config.jobs).workers,
         config.epochs,
         ScanScratch::default,
         |epoch, shard, scratch| {
@@ -796,7 +822,9 @@ mod tests {
                 .population_builder(ctx.plan(VenueKind::SubwayPassage).population.clone())
                 .phones_for_group(0, 4, &mut rng);
             let ids: Vec<u32> = phones.iter().map(|p| p.id).collect();
-            let (mut shards, per_shard) = build_shards(&ctx, config);
+            let plan = CityPlan::build(config);
+            let per_shard = plan.per_shard;
+            let mut shards = build_shards(&ctx, config, &plan);
             let push = |shards: &mut [Mutex<Vec<District>>], from: usize, to: u32, phone: Phone| {
                 let shard = shards[from / per_shard].get_mut().unwrap();
                 shard[from % per_shard].outbox.push(Transit {

@@ -58,7 +58,7 @@ impl DetectionHarness {
 
     /// [`DetectionHarness::new`] from an already-resolved legitimate-AP
     /// SSID list — the campaign path, where the per-venue WiGLE scan ran
-    /// once at context-build time. Only the first [`LEGIT_AP_COUNT`]
+    /// once at context-build time. Only the first `LEGIT_AP_COUNT`
     /// entries are used, so handing the (longer) shared nearby-open plan
     /// list builds the identical harness.
     pub fn with_legit_ssids(spec: DetectorSpec, ssids: impl IntoIterator<Item = Ssid>) -> Self {

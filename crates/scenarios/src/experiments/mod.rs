@@ -20,6 +20,11 @@
 //! * [`faults`] — the fault-injection / graceful-degradation study;
 //! * [`arms_race`] — attacker evasion vs the `ch-detect` rogue-AP monitor;
 //! * [`defense`] — the `defense`/`defense_live` countermeasure studies.
+//!
+//! [`campaign`]: mod@campaign
+//! [`ablation`]: mod@ablation
+//! [`faults`]: mod@faults
+//! [`arms_race`]: mod@arms_race
 
 pub mod ablation;
 pub mod arms_race;

@@ -50,13 +50,15 @@ pub mod runner;
 pub mod scan;
 pub mod world;
 
-pub use city::{run_city, CityConfig, CityOutcome, CityPlan, DistrictReport, DistrictStats};
+pub use city::{
+    run_city, CityConfig, CityLayout, CityOutcome, CityPlan, DistrictReport, DistrictStats,
+};
 pub use ctx::{CampaignCtx, VenuePlan};
 pub use detect::DetectionHarness;
 pub use fleet::{CampaignJob, JobRecord, RichRecord};
 pub use metrics::{ClientClass, ExperimentMetrics, RunnerStats, SummaryRow};
 pub use registry::{Artifact, ExperimentSpec, OutputKind, RunParams, REGISTRY};
-pub use replicate::{replicate, Replication};
+pub use replicate::Replication;
 pub use runner::{
     run_experiment, run_experiment_ctx, run_experiment_observed, AttackerKind, CollectingObserver,
     RunConfig, RunScratch,

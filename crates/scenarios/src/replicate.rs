@@ -1,20 +1,16 @@
 //! Multi-seed replication.
 //!
 //! The paper reports one field run per condition; the simulator can
-//! quantify run-to-run variation instead. [`replicate`] executes the same
-//! deployment across `n` seeds — in parallel on the `ch-fleet` worker
-//! pool ([`scoped_parallel_map`]; the `CH_JOBS` environment variable caps
-//! the worker count) — and summarizes `h`, `h_b` and the client volume
-//! with mean ± CI via [`ch_sim::Summary`].
+//! quantify run-to-run variation instead. [`standard_study_fleet`] runs
+//! every deployment condition across `n` seeds as one resumable
+//! `ch-fleet` campaign, and [`Replication::from_rows`] summarizes `h`,
+//! `h_b` and the client volume of each condition with mean ± CI via
+//! [`ch_sim::Summary`].
 
-use ch_fleet::scoped_parallel_map;
 use ch_sim::stats::Summary;
-#[cfg(test)]
-use ch_sim::SimDuration;
 
 use crate::metrics::SummaryRow;
-use crate::runner::{run_experiment, AttackerKind, RunConfig};
-use crate::world::CityData;
+use crate::runner::{AttackerKind, RunConfig};
 
 /// The replicated result of one deployment condition.
 #[derive(Debug, Clone)]
@@ -31,43 +27,31 @@ pub struct Replication {
     pub clients: Summary,
 }
 
-/// Runs `base` across `seeds.len()` seeds in parallel and summarizes.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn replicate(
-    data: &CityData,
-    base: &RunConfig,
-    label: impl Into<String>,
-    seeds: &[u64],
-) -> Replication {
-    assert!(!seeds.is_empty(), "replication needs at least one seed");
-    let label = label.into();
-    let rows: Vec<SummaryRow> = scoped_parallel_map(seeds, |&seed| {
-        let config = RunConfig {
-            seed,
-            ..base.clone()
-        };
-        run_experiment(data, &config).summary(label.clone())
-    });
-    let h: Vec<f64> = rows.iter().map(SummaryRow::h).collect();
-    let h_b: Vec<f64> = rows.iter().map(SummaryRow::h_b).collect();
-    let clients: Vec<f64> = rows.iter().map(|r| r.total_clients as f64).collect();
-    Replication {
-        label,
-        h: summarize(&h),
-        h_b: summarize(&h_b),
-        clients: summarize(&clients),
-        rows,
+impl Replication {
+    /// Summarizes one condition's per-seed rows (in seed order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty.
+    pub fn from_rows(label: impl Into<String>, rows: Vec<SummaryRow>) -> Replication {
+        let h: Vec<f64> = rows.iter().map(SummaryRow::h).collect();
+        let h_b: Vec<f64> = rows.iter().map(SummaryRow::h_b).collect();
+        let clients: Vec<f64> = rows.iter().map(|r| r.total_clients as f64).collect();
+        Replication {
+            label: label.into(),
+            h: summarize(&h),
+            h_b: summarize(&h_b),
+            clients: summarize(&clients),
+            rows,
+        }
     }
 }
 
 /// [`Summary::of`] under the function-level invariant that the series is
-/// non-empty: `replicate` rejects an empty seed list on entry and the
-/// parallel map yields exactly one row per seed, so an empty series here
-/// means that chain broke — report it as the invariant violation it is
-/// rather than a bare unwrap.
+/// non-empty: every job list rejects zero replicas on entry and the fleet
+/// yields exactly one record per job, so an empty series here means that
+/// chain broke — report it as the invariant violation it is rather than a
+/// bare unwrap.
 pub(crate) fn summarize(values: &[f64]) -> Summary {
     match Summary::of(values) {
         Some(summary) => summary,
@@ -93,25 +77,6 @@ fn contenders() -> Vec<(&'static str, AttackerKind)> {
     ]
 }
 
-/// Replicates every attacker generation under one venue condition — the
-/// statistical version of the Tables I/II comparison.
-pub fn replicate_attackers(
-    data: &CityData,
-    venue_config: &RunConfig,
-    seeds: &[u64],
-) -> Vec<Replication> {
-    contenders()
-        .into_iter()
-        .map(|(label, attacker)| {
-            let base = RunConfig {
-                attacker,
-                ..venue_config.clone()
-            };
-            replicate(data, &base, label, seeds)
-        })
-        .collect()
-}
-
 /// The standard study's venue conditions (attacker field is a
 /// placeholder; every contender overwrites it).
 fn study_conditions() -> Vec<(&'static str, RunConfig)> {
@@ -129,8 +94,7 @@ fn study_conditions() -> Vec<(&'static str, RunConfig)> {
 
 /// The standard study's job list: every venue condition × attacker
 /// generation × replica seed, keys like `replication/canteen-1200/mana/s3`.
-/// Replica `i` runs on world seed `base_seed + i` — exactly the seeds
-/// [`replicate`] uses — so the fleet-backed study summarizes identically.
+/// Replica `i` runs on world seed `base_seed + i`.
 ///
 /// # Panics
 ///
@@ -164,8 +128,9 @@ pub fn standard_study_jobs(base_seed: u64, replicas: usize) -> Vec<crate::fleet:
     jobs
 }
 
-/// [`standard_study`] on the fleet engine: one resumable campaign over
-/// every condition × contender × seed.
+/// The canonical canteen and passage conditions at the given replication
+/// factor: one resumable campaign over every condition × contender ×
+/// seed, summarized per condition.
 ///
 /// # Errors
 ///
@@ -182,97 +147,54 @@ pub fn standard_study_fleet(
         .chunks(replicas)
         .zip(records.chunks(replicas))
         .map(|(job_chunk, record_chunk)| {
-            let rows: Vec<SummaryRow> = record_chunk.iter().map(|r| r.row.clone()).collect();
-            let h: Vec<f64> = rows.iter().map(SummaryRow::h).collect();
-            let h_b: Vec<f64> = rows.iter().map(SummaryRow::h_b).collect();
-            let clients: Vec<f64> = rows.iter().map(|r| r.total_clients as f64).collect();
-            Replication {
-                label: job_chunk[0].label.clone(),
-                h: summarize(&h),
-                h_b: summarize(&h_b),
-                clients: summarize(&clients),
-                rows,
-            }
+            Replication::from_rows(
+                job_chunk[0].label.clone(),
+                record_chunk.iter().map(|r| r.row.clone()).collect(),
+            )
         })
         .collect();
     Ok((replications, stats))
 }
 
-/// A ready-made replication study: the canonical canteen and passage
-/// conditions at the given replication factor.
-pub fn standard_study(data: &CityData, base_seed: u64, replicas: usize) -> Vec<Replication> {
-    match standard_study_fleet(
-        &crate::ctx::CampaignCtx::build(data),
-        base_seed,
-        replicas,
-        &ch_fleet::FleetOptions::in_memory("replication", 0),
-    ) {
-        Ok((replications, _)) => replications,
-        Err(error) => ch_sim::invariant::violation(file!(), line!(), &error),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_mobility::VenueKind;
 
-    fn data() -> CityData {
-        CityData::standard(0x11)
-    }
-
-    fn quick_config(attacker: AttackerKind) -> RunConfig {
-        RunConfig {
-            venue: VenueKind::Canteen,
-            start_hour: 12,
-            duration: SimDuration::from_mins(6),
-            attacker,
-            seed: 0,
-            lure_budget: None,
-            loss: None,
-            population: None,
-            arrival_multiplier: None,
-            fault: None,
-            detector: None,
+    /// A per-seed row with `broadcast` of `total` clients broadcast-only.
+    fn row(
+        total: usize,
+        broadcast: usize,
+        direct_hits: usize,
+        broadcast_hits: usize,
+    ) -> SummaryRow {
+        SummaryRow {
+            label: "p".into(),
+            total_clients: total,
+            direct_clients: total - broadcast,
+            broadcast_clients: broadcast,
+            direct_connected: direct_hits,
+            broadcast_connected: broadcast_hits,
         }
     }
 
     #[test]
-    fn replication_is_deterministic_and_ordered() {
-        let data = data();
-        let seeds = seed_range(100, 4);
-        let base = quick_config(AttackerKind::Mana);
-        let a = replicate(&data, &base, "mana", &seeds);
-        let b = replicate(&data, &base, "mana", &seeds);
-        assert_eq!(a.rows, b.rows, "parallel map must preserve seed order");
-        assert_eq!(a.h.mean(), b.h.mean());
-        assert_eq!(a.rows.len(), 4);
-    }
-
-    #[test]
     fn summaries_match_rows() {
-        let data = data();
-        let seeds = seed_range(7, 3);
-        let rep = replicate(&data, &quick_config(AttackerKind::Prelim), "p", &seeds);
-        let manual_mean = rep.rows.iter().map(SummaryRow::h_b).sum::<f64>() / rep.rows.len() as f64;
-        assert!((rep.h_b.mean() - manual_mean).abs() < 1e-12);
-        assert!(!rep.render_line().is_empty());
-        assert!(rep.clients.mean() > 0.0);
-    }
-
-    #[test]
-    fn single_seed_runs_sequentially() {
-        let data = data();
-        let rep = replicate(&data, &quick_config(AttackerKind::Karma), "karma", &[42]);
-        assert_eq!(rep.rows.len(), 1);
-        assert_eq!(rep.h_b.mean(), 0.0, "KARMA h_b stays zero");
+        let rows = vec![row(100, 80, 12, 8), row(120, 90, 15, 9), row(90, 60, 6, 12)];
+        let rep = Replication::from_rows("p", rows.clone());
+        assert_eq!(rep.label, "p");
+        assert_eq!(rep.rows, rows, "rows keep seed order");
+        // h_b per seed: 0.1, 0.1, 0.2; h: 0.2, 0.2, 0.2; clients 100, 120, 90.
+        assert!((rep.h_b.mean() - 0.4 / 3.0).abs() < 1e-12);
+        assert!((rep.h.mean() - 0.2).abs() < 1e-12);
+        assert!((rep.clients.mean() - 310.0 / 3.0).abs() < 1e-12);
+        assert_eq!(rep.h.n(), 3);
+        assert!(rep.render_line().ends_with("(n=3)"));
     }
 
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seeds_rejected() {
-        let data = data();
-        let _ = replicate(&data, &quick_config(AttackerKind::Karma), "x", &[]);
+        let _ = standard_study_jobs(1, 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! the lossy uplink and `respond_to_probe_into`; the lure burst
 //! serialized against the client's listen window (§III-A) and the lossy
 //! downlink; offer evaluation and the codec join handshake. The optional
-//! [`Planes`] add fault injection, the detector tap and a frame
-//! observer. Callers fold the returned [`ScanReport`] into their own
-//! records and keep `Attacker::on_hit` outside. [`exchange`] is a
+//! `Planes` add fault injection, the detector tap and a frame
+//! observer. Callers fold the returned `ScanReport` into their own
+//! records and keep `Attacker::on_hit` outside. `exchange` is a
 //! `ch-lint` `[hot-path]` root: with warm scratch a scan allocates
 //! nothing, and its `.clone()`s copy frames whose only variable part, the
 //! `Ssid`, is stored inline: fixed-size copies with no heap.

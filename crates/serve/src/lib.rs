@@ -36,7 +36,8 @@
 //! time (event timestamps plus a deterministic per-event service cost),
 //! which is what makes every counter — sheds, deadline misses, latency
 //! percentiles — reproducible and checkpointable. Wall-clock throughput
-//! is measured only by the `serve_bench` harness in `ch-bench`.
+//! is measured outside it: by the `serve_bench` harness in `ch-bench` and
+//! by the `serve` workload of `benchmark/`.
 
 pub mod checkpoint;
 pub mod protocol;

@@ -16,8 +16,12 @@
 //!
 //! Both report through [`violation`], which panics with a `file:line`
 //! prefix in the same shape as `ch-lint` diagnostics.
+//!
+//! [`ch_invariant!`]: crate::ch_invariant!
+//! [`debug_invariant!`]: crate::debug_invariant!
 
-/// `true` when [`ch_invariant!`] checks are compiled in.
+/// `true` when [`ch_invariant!`](crate::ch_invariant!) checks are compiled
+/// in.
 #[must_use]
 pub const fn checks_enabled() -> bool {
     cfg!(any(debug_assertions, feature = "debug-invariants"))
@@ -56,7 +60,8 @@ macro_rules! ch_invariant {
     };
 }
 
-/// Like [`ch_invariant!`] but only ever active under `debug_assertions`.
+/// Like [`ch_invariant!`](crate::ch_invariant!) but only ever active under
+/// `debug_assertions`.
 #[macro_export]
 macro_rules! debug_invariant {
     ($cond:expr $(,)?) => {

@@ -14,8 +14,8 @@
 //!   normal), plus deterministic *forking* so each subsystem gets an
 //!   independent but reproducible stream.
 //! * [`space`] — 2-D positions in metres and simple geometry.
-//! * [`medium`] — a shared-channel airtime model with a distance-based
-//!   delivery gate, the abstraction standing in for the real radio.
+//! * [`medium`] — [`LossModel`], the distance-based frame-delivery gate
+//!   standing in for the real radio.
 //! * [`fault`] — deterministic, seed-derived fault injection (bursty
 //!   Gilbert–Elliott loss, frame corruption, client churn, scheduled
 //!   attacker crashes) for the robustness studies.
@@ -52,7 +52,7 @@ pub mod time;
 
 pub use collections::{det_hash_map, det_hash_set, DetHashMap, DetHashSet, FxHasher};
 pub use fault::{CrashMode, FaultPlan, FaultSpec};
-pub use medium::{DeliveryOutcome, LossModel, RadioMedium};
+pub use medium::LossModel;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use space::{Position, Rect};

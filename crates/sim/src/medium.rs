@@ -1,4 +1,4 @@
-//! Shared-channel radio medium.
+//! Distance-based frame delivery.
 //!
 //! The real City-Hunter prototype is a Raspberry Pi AP at 100 mW; the only
 //! PHY properties the attack actually depends on are
@@ -9,14 +9,10 @@
 //! 2. *range* — whether a given phone is close enough to exchange frames at
 //!    all, with delivery degrading near the edge of coverage.
 //!
-//! [`RadioMedium`] models both: it serializes transmissions on one channel
-//! (FIFO airtime accounting) and applies a distance-based [`LossModel`] gate
-//! per frame.
-
-use crate::fault::GilbertElliott;
-use crate::space::Position;
-use crate::time::{SimDuration, SimTime};
-use crate::SimRng;
+//! [`LossModel`] is the range half: a per-frame delivery probability by
+//! distance. The scan kernel (`ch_scenarios::scan::exchange`) draws each
+//! frame against it and enforces the airtime half itself, through
+//! `ch_wifi::timing::listen_deadline`.
 
 /// Distance-based frame-delivery model.
 ///
@@ -59,12 +55,6 @@ impl LossModel {
         LossModel::new(35.0, 60.0, 0.97)
     }
 
-    /// An idealized lossless model with the given hard range; useful in
-    /// unit tests.
-    pub fn ideal(range_m: f64) -> Self {
-        LossModel::new(range_m, range_m, 1.0)
-    }
-
     /// The distance beyond which no frame is ever delivered.
     pub fn max_range_m(&self) -> f64 {
         self.max_range_m
@@ -82,207 +72,11 @@ impl LossModel {
             self.base_delivery * frac
         }
     }
-
-    /// `true` if the two endpoints are within any possibility of contact.
-    pub fn in_range(&self, a: Position, b: Position) -> bool {
-        a.distance_to(b) < self.max_range_m
-    }
-}
-
-/// Outcome of attempting to deliver one frame across the medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryOutcome {
-    /// The frame arrived; the channel was busy until the contained instant.
-    Delivered {
-        /// When the receiver has the full frame.
-        at: SimTime,
-    },
-    /// The frame was transmitted but lost (range/fading).
-    Lost,
-    /// The endpoints are out of range; nothing was transmitted.
-    OutOfRange,
-}
-
-impl DeliveryOutcome {
-    /// `true` if the frame arrived.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, DeliveryOutcome::Delivered { .. })
-    }
-}
-
-/// A single shared 802.11 channel with FIFO airtime accounting.
-///
-/// ```
-/// use ch_sim::{LossModel, Position, RadioMedium, SimDuration, SimTime};
-///
-/// let mut medium = RadioMedium::new(LossModel::ideal(50.0));
-/// let tx = Position::ORIGIN;
-/// let rx = Position::new(10.0, 0.0);
-/// let mut rng = ch_sim::SimRng::seed_from(1);
-/// let airtime = SimDuration::from_micros(250);
-/// let out = medium.transmit(SimTime::ZERO, tx, rx, airtime, &mut rng);
-/// assert!(out.is_delivered());
-/// ```
-#[derive(Debug, Clone)]
-pub struct RadioMedium {
-    loss: LossModel,
-    /// Optional Gilbert–Elliott burst-loss chain layered on top of the
-    /// distance model (fault injection); `None` adds no loss and no
-    /// RNG draws.
-    burst: Option<GilbertElliott>,
-    busy_until: SimTime,
-    frames_sent: u64,
-    frames_delivered: u64,
-}
-
-impl RadioMedium {
-    /// Creates a medium with the given loss model and an idle channel.
-    pub fn new(loss: LossModel) -> Self {
-        RadioMedium {
-            loss,
-            burst: None,
-            busy_until: SimTime::ZERO,
-            frames_sent: 0,
-            frames_delivered: 0,
-        }
-    }
-
-    /// Creates a medium whose distance model is multiplied by a bursty
-    /// Gilbert–Elliott channel: a frame is delivered only if it clears
-    /// both the distance draw and the burst chain.
-    pub fn with_burst_loss(loss: LossModel, burst: GilbertElliott) -> Self {
-        RadioMedium {
-            burst: Some(burst),
-            ..RadioMedium::new(loss)
-        }
-    }
-
-    /// The burst chain layered on the medium, if any.
-    pub fn burst(&self) -> Option<&GilbertElliott> {
-        self.burst.as_ref()
-    }
-
-    /// The loss model in force.
-    pub fn loss_model(&self) -> &LossModel {
-        &self.loss
-    }
-
-    /// The instant the channel next goes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Total frames handed to the medium.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
-    /// Total frames that reached their receiver.
-    pub fn frames_delivered(&self) -> u64 {
-        self.frames_delivered
-    }
-
-    /// Transmits one frame of the given `airtime` from `tx` to `rx`,
-    /// starting no earlier than `now` and no earlier than the end of the
-    /// frame currently occupying the channel.
-    pub fn transmit(
-        &mut self,
-        now: SimTime,
-        tx: Position,
-        rx: Position,
-        airtime: SimDuration,
-        rng: &mut SimRng,
-    ) -> DeliveryOutcome {
-        let distance = tx.distance_to(rx);
-        if distance >= self.loss.max_range_m {
-            return DeliveryOutcome::OutOfRange;
-        }
-        let start = now.max(self.busy_until);
-        let end = start + airtime;
-        self.busy_until = end;
-        self.frames_sent += 1;
-        let clear = rng.chance(self.loss.delivery_prob(distance));
-        // The burst chain advances once per transmitted frame even when
-        // the distance draw already lost it — burst dwell is a property
-        // of the channel, not of individual outcomes.
-        let burst_drop = match &mut self.burst {
-            Some(chain) => chain.step(rng),
-            None => false,
-        };
-        if clear && !burst_drop {
-            self.frames_delivered += 1;
-            DeliveryOutcome::Delivered { at: end }
-        } else {
-            DeliveryOutcome::Lost
-        }
-    }
-
-    /// Transmits a back-to-back burst of `count` frames and reports how many
-    /// were delivered within `deadline` (the receiver's listen window).
-    ///
-    /// This is exactly the §III-A bottleneck: an attacker replying with its
-    /// whole SSID database can only land the frames that fit in the window.
-    #[allow(clippy::too_many_arguments)] // a radio burst genuinely has this arity
-    pub fn transmit_burst(
-        &mut self,
-        now: SimTime,
-        tx: Position,
-        rx: Position,
-        airtime_each: SimDuration,
-        count: usize,
-        deadline: SimTime,
-        rng: &mut SimRng,
-    ) -> BurstOutcome {
-        let mut delivered = 0usize;
-        let mut attempted = 0usize;
-        for _ in 0..count {
-            let projected_end = now.max(self.busy_until) + airtime_each;
-            if projected_end > deadline {
-                break;
-            }
-            attempted += 1;
-            if self.transmit(now, tx, rx, airtime_each, rng).is_delivered() {
-                delivered += 1;
-            }
-        }
-        BurstOutcome {
-            delivered,
-            window_closed_at: self.busy_until.min(deadline),
-            truncated: count - attempted,
-        }
-    }
-
-    /// Resets the channel to idle, zeroes the counters, and returns any
-    /// burst chain to its Good state (used between independent
-    /// experiment runs sharing a medium value).
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.frames_sent = 0;
-        self.frames_delivered = 0;
-        if let Some(chain) = &mut self.burst {
-            chain.reset();
-        }
-    }
-}
-
-/// Result of [`RadioMedium::transmit_burst`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstOutcome {
-    /// Frames that reached the receiver within the window.
-    pub delivered: usize,
-    /// When the last in-window frame finished (or the deadline).
-    pub window_closed_at: SimTime,
-    /// Frames that did not fit in the window and were never sent.
-    pub truncated: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rng() -> SimRng {
-        SimRng::seed_from(42)
-    }
 
     #[test]
     fn delivery_prob_profile() {
@@ -305,260 +99,5 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn bad_delivery_rejected() {
         let _ = LossModel::new(10.0, 20.0, 1.5);
-    }
-
-    #[test]
-    fn out_of_range_sends_nothing() {
-        let mut medium = RadioMedium::new(LossModel::ideal(20.0));
-        let out = medium.transmit(
-            SimTime::ZERO,
-            Position::ORIGIN,
-            Position::new(25.0, 0.0),
-            SimDuration::from_micros(250),
-            &mut rng(),
-        );
-        assert_eq!(out, DeliveryOutcome::OutOfRange);
-        assert_eq!(medium.frames_sent(), 0);
-        assert_eq!(medium.busy_until(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn airtime_serializes_transmissions() {
-        let mut medium = RadioMedium::new(LossModel::ideal(50.0));
-        let mut r = rng();
-        let a = SimDuration::from_micros(250);
-        let o1 = medium.transmit(
-            SimTime::ZERO,
-            Position::ORIGIN,
-            Position::new(1.0, 0.0),
-            a,
-            &mut r,
-        );
-        let o2 = medium.transmit(
-            SimTime::ZERO,
-            Position::ORIGIN,
-            Position::new(1.0, 0.0),
-            a,
-            &mut r,
-        );
-        match (o1, o2) {
-            (DeliveryOutcome::Delivered { at: t1 }, DeliveryOutcome::Delivered { at: t2 }) => {
-                assert_eq!(t1, SimTime::from_micros(250));
-                assert_eq!(t2, SimTime::from_micros(500));
-            }
-            other => panic!("unexpected outcomes {other:?}"),
-        }
-        assert_eq!(medium.frames_delivered(), 2);
-    }
-
-    #[test]
-    fn burst_caps_at_window_budget() {
-        // 10 ms window / 250 us per response => at most 40 land, the rest
-        // are truncated — the §III-A arithmetic.
-        let mut medium = RadioMedium::new(LossModel::ideal(50.0));
-        let mut r = rng();
-        let out = medium.transmit_burst(
-            SimTime::ZERO,
-            Position::ORIGIN,
-            Position::new(5.0, 0.0),
-            SimDuration::from_micros(250),
-            500,
-            SimTime::from_millis(10),
-            &mut r,
-        );
-        assert_eq!(out.delivered, 40);
-        assert_eq!(out.truncated, 460);
-        assert_eq!(out.window_closed_at, SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn burst_smaller_than_budget_all_delivered() {
-        let mut medium = RadioMedium::new(LossModel::ideal(50.0));
-        let mut r = rng();
-        let out = medium.transmit_burst(
-            SimTime::ZERO,
-            Position::ORIGIN,
-            Position::new(5.0, 0.0),
-            SimDuration::from_micros(250),
-            10,
-            SimTime::from_millis(10),
-            &mut r,
-        );
-        assert_eq!(out.delivered, 10);
-        assert_eq!(out.truncated, 0);
-        assert_eq!(out.window_closed_at, SimTime::from_micros(2_500));
-    }
-
-    #[test]
-    fn lossy_medium_loses_some_frames() {
-        let mut medium = RadioMedium::new(LossModel::new(10.0, 40.0, 1.0));
-        let mut r = rng();
-        let mut delivered = 0;
-        for _ in 0..1_000 {
-            medium.reset();
-            if medium
-                .transmit(
-                    SimTime::ZERO,
-                    Position::ORIGIN,
-                    Position::new(25.0, 0.0), // half-way through the fade zone
-                    SimDuration::from_micros(250),
-                    &mut r,
-                )
-                .is_delivered()
-            {
-                delivered += 1;
-            }
-        }
-        assert!((380..620).contains(&delivered), "delivered={delivered}");
-    }
-
-    #[test]
-    fn burst_chain_loses_extra_frames() {
-        // Same seed, same geometry: the bursty medium can only deliver a
-        // subset of what the clean medium delivers.
-        let deliver_count = |medium: &mut RadioMedium| {
-            let mut r = rng();
-            let mut delivered = 0;
-            for _ in 0..2_000 {
-                if medium
-                    .transmit(
-                        SimTime::ZERO,
-                        Position::ORIGIN,
-                        Position::new(5.0, 0.0),
-                        SimDuration::from_micros(250),
-                        &mut r,
-                    )
-                    .is_delivered()
-                {
-                    delivered += 1;
-                }
-            }
-            delivered
-        };
-        let mut clean = RadioMedium::new(LossModel::ideal(50.0));
-        let mut bursty = RadioMedium::with_burst_loss(
-            LossModel::ideal(50.0),
-            GilbertElliott::new(0.1, 0.2, 0.0, 0.95),
-        );
-        let clean_delivered = deliver_count(&mut clean);
-        let bursty_delivered = deliver_count(&mut bursty);
-        assert_eq!(clean_delivered, 2_000);
-        assert!(
-            bursty_delivered < clean_delivered * 9 / 10,
-            "burst chain lost nothing: {bursty_delivered}/{clean_delivered}"
-        );
-    }
-
-    #[test]
-    fn reset_restores_burst_chain_to_good() {
-        use crate::fault::ChannelState;
-        // Force the chain into the Bad state, then check reset recovers
-        // it alongside the counters — the property long fault sweeps
-        // reusing one medium depend on.
-        let mut medium = RadioMedium::with_burst_loss(
-            LossModel::ideal(50.0),
-            GilbertElliott::new(1.0, 0.0, 0.0, 1.0), // enters Bad and stays
-        );
-        let mut r = rng();
-        let out = medium.transmit(
-            SimTime::ZERO,
-            Position::ORIGIN,
-            Position::new(1.0, 0.0),
-            SimDuration::from_micros(250),
-            &mut r,
-        );
-        assert_eq!(out, DeliveryOutcome::Lost);
-        assert_eq!(medium.burst().unwrap().state(), ChannelState::Bad);
-        medium.reset();
-        assert_eq!(medium.burst().unwrap().state(), ChannelState::Good);
-        assert_eq!(medium.busy_until(), SimTime::ZERO);
-        assert_eq!(medium.frames_sent(), 0);
-        assert_eq!(medium.frames_delivered(), 0);
-        // A reset medium behaves exactly like a fresh one.
-        let fresh = RadioMedium::with_burst_loss(
-            LossModel::ideal(50.0),
-            GilbertElliott::new(1.0, 0.0, 0.0, 1.0),
-        );
-        assert_eq!(medium.burst(), fresh.burst());
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut medium = RadioMedium::new(LossModel::ideal(50.0));
-        let mut r = rng();
-        let _ = medium.transmit(
-            SimTime::from_secs(1),
-            Position::ORIGIN,
-            Position::new(1.0, 0.0),
-            SimDuration::from_micros(250),
-            &mut r,
-        );
-        medium.reset();
-        assert_eq!(medium.busy_until(), SimTime::ZERO);
-        assert_eq!(medium.frames_sent(), 0);
-        assert_eq!(medium.frames_delivered(), 0);
-    }
-}
-
-#[cfg(test)]
-mod prop_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The channel's busy horizon never moves backwards, and counters
-        /// are consistent, for any transmission sequence.
-        #[test]
-        fn prop_busy_until_monotone(
-            txs in proptest::collection::vec(
-                (0u64..10_000, 0.0f64..80.0, 50u64..500),
-                1..100,
-            ),
-        ) {
-            let mut medium = RadioMedium::new(LossModel::new(30.0, 60.0, 0.9));
-            let mut rng = SimRng::seed_from(99);
-            let mut last_busy = SimTime::ZERO;
-            for (at_us, distance, airtime_us) in txs {
-                let out = medium.transmit(
-                    SimTime::from_micros(at_us),
-                    Position::ORIGIN,
-                    Position::new(distance, 0.0),
-                    SimDuration::from_micros(airtime_us),
-                    &mut rng,
-                );
-                prop_assert!(medium.busy_until() >= last_busy);
-                last_busy = medium.busy_until();
-                if let DeliveryOutcome::Delivered { at } = out {
-                    prop_assert!(at <= medium.busy_until());
-                }
-            }
-            prop_assert!(medium.frames_delivered() <= medium.frames_sent());
-        }
-
-        /// A burst never delivers more than fits in the window, and
-        /// delivered + truncated never exceeds the requested count.
-        #[test]
-        fn prop_burst_accounting(
-            count in 0usize..200,
-            window_ms in 1u64..40,
-        ) {
-            let mut medium = RadioMedium::new(LossModel::new(30.0, 60.0, 0.8));
-            let mut rng = SimRng::seed_from(7);
-            let airtime = SimDuration::from_micros(250);
-            let deadline = SimTime::from_millis(window_ms);
-            let out = medium.transmit_burst(
-                SimTime::ZERO,
-                Position::ORIGIN,
-                Position::new(10.0, 0.0),
-                airtime,
-                count,
-                deadline,
-                &mut rng,
-            );
-            let fits = (deadline.since(SimTime::ZERO) / airtime) as usize;
-            prop_assert!(out.delivered <= fits.min(count));
-            prop_assert!(out.delivered + out.truncated <= count);
-            prop_assert!(out.window_closed_at <= deadline);
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! structurally equivalent feedback and check the adaptation *directions*
 //! agree.
 
-use city_hunter::arc::{ArcCache, Cache};
+use city_hunter::arc::ArcCache;
 use city_hunter::attack::buffers::{AdaptiveBuffers, MIN_BUFFER};
 use city_hunter::attack::LureLane;
 
