@@ -142,9 +142,14 @@ pub trait Attacker: Send {
     /// default is a no-op for attackers that keep no in-run state.
     fn on_crash_restart(&mut self, _now: SimTime, _mode: CrashMode) {}
 
-    /// Concrete-type access for persistence layers that hold a
-    /// `Box<dyn Attacker>` but must reach an attacker's typed state
-    /// (the `ch-serve` checkpoint codec downcasts through this).
+    /// Concrete-type access for code that holds a `Box<dyn Attacker>` but
+    /// must reach an attacker's typed state: [`crate::AttackerState::save`]
+    /// and [`crate::AttackerState::load`] are its only callers. It stays
+    /// in the trait because that one downcast serves every generation,
+    /// and a forwarding wrapper outside this crate (the benchmark's timing
+    /// shim) implements it by handing on the attacker it wraps, so the
+    /// wrapped state still saves and loads. Provided state methods would
+    /// give such a wrapper a silent "no state" instead.
     fn as_any(&self) -> &dyn std::any::Any;
 
     /// Mutable form of [`Attacker::as_any`].

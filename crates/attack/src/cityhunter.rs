@@ -60,16 +60,21 @@ impl Default for CityHunterConfig {
     }
 }
 
-/// A restorable checkpoint of everything City-Hunter learns online: the
-/// weighted SSID database, the PB/FB buffers (ghost lists and adaptive
-/// split included), and the per-client untried tracker. Taken by
-/// [`Attacker::checkpoint`], applied by [`CityHunter::restore`] when a
-/// crashed attacker comes back warm.
+/// Everything City-Hunter learns online (§IV). [`Attacker::checkpoint`]
+/// copies it, a crash restart swaps a copy back in, and
+/// [`crate::AttackerState`] carries it across processes.
 #[derive(Debug, Clone)]
-pub struct Snapshot {
-    db: SsidDatabase,
-    buffers: AdaptiveBuffers,
-    tracker: ClientTracker,
+pub struct CityHunterState {
+    /// The weighted SSID database, re-weighted by direct probes and hits.
+    pub db: SsidDatabase,
+    /// The PB/FB split that ghost hits move.
+    pub buffers: AdaptiveBuffers,
+    /// Which SSIDs each client has already been sent.
+    pub tracker: ClientTracker,
+    /// The ghost-exploration RNG, mid-stream.
+    pub rng: SimRng,
+    /// How many crash/restart cycles the attacker has absorbed.
+    pub restarts: u32,
 }
 
 /// The §IV City-Hunter: weighted WiGLE-seeded database, online updating,
@@ -79,16 +84,12 @@ pub struct Snapshot {
 pub struct CityHunter {
     bssid: MacAddr,
     config: CityHunterConfig,
-    db: SsidDatabase,
-    buffers: AdaptiveBuffers,
-    tracker: ClientTracker,
-    rng: SimRng,
+    pub(crate) state: CityHunterState,
     scratch: HunterScratch,
     /// Construction-time state — what a cold restart falls back to.
-    boot: Box<Snapshot>,
+    boot: Box<CityHunterState>,
     /// The most recent checkpoint, if any.
-    saved: Option<Box<Snapshot>>,
-    restarts: u32,
+    saved: Option<Box<CityHunterState>>,
 }
 
 impl CityHunter {
@@ -136,101 +137,47 @@ impl CityHunter {
             // freshness candidate list is suppressed below).
             AdaptiveBuffers::new(36, 4, 40, false)
         };
-        let rng = SimRng::seed_from(config.seed);
-        let boot = Box::new(Snapshot {
-            db: db.clone(),
-            buffers: buffers.clone(),
-            tracker: ClientTracker::new(),
-        });
-        CityHunter {
-            bssid,
-            config,
+        let state = CityHunterState {
             db,
             buffers,
             tracker: ClientTracker::new(),
-            rng,
-            scratch: HunterScratch::default(),
-            boot,
-            saved: None,
+            rng: SimRng::seed_from(config.seed),
             restarts: 0,
+        };
+        CityHunter {
+            bssid,
+            config,
+            boot: Box::new(state.clone()),
+            state,
+            scratch: HunterScratch::default(),
+            saved: None,
         }
-    }
-
-    /// Captures the current learned state as a restorable [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            db: self.db.clone(),
-            buffers: self.buffers.clone(),
-            tracker: self.tracker.clone(),
-        }
-    }
-
-    /// Restores a previously taken [`Snapshot`], discarding everything
-    /// learned since it was captured. Selection scratch and the
-    /// exploration RNG are left alone — they carry no learned state.
-    pub fn restore(&mut self, snap: &Snapshot) {
-        self.db = snap.db.clone();
-        self.buffers = snap.buffers.clone();
-        self.tracker = snap.tracker.clone();
     }
 
     /// How many crash/restart cycles this attacker has absorbed.
     pub fn restarts(&self) -> u32 {
-        self.restarts
+        self.state.restarts
     }
 
     /// Read access to the database.
     pub fn database(&self) -> &SsidDatabase {
-        &self.db
+        &self.state.db
     }
 
     /// Current `(popularity, freshness)` buffer sizes (Fig. 3 step 3
     /// diagnostics).
     pub fn buffer_sizes(&self) -> (usize, usize) {
-        self.buffers.sizes()
+        self.state.buffers.sizes()
     }
 
     /// Read access to the per-client tracker.
     pub fn tracker(&self) -> &ClientTracker {
-        &self.tracker
+        &self.state.tracker
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &CityHunterConfig {
         &self.config
-    }
-
-    /// Read access to the PB/FB buffer state (checkpoint export).
-    pub fn buffers(&self) -> &AdaptiveBuffers {
-        &self.buffers
-    }
-
-    /// The exploration RNG's full state (checkpoint export) — restoring it
-    /// via [`CityHunter::restore_state`] continues ghost picks exactly
-    /// where the checkpointed process left off.
-    pub fn rng_state(&self) -> [u64; 5] {
-        self.rng.save_state()
-    }
-
-    /// Overwrites the full in-run state from an external checkpoint: the
-    /// learned database, buffer split, per-client tracker, the exploration
-    /// RNG mid-stream, and the restart counter. Unlike
-    /// [`CityHunter::restore`] (the in-process warm-crash path), this is
-    /// the cross-process recovery path — the RNG resumes rather than
-    /// reseeds, so a restored service replays byte-identically.
-    pub fn restore_state(
-        &mut self,
-        db: SsidDatabase,
-        buffers: AdaptiveBuffers,
-        tracker: ClientTracker,
-        rng_state: [u64; 5],
-        restarts: u32,
-    ) {
-        self.db = db;
-        self.buffers = buffers;
-        self.tracker = tracker;
-        self.rng = SimRng::from_state(rng_state);
-        self.restarts = restarts;
     }
 }
 
@@ -252,7 +199,7 @@ impl Attacker for CityHunter {
     ) {
         if !probe.is_broadcast() {
             // Step 2 (online updating): harvest, then reply KARMA-style.
-            self.db.observe_direct_probe(&probe.ssid, now);
+            self.state.db.observe_direct_probe(&probe.ssid, now);
             direct_reply_into(probe, out);
             return;
         }
@@ -263,10 +210,10 @@ impl Attacker for CityHunter {
         // read. Everything below runs on interned ids and warm scratch — no
         // heap traffic at steady state.
         let client = probe.source;
-        let (ranked, fresh) = self.db.ranked_and_fresh();
-        let limit = self.buffers.read_bound(budget);
+        let (ranked, fresh) = self.state.db.ranked_and_fresh();
+        let limit = self.state.buffers.read_bound(budget);
         let by_weight: &[SsidId] = if self.config.untried_tracking {
-            self.tracker.select_untried_into(
+            self.state.tracker.select_untried_into(
                 client,
                 ranked,
                 limit,
@@ -279,7 +226,7 @@ impl Attacker for CityHunter {
         };
         let by_freshness: &[SsidId] = if self.config.use_freshness {
             if self.config.untried_tracking {
-                self.tracker.select_untried_into(
+                self.state.tracker.select_untried_into(
                     client,
                     fresh,
                     limit,
@@ -295,36 +242,36 @@ impl Attacker for CityHunter {
         };
 
         // Step 4: select and send.
-        self.buffers.select_into(
+        self.state.buffers.select_into(
             by_weight,
             by_freshness,
             budget,
-            &mut self.rng,
+            &mut self.state.rng,
             &mut self.scratch.select,
             &mut self.scratch.picked,
         );
         if self.config.untried_tracking {
             let burst = self.scratch.picked.iter().map(|&(id, _)| id);
-            self.tracker.mark_burst(client, burst);
+            self.state.tracker.mark_burst(client, burst);
         }
         for &(id, lane) in &self.scratch.picked {
-            let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
+            let source = self.state.db.source_of(id).unwrap_or(LureSource::Wigle);
             // The lure owns its Ssid: the clone is a fixed-size inline
             // copy with no heap, the sanctioned lure handoff.
             // ch-lint: allow(hot-path-alloc)
-            out.push(Lure::new(self.db.resolve(id).clone(), source, lane));
+            out.push(Lure::new(self.state.db.resolve(id).clone(), source, lane));
         }
     }
 
     fn on_hit(&mut self, now: SimTime, _client: MacAddr, lure: &Lure) {
         // Step 2 (online updating): weight bump + freshness stamp, and the
         // ghost feedback that adapts the buffer split.
-        self.db.record_hit(&lure.ssid, now);
-        self.buffers.adapt(lure.lane);
+        self.state.db.record_hit(&lure.ssid, now);
+        self.state.buffers.adapt(lure.lane);
     }
 
     fn database_len(&self) -> usize {
-        self.db.len()
+        self.state.db.len()
     }
 
     fn deauth_enabled(&self) -> bool {
@@ -332,22 +279,23 @@ impl Attacker for CityHunter {
     }
 
     fn checkpoint(&mut self, _now: SimTime) {
-        self.saved = Some(Box::new(self.snapshot()));
+        self.saved = Some(Box::new(self.state.clone()));
     }
 
     fn on_crash_restart(&mut self, _now: SimTime, mode: CrashMode) {
-        self.restarts += 1;
-        let snap = match mode {
-            CrashMode::Cold => self.boot.clone(),
+        let restarts = self.state.restarts + 1;
+        let from = match (mode, &self.saved) {
+            (CrashMode::Warm, Some(saved)) => saved,
             // Warm with no checkpoint yet degrades to a cold start.
-            CrashMode::Warm => self.saved.clone().unwrap_or_else(|| self.boot.clone()),
+            _ => &self.boot,
         };
-        self.restore(&snap);
+        self.state = CityHunterState::clone(from);
+        self.state.restarts = restarts;
         // The restarted process reseeds its exploration RNG: derived
         // from the configured seed and the restart ordinal, so reruns
         // of the same fault schedule stay bit-identical.
-        self.rng = SimRng::seed_from(
-            self.config.seed ^ u64::from(self.restarts).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        self.state.rng = SimRng::seed_from(
+            self.config.seed ^ u64::from(restarts).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
     }
 
@@ -364,6 +312,7 @@ impl Attacker for CityHunter {
 mod tests {
     use super::*;
     use crate::prelim::WIGLE_TOP_BY_HEAT;
+    use crate::AttackerState;
     use ch_geo::{CityModel, PhotoCollection};
     use ch_wifi::Ssid;
 
@@ -600,23 +549,24 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_selection_behaviour() {
-        // Two attackers with identical history: one crashes and restores
-        // a checkpoint of the other's state; both must then offer the
-        // same lures (the ghost-list and split state survive snapshots).
+        // Two attackers with different histories: one loads the state the
+        // other saved; both must then offer the same lures, ghost picks
+        // included (the split, the tracker and the RNG travel together).
         let probe = ProbeRequest::broadcast(mac(1));
         let mut reference = hunter(CityHunterConfig::default());
         let mut crashed = hunter(CityHunterConfig::default());
         for t in 0..3u64 {
             let _ = reference.respond_to_probe(SimTime::from_secs(t), &probe, 40);
-            let _ = crashed.respond_to_probe(SimTime::from_secs(t), &probe, 40);
         }
-        let snap = reference.snapshot();
-        crashed.restore(&snap);
-        // Fresh clients (untouched RNG state differences only affect
-        // ghost exploration; compare full offers for a tracked client).
-        let a = reference.respond_to_probe(SimTime::from_secs(10), &probe, 40);
-        let b = crashed.respond_to_probe(SimTime::from_secs(10), &probe, 40);
-        assert_eq!(a, b);
+        let _ = crashed.respond_to_probe(SimTime::ZERO, &ProbeRequest::broadcast(mac(2)), 40);
+        let saved = AttackerState::save(&reference).unwrap();
+        saved.load(&mut crashed).unwrap();
+        for (t, client) in [(10, 1), (11, 2), (12, 3)] {
+            let probe = ProbeRequest::broadcast(mac(client));
+            let a = reference.respond_to_probe(SimTime::from_secs(t), &probe, 40);
+            let b = crashed.respond_to_probe(SimTime::from_secs(t), &probe, 40);
+            assert_eq!(a, b);
+        }
     }
 
     /// The answer to a broadcast probe computed from the *full* filtered
@@ -639,9 +589,10 @@ mod tests {
         } else {
             Vec::new()
         };
-        let mut rng = SimRng::from_state(ch.rng_state());
+        let mut rng = ch.state.rng.clone();
         let picked = ch
-            .buffers()
+            .state
+            .buffers
             .select(&by_weight, &by_freshness, budget, &mut rng);
         let lures = picked
             .into_iter()
@@ -697,7 +648,7 @@ mod tests {
                         let got =
                             ch.respond_to_probe(now, &ProbeRequest::broadcast(client), budget);
                         assert_eq!(got, want, "step {step}, client {client}, budget {budget}");
-                        assert_eq!(ch.rng_state(), rng_after, "step {step}");
+                        assert_eq!(ch.state.rng.save_state(), rng_after, "step {step}");
                         offered.extend(got);
                         deepest = deepest.max(ch.tracker().sent_count(client));
                     }

@@ -15,10 +15,10 @@
 //!   knob that trades h_b for stealth directly.
 //!
 //! [`EvasiveAttacker`] wraps any [`Attacker`] (all four generations get
-//! the knobs for free) and snapshots/restores its own evasion state
-//! through the fault-injection checkpoint hooks, like the attackers it
-//! wraps. Everything here is schedule arithmetic — no randomness — so
-//! evasion composes with the determinism gates, and the wrapped
+//! the knobs for free) and keeps its own [`EvasionState`], which the
+//! fault-injection checkpoint hooks copy like the attackers it wraps.
+//! Everything here is schedule arithmetic — no randomness — so evasion
+//! composes with the determinism gates, and the wrapped
 //! `respond_to_probe_into` stays allocation-free.
 
 use ch_sim::{Cadence, CrashMode, SimDuration, SimTime};
@@ -122,13 +122,20 @@ fn rotated_bssid(base: MacAddr, slot: u64) -> MacAddr {
     )
 }
 
+/// Everything the evasion wrapper tracks between probes, on top of what
+/// the wrapped attacker learns.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct EvasionState {
-    rotation_slot: u64,
-    current_bssid: MacAddr,
-    throttle_window: u64,
-    sent_in_window: u32,
-    beacons: Cadence,
+pub struct EvasionState {
+    /// The rotation slot in force (`now / period`).
+    pub rotation_slot: u64,
+    /// The BSSID that slot transmits under.
+    pub current_bssid: MacAddr,
+    /// The throttle window in force (`now / window`).
+    pub throttle_window: u64,
+    /// Responses sent in that window.
+    pub sent_in_window: u32,
+    /// The cloned-beacon schedule: next due time and period.
+    pub beacons: Cadence,
 }
 
 impl EvasionState {
@@ -149,13 +156,13 @@ impl EvasionState {
 
 /// Wraps any attacker with the [`EvasionSpec`] knobs.
 pub struct EvasiveAttacker {
-    inner: Box<dyn Attacker>,
+    pub(crate) inner: Box<dyn Attacker>,
     spec: EvasionSpec,
     base_bssid: MacAddr,
     /// SSID of the legitimate nearby AP to clone (resolved at build time);
     /// `None` leaves the beacon-clone knob inert.
     clone_target: Option<Ssid>,
-    state: EvasionState,
+    pub(crate) state: EvasionState,
     saved: Option<EvasionState>,
 }
 
@@ -184,46 +191,6 @@ impl EvasiveAttacker {
     /// The SSID the beacon-clone knob impersonates, if resolved.
     pub fn clone_target(&self) -> Option<&Ssid> {
         self.clone_target.as_ref()
-    }
-
-    /// The wrapped attacker (checkpoint export reaches through this).
-    pub fn inner(&self) -> &dyn Attacker {
-        self.inner.as_ref()
-    }
-
-    /// Mutable access to the wrapped attacker.
-    pub fn inner_mut(&mut self) -> &mut dyn Attacker {
-        self.inner.as_mut()
-    }
-
-    /// The live evasion state as plain numbers (checkpoint export): the
-    /// rotation slot, current BSSID, throttle window ordinal and count,
-    /// and the beacon schedule's `(next-due µs, period µs)`.
-    pub fn export_state(&self) -> (u64, MacAddr, u64, u32, u64, u64) {
-        (
-            self.state.rotation_slot,
-            self.state.current_bssid,
-            self.state.throttle_window,
-            self.state.sent_in_window,
-            self.state.beacons.next_at().as_micros(),
-            self.state.beacons.period().as_micros(),
-        )
-    }
-
-    /// Restores [`EvasiveAttacker::export_state`] output.
-    pub fn import_state(&mut self, state: (u64, MacAddr, u64, u32, u64, u64)) {
-        let (rotation_slot, current_bssid, throttle_window, sent_in_window, next_us, period_us) =
-            state;
-        self.state = EvasionState {
-            rotation_slot,
-            current_bssid,
-            throttle_window,
-            sent_in_window,
-            beacons: Cadence::new(
-                SimDuration::from_micros(period_us),
-                SimTime::from_micros(next_us),
-            ),
-        };
     }
 
     fn tick_rotation(&mut self, now: SimTime) {

@@ -12,7 +12,9 @@ use crate::api::{direct_reply_into, Attacker, Lure};
 #[derive(Debug, Clone)]
 pub struct KarmaAttacker {
     bssid: MacAddr,
-    ssids_mimicked: Vec<Ssid>,
+    /// The mimic log, in first-seen order — all KARMA keeps between
+    /// probes ([`crate::AttackerState::Karma`]).
+    pub(crate) mimicked: Vec<Ssid>,
 }
 
 impl KarmaAttacker {
@@ -20,23 +22,13 @@ impl KarmaAttacker {
     pub fn new(bssid: MacAddr) -> Self {
         KarmaAttacker {
             bssid,
-            ssids_mimicked: Vec::new(),
+            mimicked: Vec::new(),
         }
     }
 
     /// Distinct SSIDs mimicked so far (diagnostics).
     pub fn mimic_count(&self) -> usize {
-        self.ssids_mimicked.len()
-    }
-
-    /// The mimic log, in first-seen order (checkpoint export).
-    pub fn mimicked(&self) -> &[Ssid] {
-        &self.ssids_mimicked
-    }
-
-    /// Overwrites the mimic log from a checkpoint, preserving order.
-    pub fn restore_mimicked(&mut self, ssids: Vec<Ssid>) {
-        self.ssids_mimicked = ssids;
+        self.mimicked.len()
     }
 }
 
@@ -60,11 +52,11 @@ impl Attacker for KarmaAttacker {
             // KARMA has nothing to say to a broadcast probe.
             out.clear();
         } else {
-            if !self.ssids_mimicked.contains(&probe.ssid) {
+            if !self.mimicked.contains(&probe.ssid) {
                 // Inline Ssid copy (no heap) into the mimic log, off the
                 // hot path.
                 // ch-lint: allow(ssid-clone, hot-path-alloc)
-                self.ssids_mimicked.push(probe.ssid.clone());
+                self.mimicked.push(probe.ssid.clone());
             }
             direct_reply_into(probe, out);
         }
@@ -74,13 +66,13 @@ impl Attacker for KarmaAttacker {
 
     fn database_len(&self) -> usize {
         // KARMA keeps no database; report the mimic log for the curve.
-        self.ssids_mimicked.len()
+        self.mimicked.len()
     }
 
     fn on_crash_restart(&mut self, _now: SimTime, _mode: CrashMode) {
         // KARMA is stateless as an attacker; only the diagnostic mimic
         // log dies with the process.
-        self.ssids_mimicked.clear();
+        self.mimicked.clear();
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

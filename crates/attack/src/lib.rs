@@ -28,6 +28,12 @@
 //! ([`evasion`]) — MAC/OUI rotation, beacon cloning, and response
 //! throttling against the `ch-detect` rogue-AP detector.
 //!
+//! Each generation keeps what it learns online in one state struct
+//! ([`CityHunterState`], [`PrelimState`], [`ManaState`], KARMA's mimic
+//! log, the wrapper's [`EvasionState`]). The fault plane's checkpoint and
+//! crash-restart hooks copy it in memory; [`AttackerState`] ([`state`])
+//! carries it out of and back into a `dyn Attacker` across processes.
+//!
 //! The data plane is typed 802.11: attackers consume
 //! [`ch_wifi::mgmt::ProbeRequest`]s and emit [`Lure`]s which the runner
 //! turns into on-air probe responses.
@@ -44,14 +50,16 @@ pub mod mana;
 pub mod plan;
 pub mod prelim;
 pub mod spec;
+pub mod state;
 
 pub use api::{Attacker, Lure, LureLane, LureSource};
-pub use cityhunter::{CityHunter, CityHunterConfig, Snapshot};
+pub use cityhunter::{CityHunter, CityHunterConfig, CityHunterState};
 pub use clienttrack::ClientTracker;
 pub use db::{DbEntry, SsidDatabase};
-pub use evasion::{EvasionSpec, EvasiveAttacker, RotationSpec, ThrottleSpec};
+pub use evasion::{EvasionSpec, EvasionState, EvasiveAttacker, RotationSpec, ThrottleSpec};
 pub use karma::KarmaAttacker;
-pub use mana::ManaAttacker;
+pub use mana::{ManaAttacker, ManaState};
 pub use plan::AttackSitePlan;
-pub use prelim::PrelimCityHunter;
+pub use prelim::{PrelimCityHunter, PrelimState};
 pub use spec::AttackerSpec;
+pub use state::AttackerState;

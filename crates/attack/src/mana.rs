@@ -1,11 +1,24 @@
 //! The MANA attacker (DEF CON 22), §II–§III flaws included.
 
-use ch_sim::{CrashMode, SimTime};
+use ch_sim::{CrashMode, DetHashMap, SimTime};
 use ch_wifi::mgmt::ProbeRequest;
 use ch_wifi::{MacAddr, SsidId};
 
 use crate::api::{direct_reply_into, Attacker, Lure, LureLane, LureSource};
 use crate::db::SsidDatabase;
+
+/// Everything MANA learns online: the harvest, the order it replays it
+/// in, and what each device disclosed itself.
+#[derive(Debug, Clone, Default)]
+pub struct ManaState {
+    /// The harvested SSIDs.
+    pub db: SsidDatabase,
+    /// Insertion-ordered id list — MANA replays in harvest order. Ids
+    /// resolve against `db`'s interner.
+    pub harvest_order: Vec<SsidId>,
+    /// Per-device disclosures, for non-loud mode.
+    pub per_device: DetHashMap<MacAddr, Vec<SsidId>>,
+}
 
 /// MANA: harvest SSIDs from direct probes into a database; on a broadcast
 /// probe, replay the database.
@@ -29,12 +42,7 @@ use crate::db::SsidDatabase;
 #[derive(Debug, Clone)]
 pub struct ManaAttacker {
     bssid: MacAddr,
-    db: SsidDatabase,
-    /// Insertion-ordered id list — MANA replays in harvest order. Ids
-    /// resolve against the database's interner.
-    harvest_order: Vec<SsidId>,
-    /// Per-device disclosures, for non-loud mode.
-    per_device: ch_sim::DetHashMap<MacAddr, Vec<SsidId>>,
+    pub(crate) state: ManaState,
     loud: bool,
 }
 
@@ -43,9 +51,7 @@ impl ManaAttacker {
     pub fn new(bssid: MacAddr) -> Self {
         ManaAttacker {
             bssid,
-            db: SsidDatabase::new(),
-            harvest_order: Vec::new(),
-            per_device: ch_sim::det_hash_map(),
+            state: ManaState::default(),
             loud: true,
         }
     }
@@ -66,41 +72,7 @@ impl ManaAttacker {
 
     /// Read access to the database (Fig. 1 analysis).
     pub fn database(&self) -> &SsidDatabase {
-        &self.db
-    }
-
-    /// The harvest-order id list (checkpoint export).
-    pub fn harvest_order(&self) -> &[SsidId] {
-        &self.harvest_order
-    }
-
-    /// Per-device disclosures sorted by client MAC (checkpoint export;
-    /// sorted so the serialized form never depends on hash-map layout).
-    pub fn per_device_sorted(&self) -> Vec<(MacAddr, Vec<SsidId>)> {
-        let mut entries: Vec<(MacAddr, Vec<SsidId>)> = self
-            .per_device
-            .iter()
-            .map(|(mac, ids)| (*mac, ids.clone()))
-            .collect();
-        entries.sort_by_key(|(mac, _)| mac.octets());
-        entries
-    }
-
-    /// Overwrites the in-run harvest state from a checkpoint. The database
-    /// must already have been restored (the id lists resolve against its
-    /// interner).
-    pub fn restore_state(
-        &mut self,
-        db: SsidDatabase,
-        harvest_order: Vec<SsidId>,
-        per_device: Vec<(MacAddr, Vec<SsidId>)>,
-    ) {
-        self.db = db;
-        self.harvest_order = harvest_order;
-        self.per_device.clear();
-        for (mac, ids) in per_device {
-            self.per_device.insert(mac, ids);
-        }
+        &self.state.db
     }
 }
 
@@ -125,28 +97,29 @@ impl Attacker for ManaAttacker {
             let replay = if self.loud {
                 // Replay the database from the top; only the first
                 // `budget` can land (§III-A).
-                self.harvest_order.as_slice()
+                self.state.harvest_order.as_slice()
             } else {
                 // Non-loud: only this device's own disclosures.
-                self.per_device
+                self.state
+                    .per_device
                     .get(&probe.source)
                     .map_or(&[][..], Vec::as_slice)
             };
             for &id in replay.iter().take(budget) {
                 out.push(Lure::new(
                     // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
-                    self.db.resolve(id).clone(),
+                    self.state.db.resolve(id).clone(),
                     LureSource::DirectProbe,
                     LureLane::Database,
                 ));
             }
         } else {
-            let known = self.db.contains(&probe.ssid);
-            let id = self.db.observe_direct_probe(&probe.ssid, now);
+            let known = self.state.db.contains(&probe.ssid);
+            let id = self.state.db.observe_direct_probe(&probe.ssid, now);
             if !known {
-                self.harvest_order.push(id);
+                self.state.harvest_order.push(id);
             }
-            let disclosed = self.per_device.entry(probe.source).or_default();
+            let disclosed = self.state.per_device.entry(probe.source).or_default();
             if !disclosed.contains(&id) {
                 disclosed.push(id);
             }
@@ -155,20 +128,18 @@ impl Attacker for ManaAttacker {
     }
 
     fn on_hit(&mut self, now: SimTime, _client: MacAddr, lure: &Lure) {
-        self.db.record_hit(&lure.ssid, now);
+        self.state.db.record_hit(&lure.ssid, now);
     }
 
     fn database_len(&self) -> usize {
-        self.db.len()
+        self.state.db.len()
     }
 
     fn on_crash_restart(&mut self, _now: SimTime, _mode: CrashMode) {
         // hostapd-mana keeps its harvest in process memory only — there
         // is no checkpoint to restore, so every restart is a cold start
         // whatever recovery mode the fault plan asked for.
-        self.db = SsidDatabase::new();
-        self.harvest_order.clear();
-        self.per_device.clear();
+        self.state = ManaState::default();
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -243,7 +214,7 @@ mod tests {
         mana.respond_to_probe(SimTime::ZERO, &probe, 40);
         mana.respond_to_probe(SimTime::from_secs(1), &probe, 40);
         assert_eq!(mana.database_len(), 1);
-        assert_eq!(mana.harvest_order.len(), 1);
+        assert_eq!(mana.state.harvest_order.len(), 1);
     }
 
     #[test]

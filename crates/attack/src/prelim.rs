@@ -2,7 +2,7 @@
 
 use ch_arc::EpochSet;
 use ch_geo::{GeoPoint, HeatMap, WigleSnapshot};
-use ch_sim::SimTime;
+use ch_sim::{CrashMode, SimTime};
 use ch_wifi::mgmt::ProbeRequest;
 use ch_wifi::{MacAddr, SsidId};
 
@@ -19,6 +19,19 @@ pub const WIGLE_TOP_BY_HEAT: usize = 200;
 /// How many SSIDs nearest the attack site seed the database (§III-B).
 pub const WIGLE_NEARBY: usize = 100;
 
+/// Everything the §III City-Hunter learns online: the database with its
+/// harvested tail, the reply order, and the per-client tracker.
+#[derive(Debug, Clone)]
+pub struct PrelimState {
+    /// The WiGLE-seeded, direct-probe-extended database.
+    pub db: SsidDatabase,
+    /// Reply order: database insertion order, as §III describes it. Ids
+    /// resolve against `db`'s interner.
+    pub reply_order: Vec<SsidId>,
+    /// Which SSIDs each client has already been sent.
+    pub tracker: ClientTracker,
+}
+
 /// §III City-Hunter: a WiGLE-seeded database with per-client untried
 /// tracking, but **no weighting, no freshness and no adaptive selection**
 /// — SSIDs are replayed in plain database order (the nearby seed first,
@@ -28,10 +41,9 @@ pub const WIGLE_NEARBY: usize = 100;
 #[derive(Debug, Clone)]
 pub struct PrelimCityHunter {
     bssid: MacAddr,
-    db: SsidDatabase,
-    /// Reply order: database insertion order, as §III describes it.
-    reply_order: Vec<SsidId>,
-    tracker: ClientTracker,
+    pub(crate) state: PrelimState,
+    /// Construction-time state — what every restart falls back to.
+    boot: PrelimState,
     /// Reused dedup scratch for the broadcast path.
     seen: EpochSet,
     /// Reused pick buffer for the broadcast path.
@@ -70,11 +82,15 @@ impl PrelimCityHunter {
             // ch-lint: allow(ssid-clone) — construction-time inline copy, no heap.
             push(&mut db, &mut reply_order, ssid.clone());
         }
-        PrelimCityHunter {
-            bssid,
+        let state = PrelimState {
             db,
             reply_order,
             tracker: ClientTracker::new(),
+        };
+        PrelimCityHunter {
+            bssid,
+            boot: state.clone(),
+            state,
             seen: EpochSet::new(),
             picked: Vec::new(),
         }
@@ -82,33 +98,18 @@ impl PrelimCityHunter {
 
     /// Read access to the database.
     pub fn database(&self) -> &SsidDatabase {
-        &self.db
+        &self.state.db
     }
 
     /// Read access to the per-client tracker (Fig. 2 analysis).
     pub fn tracker(&self) -> &ClientTracker {
-        &self.tracker
+        &self.state.tracker
     }
 
     /// The fixed reply order as interned ids (diagnostics/tests); resolve
     /// them through [`Self::database`]'s interner.
     pub fn reply_order(&self) -> &[SsidId] {
-        &self.reply_order
-    }
-
-    /// Overwrites the in-run state from a checkpoint: the database, the
-    /// reply order (ids valid against the restored database's interner)
-    /// and the per-client tracker. The scratch buffers are run-local and
-    /// carry no state across probes.
-    pub fn restore_state(
-        &mut self,
-        db: SsidDatabase,
-        reply_order: Vec<SsidId>,
-        tracker: ClientTracker,
-    ) {
-        self.db = db;
-        self.reply_order = reply_order;
-        self.tracker = tracker;
+        &self.state.reply_order
     }
 }
 
@@ -130,40 +131,48 @@ impl Attacker for PrelimCityHunter {
     ) {
         if probe.is_broadcast() {
             out.clear();
-            self.tracker.select_untried_into(
+            self.state.tracker.select_untried_into(
                 probe.source,
-                &self.reply_order,
+                &self.state.reply_order,
                 budget,
                 &mut self.seen,
                 &mut self.picked,
             );
-            self.tracker
+            self.state
+                .tracker
                 .mark_burst(probe.source, self.picked.iter().copied());
             for &id in &self.picked {
-                let source = self.db.source_of(id).unwrap_or(LureSource::Wigle);
+                let source = self.state.db.source_of(id).unwrap_or(LureSource::Wigle);
                 out.push(Lure::new(
                     // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
-                    self.db.resolve(id).clone(),
+                    self.state.db.resolve(id).clone(),
                     source,
                     LureLane::Database,
                 ));
             }
         } else {
-            let known = self.db.contains(&probe.ssid);
-            let id = self.db.observe_direct_probe(&probe.ssid, now);
+            let known = self.state.db.contains(&probe.ssid);
+            let id = self.state.db.observe_direct_probe(&probe.ssid, now);
             if !known {
-                self.reply_order.push(id);
+                self.state.reply_order.push(id);
             }
             direct_reply_into(probe, out);
         }
     }
 
     fn on_hit(&mut self, now: SimTime, _client: MacAddr, lure: &Lure) {
-        self.db.record_hit(&lure.ssid, now);
+        self.state.db.record_hit(&lure.ssid, now);
     }
 
     fn database_len(&self) -> usize {
-        self.db.len()
+        self.state.db.len()
+    }
+
+    fn on_crash_restart(&mut self, _now: SimTime, _mode: CrashMode) {
+        // Like the MANA it extends, the §III version keeps its harvest and
+        // its tracker in process memory only: every restart, warm or
+        // cold, comes back with the WiGLE seed and nothing learned since.
+        self.state = self.boot.clone();
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -286,6 +295,26 @@ mod tests {
     }
 
     #[test]
+    fn every_restart_falls_back_to_the_wigle_seed() {
+        for mode in [CrashMode::Warm, CrashMode::Cold] {
+            let mut ch = setup();
+            let boot_len = ch.database_len();
+            let boot_order = ch.reply_order().to_vec();
+            let harvested = ProbeRequest::direct(mac(2), Ssid::new("Harvested").unwrap());
+            ch.respond_to_probe(SimTime::ZERO, &harvested, 40);
+            ch.respond_to_probe(SimTime::from_secs(1), &ProbeRequest::broadcast(mac(1)), 40);
+            // A checkpoint saves nothing: there is no warm state to restore.
+            ch.checkpoint(SimTime::from_secs(2));
+            assert_eq!(ch.database_len(), boot_len + 1);
+            assert_eq!(ch.tracker().sent_count(mac(1)), 40);
+            ch.on_crash_restart(SimTime::from_secs(3), mode);
+            assert_eq!(ch.database_len(), boot_len, "{mode:?}");
+            assert_eq!(ch.reply_order(), boot_order, "{mode:?}");
+            assert_eq!(ch.tracker().client_count(), 0, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn hits_recorded_but_do_not_reorder() {
         let mut ch = setup();
         let order_before = ch.reply_order().to_vec();
@@ -293,7 +322,7 @@ mod tests {
         let lures = ch.respond_to_probe(SimTime::ZERO, &probe, 40);
         let target = lures[39].clone();
         ch.on_hit(SimTime::from_secs(1), mac(1), &target);
-        assert_eq!(ch.db.entry(&target.ssid).unwrap().hits, 1);
+        assert_eq!(ch.database().entry(&target.ssid).unwrap().hits, 1);
         // §III has no popularity feedback: the reply order is unchanged.
         assert_eq!(ch.reply_order(), order_before);
     }

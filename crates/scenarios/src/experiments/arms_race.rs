@@ -19,7 +19,7 @@ use ch_sim::SimDuration;
 
 use crate::ctx::CampaignCtx;
 use crate::experiments::standard_city;
-use crate::fleet::{attacker_seed, job_seed};
+use crate::fleet::{attacker_seed, job_seed, row_fields, row_from_json};
 use crate::metrics::SummaryRow;
 use crate::runner::{run_experiment_ctx, AttackerKind, RunConfig, RunScratch};
 use crate::world::CityData;
@@ -83,22 +83,8 @@ pub struct ArmsRaceRecord {
 
 impl ManifestCodec for ArmsRaceRecord {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".into(), Json::str(self.row.label.clone())),
-            ("total".into(), Json::from_usize(self.row.total_clients)),
-            ("direct".into(), Json::from_usize(self.row.direct_clients)),
-            (
-                "broadcast".into(),
-                Json::from_usize(self.row.broadcast_clients),
-            ),
-            (
-                "direct_conn".into(),
-                Json::from_usize(self.row.direct_connected),
-            ),
-            (
-                "broadcast_conn".into(),
-                Json::from_usize(self.row.broadcast_connected),
-            ),
+        let mut fields = row_fields(&self.row);
+        fields.extend([
             ("frames".into(), self.report.frames_observed.to_json()),
             ("rogue_macs".into(), self.report.rogue_macs.to_json()),
             ("legit_aps".into(), self.report.legit_aps.to_json()),
@@ -117,25 +103,18 @@ impl ManifestCodec for ArmsRaceRecord {
                     None => Json::Null,
                 },
             ),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     fn from_json(json: &Json) -> Option<Self> {
-        let count = |key: &str| json.get(key).and_then(Json::as_usize);
         let wide = |key: &str| json.get(key).and_then(u64::from_json);
         let ttd_us = match json.get("ttd_us")? {
             Json::Null => None,
             value => Some(u64::from_json(value)?),
         };
         Some(ArmsRaceRecord {
-            row: SummaryRow {
-                label: json.get("label")?.as_str()?.to_string(),
-                total_clients: count("total")?,
-                direct_clients: count("direct")?,
-                broadcast_clients: count("broadcast")?,
-                direct_connected: count("direct_conn")?,
-                broadcast_connected: count("broadcast_conn")?,
-            },
+            row: row_from_json(json)?,
             report: DetectionReport {
                 frames_observed: wide("frames")?,
                 rogue_macs: wide("rogue_macs")?,

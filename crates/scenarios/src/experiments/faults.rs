@@ -20,7 +20,7 @@ use ch_sim::{CrashMode, SimDuration};
 
 use crate::ctx::CampaignCtx;
 use crate::experiments::standard_city;
-use crate::fleet::{attacker_seed, job_seed};
+use crate::fleet::{attacker_seed, job_seed, row_fields, row_from_json};
 use crate::metrics::{RunnerStats, SummaryRow};
 use crate::runner::{run_experiment_ctx, AttackerKind, RunConfig, RunScratch};
 use crate::world::CityData;
@@ -103,22 +103,8 @@ pub struct FaultsRecord {
 
 impl ManifestCodec for FaultsRecord {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".into(), Json::str(self.row.label.clone())),
-            ("total".into(), Json::from_usize(self.row.total_clients)),
-            ("direct".into(), Json::from_usize(self.row.direct_clients)),
-            (
-                "broadcast".into(),
-                Json::from_usize(self.row.broadcast_clients),
-            ),
-            (
-                "direct_conn".into(),
-                Json::from_usize(self.row.direct_connected),
-            ),
-            (
-                "broadcast_conn".into(),
-                Json::from_usize(self.row.broadcast_connected),
-            ),
+        let mut fields = row_fields(&self.row);
+        fields.extend([
             (
                 "burst_dropped".into(),
                 self.stats.frames_burst_dropped.to_json(),
@@ -127,21 +113,14 @@ impl ManifestCodec for FaultsRecord {
             ("rejected".into(), self.stats.frames_rejected.to_json()),
             ("churned".into(), self.stats.agents_churned.to_json()),
             ("crashes".into(), self.stats.attacker_crashes.to_json()),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     fn from_json(json: &Json) -> Option<Self> {
-        let count = |key: &str| json.get(key).and_then(Json::as_usize);
         let wide = |key: &str| json.get(key).and_then(u64::from_json);
         Some(FaultsRecord {
-            row: SummaryRow {
-                label: json.get("label")?.as_str()?.to_string(),
-                total_clients: count("total")?,
-                direct_clients: count("direct")?,
-                broadcast_clients: count("broadcast")?,
-                direct_connected: count("direct_conn")?,
-                broadcast_connected: count("broadcast_conn")?,
-            },
+            row: row_from_json(json)?,
             stats: RunnerStats {
                 frames_burst_dropped: wide("burst_dropped")?,
                 frames_corrupted: wide("corrupted")?,

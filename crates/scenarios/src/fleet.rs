@@ -261,30 +261,45 @@ impl JobRecord {
     }
 }
 
+/// The [`SummaryRow`] as the leading fields of a manifest record: the
+/// label, then the five client counts. Every campaign record starts so.
+pub(crate) fn row_fields(row: &SummaryRow) -> Vec<(String, Json)> {
+    vec![
+        ("label".into(), Json::str(row.label.clone())),
+        ("total".into(), Json::from_usize(row.total_clients)),
+        ("direct".into(), Json::from_usize(row.direct_clients)),
+        ("broadcast".into(), Json::from_usize(row.broadcast_clients)),
+        ("direct_conn".into(), Json::from_usize(row.direct_connected)),
+        (
+            "broadcast_conn".into(),
+            Json::from_usize(row.broadcast_connected),
+        ),
+    ]
+}
+
+/// Reads the [`row_fields`] of a manifest record back.
+pub(crate) fn row_from_json(json: &Json) -> Option<SummaryRow> {
+    let count = |key: &str| json.get(key).and_then(Json::as_usize);
+    Some(SummaryRow {
+        label: json.get("label")?.as_str()?.to_string(),
+        total_clients: count("total")?,
+        direct_clients: count("direct")?,
+        broadcast_clients: count("broadcast")?,
+        direct_connected: count("direct_conn")?,
+        broadcast_connected: count("broadcast_conn")?,
+    })
+}
+
 impl ManifestCodec for JobRecord {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("label".into(), Json::str(self.row.label.clone())),
-            ("total".into(), Json::from_usize(self.row.total_clients)),
-            ("direct".into(), Json::from_usize(self.row.direct_clients)),
-            (
-                "broadcast".into(),
-                Json::from_usize(self.row.broadcast_clients),
-            ),
-            (
-                "direct_conn".into(),
-                Json::from_usize(self.row.direct_connected),
-            ),
-            (
-                "broadcast_conn".into(),
-                Json::from_usize(self.row.broadcast_connected),
-            ),
+        let mut fields = row_fields(&self.row);
+        fields.extend([
             ("src_wigle".into(), Json::from_usize(self.sources.0)),
             ("src_direct".into(), Json::from_usize(self.sources.1)),
             ("src_carrier".into(), Json::from_usize(self.sources.2)),
             ("lane_pop".into(), Json::from_usize(self.lanes.0)),
             ("lane_fresh".into(), Json::from_usize(self.lanes.1)),
-        ];
+        ]);
         if let Some(rich) = &self.extra {
             fields.push(("rich".into(), rich.to_json()));
         }
@@ -300,14 +315,7 @@ impl ManifestCodec for JobRecord {
             None => None,
         };
         Some(JobRecord {
-            row: SummaryRow {
-                label: json.get("label")?.as_str()?.to_string(),
-                total_clients: field("total")?,
-                direct_clients: field("direct")?,
-                broadcast_clients: field("broadcast")?,
-                direct_connected: field("direct_conn")?,
-                broadcast_connected: field("broadcast_conn")?,
-            },
+            row: row_from_json(json)?,
             sources: (
                 field("src_wigle")?,
                 field("src_direct")?,

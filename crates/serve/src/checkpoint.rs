@@ -4,18 +4,19 @@
 //! stream mid-flight and replay the remainder **byte-identically**: the
 //! acked input offset, the output stream's committed byte length, the
 //! virtual clock and ingest ring, the offered-lure map, the counters and
-//! latency histogram, and the complete attacker state reached through the
-//! typed export APIs (`ch-attack` databases, trackers, buffers, RNG
-//! words, evasion state — recursively for [`EvasiveAttacker`] wrappers).
+//! latency histogram, and the attacker's learned state as one
+//! [`AttackerState`] (databases, trackers, buffers, RNG words, evasion
+//! state — recursively for evasive wrappers).
 //!
 //! Values that can exceed 2⁵³ (RNG words, fingerprints, rotation slots)
-//! are carried as decimal strings because the fleet's `Json` numbers ride
-//! on `f64`. `SsidId`s are interner indices with no unchecked constructor,
-//! so the codec serializes the database in dense interner-id order and,
-//! on restore, replays [`SsidDatabase::restore_entry`] in that order —
-//! collecting the freshly assigned ids so every stored index list can be
-//! remapped through them (a fresh interner fed the same names in the same
-//! order assigns the same dense ids).
+//! are carried as decimal strings by the fleet's `u64` [`ManifestCodec`],
+//! because the fleet's `Json` numbers ride on `f64`. `SsidId`s are
+//! interner indices with no unchecked constructor, so the codec
+//! serializes the database in dense interner-id order and, on restore,
+//! replays [`SsidDatabase::restore_entry`] in that order — collecting the
+//! freshly assigned ids so every stored index list can be remapped
+//! through them (a fresh interner fed the same names in the same order
+//! assigns the same dense ids).
 //!
 //! Saves are atomic (stage to `.tmp`, rename); loads distinguish
 //! "no checkpoint" from "unusable checkpoint" so the caller can count a
@@ -24,11 +25,11 @@
 use std::path::Path;
 
 use ch_attack::{
-    buffers::AdaptiveBuffers, Attacker, AttackerSpec, CityHunter, ClientTracker, DbEntry,
-    EvasiveAttacker, KarmaAttacker, Lure, ManaAttacker, PrelimCityHunter, SsidDatabase,
+    buffers::AdaptiveBuffers, AttackerState, CityHunterState, ClientTracker, DbEntry, EvasionState,
+    Lure, ManaState, PrelimState, SsidDatabase,
 };
-use ch_fleet::Json;
-use ch_sim::SimTime;
+use ch_fleet::{Json, ManifestCodec};
+use ch_sim::{Cadence, SimDuration, SimRng, SimTime};
 use ch_wifi::{MacAddr, Ssid, SsidId};
 
 use crate::protocol::{lane_name, parse_lane, parse_source, source_name, PROTOCOL_VERSION};
@@ -44,25 +45,6 @@ pub struct RestorePoint {
     pub out_bytes: u64,
 }
 
-/// A `u64` as JSON that survives the `f64`-backed number type: plain
-/// number when exact, decimal string otherwise.
-fn u64_json(n: u64) -> Json {
-    const EXACT: u64 = 1 << 53;
-    if n <= EXACT {
-        Json::from_u64(n)
-    } else {
-        Json::str(n.to_string())
-    }
-}
-
-/// Reads a [`u64_json`] value back (number or decimal string).
-fn json_u64(value: &Json) -> Option<u64> {
-    match value {
-        Json::Str(s) => s.parse().ok(),
-        _ => value.as_u64(),
-    }
-}
-
 fn field<'a>(value: &'a Json, name: &'static str) -> Result<&'a Json, String> {
     value
         .get(name)
@@ -70,7 +52,7 @@ fn field<'a>(value: &'a Json, name: &'static str) -> Result<&'a Json, String> {
 }
 
 fn field_u64(value: &Json, name: &'static str) -> Result<u64, String> {
-    json_u64(field(value, name)?).ok_or_else(|| format!("checkpoint bad field `{name}`"))
+    u64::from_json(field(value, name)?).ok_or_else(|| format!("checkpoint bad field `{name}`"))
 }
 
 fn parse_mac(value: &Json, what: &str) -> Result<MacAddr, String> {
@@ -106,10 +88,10 @@ fn db_to_json(db: &SsidDatabase) -> Result<Json, String> {
             Json::str(source_name(entry.source)),
             Json::from_u64(u64::from(entry.hits)),
             match entry.last_hit {
-                Some(at) => u64_json(at.as_micros()),
+                Some(at) => at.as_micros().to_json(),
                 None => Json::Null,
             },
-            u64_json(entry.added_at.as_micros()),
+            entry.added_at.as_micros().to_json(),
         ]));
     }
     Ok(Json::Arr(rows))
@@ -134,15 +116,17 @@ fn db_from_json(value: &Json) -> Result<(SsidDatabase, Vec<SsidId>), String> {
                 .as_str()
                 .and_then(parse_source)
                 .ok_or("checkpoint bad db source")?,
-            hits: u32::try_from(json_u64(hits).ok_or("checkpoint bad db hits")?)
+            hits: u32::try_from(u64::from_json(hits).ok_or("checkpoint bad db hits")?)
                 .map_err(|_| "checkpoint db hits out of range")?,
             last_hit: match last_hit {
                 Json::Null => None,
                 other => Some(SimTime::from_micros(
-                    json_u64(other).ok_or("checkpoint bad db last_hit")?,
+                    u64::from_json(other).ok_or("checkpoint bad db last_hit")?,
                 )),
             },
-            added_at: SimTime::from_micros(json_u64(added_at).ok_or("checkpoint bad db added_at")?),
+            added_at: SimTime::from_micros(
+                u64::from_json(added_at).ok_or("checkpoint bad db added_at")?,
+            ),
         };
         ids.push(db.restore_entry(&ssid, entry));
     }
@@ -168,10 +152,12 @@ fn id_list_from_json(value: &Json, ids: &[SsidId], what: &str) -> Result<Vec<Ssi
         .collect()
 }
 
-fn mac_id_pairs_to_json(pairs: &[(MacAddr, Vec<SsidId>)]) -> Json {
+fn mac_id_pairs_to_json<'a>(
+    pairs: impl IntoIterator<Item = (&'a MacAddr, &'a Vec<SsidId>)>,
+) -> Json {
     Json::Arr(
         pairs
-            .iter()
+            .into_iter()
             .map(|(mac, ids)| Json::Arr(vec![Json::str(mac.to_string()), id_list_to_json(ids)]))
             .collect(),
     )
@@ -200,6 +186,11 @@ fn mac_id_pairs_from_json(
         .collect()
 }
 
+fn tracker_to_json(tracker: &ClientTracker, db: &SsidDatabase) -> Json {
+    let sent = tracker.export_sorted(db.interner());
+    mac_id_pairs_to_json(sent.iter().map(|(mac, ids)| (mac, ids)))
+}
+
 fn tracker_from_json(value: &Json, ids: &[SsidId]) -> Result<ClientTracker, String> {
     let mut tracker = ClientTracker::new();
     tracker.restore(mac_id_pairs_from_json(value, ids, "tracker")?);
@@ -208,194 +199,126 @@ fn tracker_from_json(value: &Json, ids: &[SsidId]) -> Result<ClientTracker, Stri
 
 // --- attacker codec -------------------------------------------------------
 
-fn downcast_err(kind: &str) -> String {
-    format!("checkpoint spec says `{kind}` but the live attacker is a different type")
-}
-
-/// The attacker's full state, shaped by (and recursive over) its spec.
-fn attacker_to_json(attacker: &dyn Attacker, spec: &AttackerSpec) -> Result<Json, String> {
-    match spec {
-        AttackerSpec::Karma => {
-            let karma = attacker
-                .as_any()
-                .downcast_ref::<KarmaAttacker>()
-                .ok_or_else(|| downcast_err("karma"))?;
-            Ok(Json::Obj(vec![
-                ("kind".to_string(), Json::str("karma")),
-                (
-                    "mimicked".to_string(),
-                    Json::Arr(
-                        karma
-                            .mimicked()
-                            .iter()
-                            .map(|ssid| Json::str(ssid.as_str()))
-                            .collect(),
-                    ),
+/// The attacker's learned state, recursing into evasive wrappers.
+fn state_to_json(state: &AttackerState) -> Result<Json, String> {
+    let fields = match state {
+        AttackerState::Karma(mimicked) => vec![
+            ("kind", Json::str("karma")),
+            (
+                "mimicked",
+                Json::Arr(
+                    mimicked
+                        .iter()
+                        .map(|ssid| Json::str(ssid.as_str()))
+                        .collect(),
                 ),
-            ]))
+            ),
+        ],
+        AttackerState::Mana(mana) => {
+            // Sorted by client so the bytes never depend on hash-map layout.
+            let mut per_device: Vec<_> = mana.per_device.iter().collect();
+            per_device.sort_unstable_by_key(|(mac, _)| mac.octets());
+            vec![
+                ("kind", Json::str("mana")),
+                ("db", db_to_json(&mana.db)?),
+                ("harvest_order", id_list_to_json(&mana.harvest_order)),
+                ("per_device", mac_id_pairs_to_json(per_device)),
+            ]
         }
-        AttackerSpec::Mana => {
-            let mana = attacker
-                .as_any()
-                .downcast_ref::<ManaAttacker>()
-                .ok_or_else(|| downcast_err("mana"))?;
-            Ok(Json::Obj(vec![
-                ("kind".to_string(), Json::str("mana")),
-                ("db".to_string(), db_to_json(mana.database())?),
+        AttackerState::Prelim(prelim) => vec![
+            ("kind", Json::str("prelim")),
+            ("db", db_to_json(&prelim.db)?),
+            ("reply_order", id_list_to_json(&prelim.reply_order)),
+            ("tracker", tracker_to_json(&prelim.tracker, &prelim.db)),
+        ],
+        AttackerState::CityHunter(hunter) => {
+            let (p, f) = hunter.buffers.sizes();
+            vec![
+                ("kind", Json::str("cityhunter")),
+                ("db", db_to_json(&hunter.db)?),
                 (
-                    "harvest_order".to_string(),
-                    id_list_to_json(mana.harvest_order()),
-                ),
-                (
-                    "per_device".to_string(),
-                    mac_id_pairs_to_json(&mana.per_device_sorted()),
-                ),
-            ]))
-        }
-        AttackerSpec::Prelim => {
-            let prelim = attacker
-                .as_any()
-                .downcast_ref::<PrelimCityHunter>()
-                .ok_or_else(|| downcast_err("prelim"))?;
-            Ok(Json::Obj(vec![
-                ("kind".to_string(), Json::str("prelim")),
-                ("db".to_string(), db_to_json(prelim.database())?),
-                (
-                    "reply_order".to_string(),
-                    id_list_to_json(prelim.reply_order()),
-                ),
-                (
-                    "tracker".to_string(),
-                    mac_id_pairs_to_json(
-                        &prelim.tracker().export_sorted(prelim.database().interner()),
-                    ),
-                ),
-            ]))
-        }
-        AttackerSpec::CityHunter(_) => {
-            let ch = attacker
-                .as_any()
-                .downcast_ref::<CityHunter>()
-                .ok_or_else(|| downcast_err("cityhunter"))?;
-            let (p, f) = ch.buffers().sizes();
-            Ok(Json::Obj(vec![
-                ("kind".to_string(), Json::str("cityhunter")),
-                ("db".to_string(), db_to_json(ch.database())?),
-                (
-                    "buffers".to_string(),
+                    "buffers",
                     Json::Arr(vec![
                         Json::from_usize(p),
                         Json::from_usize(f),
-                        Json::from_usize(ch.buffers().total()),
-                        Json::Bool(ch.buffers().is_adaptive()),
+                        Json::from_usize(hunter.buffers.total()),
+                        Json::Bool(hunter.buffers.is_adaptive()),
                     ]),
                 ),
+                ("tracker", tracker_to_json(&hunter.tracker, &hunter.db)),
                 (
-                    "tracker".to_string(),
-                    mac_id_pairs_to_json(&ch.tracker().export_sorted(ch.database().interner())),
+                    "rng",
+                    Json::Arr(hunter.rng.save_state().iter().map(u64::to_json).collect()),
                 ),
-                (
-                    "rng".to_string(),
-                    Json::Arr(ch.rng_state().iter().map(|&w| u64_json(w)).collect()),
-                ),
-                (
-                    "restarts".to_string(),
-                    Json::from_u64(u64::from(ch.restarts())),
-                ),
-            ]))
+                ("restarts", Json::from_u64(u64::from(hunter.restarts))),
+            ]
         }
-        AttackerSpec::Evasive { base, .. } => {
-            let evasive = attacker
-                .as_any()
-                .downcast_ref::<EvasiveAttacker>()
-                .ok_or_else(|| downcast_err("evasive"))?;
-            let (slot, bssid, window, sent, next_us, period_us) = evasive.export_state();
-            Ok(Json::Obj(vec![
-                ("kind".to_string(), Json::str("evasive")),
-                (
-                    "state".to_string(),
-                    Json::Arr(vec![
-                        u64_json(slot),
-                        Json::str(bssid.to_string()),
-                        u64_json(window),
-                        Json::from_u64(u64::from(sent)),
-                        u64_json(next_us),
-                        u64_json(period_us),
-                    ]),
-                ),
-                (
-                    "inner".to_string(),
-                    attacker_to_json(evasive.inner(), base)?,
-                ),
-            ]))
-        }
-    }
+        AttackerState::Evasive(evasion, inner) => vec![
+            ("kind", Json::str("evasive")),
+            (
+                "state",
+                Json::Arr(vec![
+                    evasion.rotation_slot.to_json(),
+                    Json::str(evasion.current_bssid.to_string()),
+                    evasion.throttle_window.to_json(),
+                    Json::from_u64(u64::from(evasion.sent_in_window)),
+                    evasion.beacons.next_at().as_micros().to_json(),
+                    evasion.beacons.period().as_micros().to_json(),
+                ]),
+            ),
+            ("inner", state_to_json(inner)?),
+        ],
+    };
+    Ok(Json::Obj(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    ))
 }
 
-fn expect_kind(value: &Json, want: &str) -> Result<(), String> {
-    match field(value, "kind")?.as_str() {
-        Some(kind) if kind == want => Ok(()),
-        Some(kind) => Err(format!(
-            "checkpoint attacker kind `{kind}` does not match configured `{want}`"
-        )),
-        None => Err("checkpoint attacker kind missing".to_string()),
-    }
-}
-
-/// Restores attacker state in place, recursively, shape-checked against
-/// the configured spec at every level.
-fn attacker_from_json(
-    attacker: &mut dyn Attacker,
-    spec: &AttackerSpec,
-    value: &Json,
-) -> Result<(), String> {
-    match spec {
-        AttackerSpec::Karma => {
-            expect_kind(value, "karma")?;
-            let karma = attacker
-                .as_any_mut()
-                .downcast_mut::<KarmaAttacker>()
-                .ok_or_else(|| downcast_err("karma"))?;
+/// Reads [`state_to_json`] output back.
+fn state_from_json(value: &Json) -> Result<AttackerState, String> {
+    let kind = field(value, "kind")?
+        .as_str()
+        .ok_or("checkpoint attacker kind missing")?;
+    match kind {
+        "karma" => {
             let mimicked = field(value, "mimicked")?
                 .as_arr()
                 .ok_or("checkpoint mimicked is not an array")?
                 .iter()
                 .map(|item| parse_ssid(item, "mimicked ssid"))
                 .collect::<Result<Vec<Ssid>, String>>()?;
-            karma.restore_mimicked(mimicked);
-            Ok(())
+            Ok(AttackerState::Karma(mimicked))
         }
-        AttackerSpec::Mana => {
-            expect_kind(value, "mana")?;
-            let mana = attacker
-                .as_any_mut()
-                .downcast_mut::<ManaAttacker>()
-                .ok_or_else(|| downcast_err("mana"))?;
+        "mana" => {
             let (db, ids) = db_from_json(field(value, "db")?)?;
-            let harvest = id_list_from_json(field(value, "harvest_order")?, &ids, "harvest_order")?;
-            let per_device =
-                mac_id_pairs_from_json(field(value, "per_device")?, &ids, "per_device")?;
-            mana.restore_state(db, harvest, per_device);
-            Ok(())
+            Ok(AttackerState::Mana(ManaState {
+                db,
+                harvest_order: id_list_from_json(
+                    field(value, "harvest_order")?,
+                    &ids,
+                    "harvest_order",
+                )?,
+                per_device: mac_id_pairs_from_json(
+                    field(value, "per_device")?,
+                    &ids,
+                    "per_device",
+                )?
+                .into_iter()
+                .collect(),
+            }))
         }
-        AttackerSpec::Prelim => {
-            expect_kind(value, "prelim")?;
-            let prelim = attacker
-                .as_any_mut()
-                .downcast_mut::<PrelimCityHunter>()
-                .ok_or_else(|| downcast_err("prelim"))?;
+        "prelim" => {
             let (db, ids) = db_from_json(field(value, "db")?)?;
-            let reply = id_list_from_json(field(value, "reply_order")?, &ids, "reply_order")?;
-            let tracker = tracker_from_json(field(value, "tracker")?, &ids)?;
-            prelim.restore_state(db, reply, tracker);
-            Ok(())
+            Ok(AttackerState::Prelim(PrelimState {
+                db,
+                reply_order: id_list_from_json(field(value, "reply_order")?, &ids, "reply_order")?,
+                tracker: tracker_from_json(field(value, "tracker")?, &ids)?,
+            }))
         }
-        AttackerSpec::CityHunter(_) => {
-            expect_kind(value, "cityhunter")?;
-            let ch = attacker
-                .as_any_mut()
-                .downcast_mut::<CityHunter>()
-                .ok_or_else(|| downcast_err("cityhunter"))?;
+        "cityhunter" => {
             let (db, ids) = db_from_json(field(value, "db")?)?;
             let tracker = tracker_from_json(field(value, "tracker")?, &ids)?;
             let raw = field(value, "buffers")?
@@ -415,36 +338,41 @@ fn attacker_from_json(
                 .ok_or("checkpoint rng malformed")?;
             let mut rng = [0u64; 5];
             for (slot, word) in rng.iter_mut().zip(rng_words) {
-                *slot = json_u64(word).ok_or("checkpoint bad rng word")?;
+                *slot = u64::from_json(word).ok_or("checkpoint bad rng word")?;
             }
             let restarts = u32::try_from(field_u64(value, "restarts")?)
                 .map_err(|_| "checkpoint restarts out of range")?;
-            ch.restore_state(db, buffers, tracker, rng, restarts);
-            Ok(())
+            Ok(AttackerState::CityHunter(CityHunterState {
+                db,
+                buffers,
+                tracker,
+                rng: SimRng::from_state(rng),
+                restarts,
+            }))
         }
-        AttackerSpec::Evasive { base, .. } => {
-            expect_kind(value, "evasive")?;
-            let inner_json = field(value, "inner")?.clone();
-            let state = field(value, "state")?
+        "evasive" => {
+            let raw = field(value, "state")?
                 .as_arr()
                 .filter(|s| s.len() == 6)
-                .ok_or("checkpoint evasion state malformed")?
-                .to_vec();
-            let evasive = attacker
-                .as_any_mut()
-                .downcast_mut::<EvasiveAttacker>()
-                .ok_or_else(|| downcast_err("evasive"))?;
-            evasive.import_state((
-                json_u64(&state[0]).ok_or("checkpoint bad rotation slot")?,
-                parse_mac(&state[1], "evasion bssid")?,
-                json_u64(&state[2]).ok_or("checkpoint bad throttle window")?,
-                u32::try_from(json_u64(&state[3]).ok_or("checkpoint bad throttle count")?)
+                .ok_or("checkpoint evasion state malformed")?;
+            let word = |i: usize, what: &str| {
+                u64::from_json(&raw[i]).ok_or_else(|| format!("checkpoint bad {what}"))
+            };
+            let state = EvasionState {
+                rotation_slot: word(0, "rotation slot")?,
+                current_bssid: parse_mac(&raw[1], "evasion bssid")?,
+                throttle_window: word(2, "throttle window")?,
+                sent_in_window: u32::try_from(word(3, "throttle count")?)
                     .map_err(|_| "checkpoint throttle count out of range")?,
-                json_u64(&state[4]).ok_or("checkpoint bad beacon next")?,
-                json_u64(&state[5]).ok_or("checkpoint bad beacon period")?,
-            ));
-            attacker_from_json(evasive.inner_mut(), base, &inner_json)
+                beacons: Cadence::new(
+                    SimDuration::from_micros(word(5, "beacon period")?),
+                    SimTime::from_micros(word(4, "beacon next")?),
+                ),
+            };
+            let inner = state_from_json(field(value, "inner")?)?;
+            Ok(AttackerState::Evasive(state, Box::new(inner)))
         }
+        other => Err(format!("checkpoint attacker kind `{other}` is unknown")),
     }
 }
 
@@ -516,8 +444,14 @@ fn offered_from_json(service: &mut Service, value: &Json) -> Result<(), String> 
 /// Renders the full checkpoint for `service` with `out_bytes` output
 /// bytes committed so far.
 pub fn to_json(service: &Service, out_bytes: u64) -> Json {
-    let spec = service.config.spec.clone();
-    let attacker = attacker_to_json(service.attacker.as_ref(), &spec)
+    let attacker = AttackerState::save(service.attacker.as_ref())
+        .ok_or_else(|| {
+            format!(
+                "the live `{}` attacker has no saveable state",
+                service.attacker.name()
+            )
+        })
+        .and_then(|state| state_to_json(&state))
         .unwrap_or_else(|reason| Json::Obj(vec![("error".to_string(), Json::str(reason))]));
     Json::Obj(vec![
         ("v".to_string(), Json::str(PROTOCOL_VERSION)),
@@ -527,16 +461,16 @@ pub fn to_json(service: &Service, out_bytes: u64) -> Json {
             Json::str(service.fingerprint.to_string()),
         ),
         ("acked".to_string(), Json::from_u64(service.acked())),
-        ("out_bytes".to_string(), u64_json(out_bytes)),
-        ("clock_us".to_string(), u64_json(service.clock_us)),
+        ("out_bytes".to_string(), out_bytes.to_json()),
+        ("clock_us".to_string(), service.clock_us.to_json()),
         ("stats".to_string(), service.stats.to_json()),
         (
             "hist".to_string(),
-            Json::Arr(service.hist.iter().map(|&n| u64_json(n)).collect()),
+            Json::Arr(service.hist.iter().map(u64::to_json).collect()),
         ),
         (
             "inflight".to_string(),
-            Json::Arr(service.inflight.iter().map(|&t| u64_json(t)).collect()),
+            Json::Arr(service.inflight.iter().map(u64::to_json).collect()),
         ),
         ("offered".to_string(), offered_to_json(service)),
         ("attacker".to_string(), attacker),
@@ -596,7 +530,7 @@ pub fn restore(service: &mut Service, checkpoint: &Json) -> Result<RestorePoint,
         .filter(|h| h.len() == service.hist.len())
         .ok_or("checkpoint hist malformed")?;
     for (slot, bucket) in service.hist.iter_mut().zip(hist) {
-        *slot = json_u64(bucket).ok_or("checkpoint bad hist bucket")?;
+        *slot = u64::from_json(bucket).ok_or("checkpoint bad hist bucket")?;
     }
     let inflight = field(checkpoint, "inflight")?
         .as_arr()
@@ -605,14 +539,9 @@ pub fn restore(service: &mut Service, checkpoint: &Json) -> Result<RestorePoint,
     for t in inflight {
         service
             .inflight
-            .push_back(json_u64(t).ok_or("checkpoint bad inflight time")?);
+            .push_back(u64::from_json(t).ok_or("checkpoint bad inflight time")?);
     }
     offered_from_json(service, field(checkpoint, "offered")?)?;
-    let spec = service.config.spec.clone();
-    attacker_from_json(
-        service.attacker.as_mut(),
-        &spec,
-        field(checkpoint, "attacker")?,
-    )?;
+    state_from_json(field(checkpoint, "attacker")?)?.load(service.attacker.as_mut())?;
     Ok(RestorePoint { acked, out_bytes })
 }

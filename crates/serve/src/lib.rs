@@ -18,8 +18,8 @@
 //! * **deadline watchdog** — every event's queueing + service latency is
 //!   checked against a per-event deadline and misses are counted;
 //! * **checkpointed recovery** ([`checkpoint`]) — periodic atomic
-//!   (tmp + rename) checkpoints of the full attacker + tracker + queue
-//!   state through the typed state-export APIs, so a `kill -9` mid-stream
+//!   (tmp + rename) checkpoints of the queue state and the attacker's
+//!   learned [`ch_attack::AttackerState`], so a `kill -9` mid-stream
 //!   restarts warm, replays from the last acked offset, and produces a
 //!   final report (and output stream) byte-identical to an uninterrupted
 //!   run. A truncated or corrupted checkpoint falls back to a *counted*
@@ -36,8 +36,7 @@
 //! time (event timestamps plus a deterministic per-event service cost),
 //! which is what makes every counter — sheds, deadline misses, latency
 //! percentiles — reproducible and checkpointable. Wall-clock throughput
-//! is measured outside it: by the `serve_bench` harness in `ch-bench` and
-//! by the `serve` workload of `benchmark/`.
+//! is measured outside it, by the `serve` workload of `benchmark/`.
 
 pub mod checkpoint;
 pub mod protocol;

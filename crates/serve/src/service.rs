@@ -301,15 +301,6 @@ impl Service {
         u64::MAX
     }
 
-    /// Consumes every event of `source` from index `start`, discarding
-    /// wire output (bench and in-memory test harnesses).
-    pub fn consume_all(&mut self, source: &EventSource, start: usize) {
-        let mut emit = Vec::new();
-        for event in source.events().iter().skip(start) {
-            self.process(event, &mut emit);
-        }
-    }
-
     /// The final report as a JSON object (fixed key order). Every field
     /// is derived from the input stream alone, so an interrupted-and-
     /// recovered run renders a byte-identical report.

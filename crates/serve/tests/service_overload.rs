@@ -5,8 +5,10 @@
 use std::sync::OnceLock;
 
 use ch_attack::{AttackerSpec, CityHunterConfig};
-use ch_scenarios::CityData;
-use ch_serve::{InputEvent, OutputEvent, ServeConfig, Service};
+use ch_scenarios::{CityData, RunConfig};
+use ch_serve::service::{ASSOC_COST_US, BASE_PROBE_COST_US, PER_LURE_COST_US};
+use ch_serve::{EventSource, InputEvent, OutputEvent, ServeConfig, Service};
+use ch_sim::SimDuration;
 use ch_wifi::{MacAddr, Ssid};
 
 const SEED: u64 = 0x10AD;
@@ -52,6 +54,47 @@ fn burst_past_capacity_sheds_counted_and_never_panics() {
     assert_eq!(stats.shed, 400 - 8, "overflow must shed, exactly counted");
     assert_eq!(stats.probes, 8, "only ring-capacity events are served");
     assert!(stats.lures > 0, "served events still produce lures");
+}
+
+#[test]
+fn sim_stream_at_ten_times_capacity_sheds_and_consumes_every_event() {
+    let spec = AttackerSpec::CityHunter(CityHunterConfig::default());
+    let mut run = RunConfig::canteen_30min(spec, SEED);
+    run.duration = SimDuration::from_mins(5);
+    let source = EventSource::from_sim(city(), &run);
+    let consume = |service: &mut Service, source: &EventSource| {
+        let mut emit = Vec::new();
+        for event in source.events() {
+            service.process(event, &mut emit);
+        }
+    };
+    // The stream's virtual busy time at its own pace, from the cost model,
+    // sets the compression that offers ten times what the service can do.
+    let mut paced = service(64);
+    consume(&mut paced, &source);
+    let stats = *paced.stats();
+    let busy_us = stats.probes * BASE_PROBE_COST_US
+        + stats.lures * PER_LURE_COST_US
+        + stats.assocs * ASSOC_COST_US;
+    let duration_us = source.events().last().map_or(0, InputEvent::t_us);
+    let factor = (10 * duration_us / busy_us.max(1)).max(1);
+    assert!(factor > 1, "a 5-minute stream must be compressible");
+
+    let mut overloaded = service(64);
+    consume(
+        &mut overloaded,
+        &source.clone().with_time_compressed(factor),
+    );
+    let stats = *overloaded.stats();
+    assert!(
+        stats.shed > 0,
+        "10x overload must shed (counted backpressure)"
+    );
+    assert_eq!(
+        stats.events,
+        source.len() as u64,
+        "every event must be consumed (processed or counted-shed)"
+    );
 }
 
 #[test]
