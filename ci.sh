@@ -47,7 +47,7 @@ echo "==> benchmark package (build + tests)"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
   --manifest-path benchmark/Cargo.toml
 
-echo "==> fleet smoke (full fig5 campaign: serial, 2 jobs, cached rerun)"
+echo "==> fleet smoke (full fig5 campaign: serial, 2 jobs, cached rerun; committed manifests)"
 # End-to-end check of the campaign engine through a real binary: the
 # 48-job Fig. 5 campaign runs serial (the speedup reference), fresh at 2
 # jobs (must print identical bytes), then again against the same
@@ -98,6 +98,21 @@ else
 fi
 # Archive the fleet bench telemetry alongside the lint CI artifact.
 cp "$smoke_dir/BENCH_fleet.json" "$lint_dir/BENCH_fleet.json"
+# The committed manifests must still decode: each campaign, resumed from a
+# copy of its manifest, runs nothing, prints the committed artifact, and
+# leaves the copy as it was. (The drift leg below regenerates with --fresh,
+# so it cannot notice a record format that stopped reading these files.)
+for committed in fig5:48 ablation:14 warm_start:4; do
+  id=${committed%%:*}
+  jobs=${committed##*:}
+  cp "results/fleet_$id.jsonl" "$smoke_dir/committed_$id.jsonl"
+  cargo run -q --release -p ch-bench --bin experiment -- "$id" 1 \
+    --manifest "$smoke_dir/committed_$id.jsonl" --no-bench \
+    > "$smoke_dir/committed_$id.txt" 2> "$smoke_dir/committed_$id.log"
+  grep -q "0 executed, $jobs cached, 0 failed" "$smoke_dir/committed_$id.log"
+  cmp "$smoke_dir/committed_$id.txt" "results/$id.txt"
+  cmp "$smoke_dir/committed_$id.jsonl" "results/fleet_$id.jsonl"
+done
 
 echo "==> registry smoke (experiment --list, torn-manifest resume)"
 # The unified driver must list every artifact, and a table-class campaign

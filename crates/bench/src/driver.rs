@@ -408,8 +408,8 @@ fn city_config(params: &RunParams, cli: &Cli) -> CityConfig {
     if let Some(shards) = cli.positive("--shards") {
         config.shards = shards;
     }
-    if cli.value_of("--minutes").is_some() {
-        config.epochs = params.minutes;
+    if let Some(minutes) = cli.positive("--minutes") {
+        config.epochs = minutes as u64;
     }
     config.jobs = cli.positive("--jobs");
     config
@@ -486,6 +486,19 @@ mod tests {
         let gate = layout(&["--districts", "16", "--minutes", "60", "--jobs", "2"]);
         assert_eq!((gate.districts, gate.shards), (16, 16));
         assert_eq!(gate.workers, 2.min(ch_fleet::worker_cap()));
+    }
+
+    #[test]
+    fn city_minutes_fall_back_to_the_mode_default() {
+        let epochs = |args: &[&str]| {
+            let cli = cli(args);
+            city_config(&run_params(&cli, 1), &cli).epochs
+        };
+        // A zero or unparsable value is dropped like `--districts` and
+        // `--shards` are, leaving the mode's default rather than 60.
+        assert_eq!(epochs(&["--quick", "--minutes", "0"]), 20);
+        assert_eq!(epochs(&["--minutes", "abc"]), 720);
+        assert_eq!(epochs(&["--quick", "--minutes", "5"]), 5);
     }
 
     #[test]

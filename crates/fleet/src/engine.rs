@@ -70,13 +70,6 @@ impl FleetOptions {
         self
     }
 
-    /// Enables bench telemetry at `path`.
-    #[must_use]
-    pub fn with_bench(mut self, path: impl Into<PathBuf>) -> FleetOptions {
-        self.bench = Some(path.into());
-        self
-    }
-
     /// Toggles the full per-job `job_ms` dump in bench entries.
     #[must_use]
     pub fn with_bench_full(mut self, full: bool) -> FleetOptions {

@@ -349,6 +349,7 @@ mod tests {
     fn attacker_inside_footprint() {
         for kind in VenueKind::ALL {
             let t = kind.template();
+            assert_eq!(t.kind, kind, "{}", kind.name());
             assert!(t.footprint.contains(t.attacker), "{}", kind.name());
         }
     }

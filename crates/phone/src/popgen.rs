@@ -217,12 +217,6 @@ impl PopulationBuilder {
         &self.pool
     }
 
-    /// A clone of the shared pool handle (campaign code reuses it for
-    /// sibling builders).
-    pub fn shared_pool(&self) -> Arc<PublicSsidPool> {
-        Arc::clone(&self.pool)
-    }
-
     /// The parameters in force.
     pub fn params(&self) -> &PopulationParams {
         &self.params

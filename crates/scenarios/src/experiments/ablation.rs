@@ -4,11 +4,9 @@ use ch_attack::CityHunterConfig;
 use ch_fleet::{FleetOptions, FleetStats};
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::{expect_fleet, standard_city};
 use crate::fleet::{attacker_seed, job_seed, run_jobs, slug, CampaignJob};
 use crate::metrics::SummaryRow;
 use crate::runner::{AttackerKind, RunConfig};
-use crate::world::CityData;
 
 /// One ablation configuration's results in both reference venues.
 #[derive(Debug, Clone)]
@@ -122,18 +120,4 @@ pub fn ablation_fleet(
         })
         .collect();
     Ok((AblationOutcome { rows }, stats))
-}
-
-/// [`ablation_fleet`] with in-memory options.
-pub fn ablation_with(data: &CityData, seed: u64) -> AblationOutcome {
-    expect_fleet(ablation_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        &FleetOptions::in_memory("ablation", 0),
-    ))
-}
-
-/// [`ablation_with`] over a freshly built standard city.
-pub fn ablation(seed: u64) -> AblationOutcome {
-    ablation_with(&standard_city(), seed)
 }

@@ -12,17 +12,13 @@
 
 use ch_attack::{CityHunterConfig, EvasionSpec};
 use ch_detect::{DetectionReport, DetectorSpec, Strictness};
-use ch_fleet::{
-    run_campaign_scoped, FleetOptions, FleetStats, JobSpec, JobStatus, Json, ManifestCodec,
-};
+use ch_fleet::{FleetOptions, FleetStats};
 use ch_sim::SimDuration;
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::standard_city;
-use crate::fleet::{attacker_seed, job_seed, row_fields, row_from_json};
+use crate::fleet::{attacker_seed, job_seed, run_jobs, CampaignJob};
 use crate::metrics::SummaryRow;
-use crate::runner::{run_experiment_ctx, AttackerKind, RunConfig, RunScratch};
-use crate::world::CityData;
+use crate::runner::{AttackerKind, RunConfig};
 
 /// The attacker generations under test, in render order.
 pub const ARMS_ATTACKERS: &[&str] = &["cityhunter", "mana", "karma"];
@@ -48,86 +44,14 @@ pub fn posture_evasion(evasion: &str, duration: SimDuration) -> EvasionSpec {
     }
 }
 
-/// One cell of the matrix: an attacker generation under one evasion
-/// posture, observed at one detector strictness.
-#[derive(Debug, Clone)]
-pub struct ArmsRaceJob {
-    /// Manifest key, e.g. `arms_race/cityhunter/rotate/paranoid`.
-    pub key: String,
-    /// Attacker slug (an entry of [`ARMS_ATTACKERS`]).
-    pub attacker: &'static str,
-    /// Evasion slug (an entry of [`ARMS_EVASIONS`]).
-    pub evasion: &'static str,
-    /// Strictness slug (an entry of [`ARMS_STRICTNESS`]).
-    pub strictness: &'static str,
-    /// The fully resolved run configuration, detector spec included.
-    pub config: RunConfig,
-}
-
-impl JobSpec for ArmsRaceJob {
-    fn key(&self) -> String {
-        self.key.clone()
-    }
-}
-
-/// What the manifest records per cell: the attack summary plus the
-/// detection score — all integer counts, so the JSONL round-trip is exact
-/// by construction.
+/// One cell's rendered numbers: the attack summary plus the detection
+/// score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmsRaceRecord {
     /// The standard attack summary row.
     pub row: SummaryRow,
     /// The detector's score against ground truth.
     pub report: DetectionReport,
-}
-
-impl ManifestCodec for ArmsRaceRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = row_fields(&self.row);
-        fields.extend([
-            ("frames".into(), self.report.frames_observed.to_json()),
-            ("rogue_macs".into(), self.report.rogue_macs.to_json()),
-            ("legit_aps".into(), self.report.legit_aps.to_json()),
-            ("verdicts".into(), self.report.verdicts.to_json()),
-            (
-                "rogue_verdicts".into(),
-                self.report.rogue_verdicts.to_json(),
-            ),
-            ("flagged".into(), self.report.flagged.to_json()),
-            ("flagged_rogue".into(), self.report.flagged_rogue.to_json()),
-            ("flagged_legit".into(), self.report.flagged_legit.to_json()),
-            (
-                "ttd_us".into(),
-                match self.report.time_to_detect_us {
-                    Some(us) => us.to_json(),
-                    None => Json::Null,
-                },
-            ),
-        ]);
-        Json::Obj(fields)
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        let wide = |key: &str| json.get(key).and_then(u64::from_json);
-        let ttd_us = match json.get("ttd_us")? {
-            Json::Null => None,
-            value => Some(u64::from_json(value)?),
-        };
-        Some(ArmsRaceRecord {
-            row: row_from_json(json)?,
-            report: DetectionReport {
-                frames_observed: wide("frames")?,
-                rogue_macs: wide("rogue_macs")?,
-                legit_aps: wide("legit_aps")?,
-                verdicts: wide("verdicts")?,
-                rogue_verdicts: wide("rogue_verdicts")?,
-                flagged: wide("flagged")?,
-                flagged_rogue: wide("flagged_rogue")?,
-                flagged_legit: wide("flagged_legit")?,
-                time_to_detect_us: ttd_us,
-            },
-        })
-    }
 }
 
 /// The rendered study: one row per matrix cell.
@@ -280,7 +204,7 @@ impl ArmsRaceOutcome {
 /// on the `(attacker, evasion)` pair — the detector is a passive tap, so
 /// all three strictness cells of a pair replay the *same* attack, making
 /// the strictness axis a pure detector comparison.
-pub fn arms_race_jobs(seed: u64, quick: bool) -> Vec<ArmsRaceJob> {
+pub fn arms_race_jobs(seed: u64, quick: bool) -> Vec<CampaignJob> {
     let duration = if quick {
         SimDuration::from_mins(8)
     } else {
@@ -321,13 +245,11 @@ pub fn arms_race_jobs(seed: u64, quick: bool) -> Vec<ArmsRaceJob> {
                     detector: Some(DetectorSpec::with_strictness(level)),
                     ..RunConfig::canteen_30min(kind.clone(), 0)
                 };
-                jobs.push(ArmsRaceJob {
+                jobs.push(CampaignJob::new(
                     key,
-                    attacker,
-                    evasion,
-                    strictness,
+                    format!("{attacker} {evasion} {strictness}"),
                     config,
-                });
+                ));
             }
         }
     }
@@ -346,68 +268,38 @@ pub fn arms_race_fleet(
     opts: &FleetOptions,
 ) -> Result<(ArmsRaceOutcome, FleetStats), String> {
     let jobs = arms_race_jobs(seed, quick);
-    let report = run_campaign_scoped(
-        &jobs,
-        opts,
-        RunScratch::new,
-        |job: &ArmsRaceJob, scratch: &mut RunScratch| {
-            let metrics = run_experiment_ctx(ctx, &job.config, scratch);
-            let detection = match metrics.detection {
-                Some(detection) => detection,
-                None => ch_sim::invariant::violation(
+    let (records, stats) = run_jobs(ctx, &jobs, opts)?;
+    let cells = ARMS_ATTACKERS.iter().flat_map(|attacker| {
+        ARMS_EVASIONS.iter().flat_map(move |evasion| {
+            ARMS_STRICTNESS
+                .iter()
+                .map(move |strictness| (*attacker, *evasion, *strictness))
+        })
+    });
+    let rows = cells
+        .zip(records)
+        .map(|((attacker, evasion, strictness), record)| {
+            let Some(report) = record.detection else {
+                ch_sim::invariant::violation(
                     file!(),
                     line!(),
-                    &format!("`{}` ran without a detection report", job.key),
-                ),
+                    &format!("`{attacker} {evasion} {strictness}` ran without a detector"),
+                )
             };
-            ArmsRaceRecord {
-                row: metrics.summary(format!(
-                    "{} {} {}",
-                    job.attacker, job.evasion, job.strictness
-                )),
-                report: detection,
-            }
-        },
-    )?;
-    let mut rows = Vec::with_capacity(jobs.len());
-    let mut failures = Vec::new();
-    for (job, outcome) in jobs.iter().zip(&report.outcomes) {
-        match &outcome.status {
-            JobStatus::Done(record) | JobStatus::Cached(record) => {
-                rows.push((job.attacker, job.evasion, job.strictness, record.clone()));
-            }
-            JobStatus::Failed(message) => failures.push(format!("{}: {message}", outcome.key)),
-        }
-    }
-    if !failures.is_empty() {
-        return Err(format!(
-            "{} arms-race job(s) failed:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        ));
-    }
+            let cell = ArmsRaceRecord {
+                row: record.row,
+                report,
+            };
+            (attacker, evasion, strictness, cell)
+        })
+        .collect();
     Ok((
         ArmsRaceOutcome {
             minutes: if quick { 8 } else { 30 },
             rows,
         },
-        report.stats,
+        stats,
     ))
-}
-
-/// [`arms_race_fleet`] with in-memory options.
-pub fn arms_race_with(data: &CityData, seed: u64, quick: bool) -> ArmsRaceOutcome {
-    crate::experiments::expect_fleet(arms_race_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        quick,
-        &FleetOptions::in_memory("arms-race", 0),
-    ))
-}
-
-/// [`arms_race_with`] over a freshly built standard city, full length.
-pub fn arms_race(seed: u64) -> ArmsRaceOutcome {
-    arms_race_with(&standard_city(), seed, false)
 }
 
 #[cfg(test)]
@@ -426,19 +318,25 @@ mod tests {
         keys.dedup();
         assert_eq!(keys.len(), jobs.len(), "keys must be unique");
         for job in &jobs {
+            // Keys read `arms_race/<attacker>/<evasion>/<strictness>`.
+            let axes: Vec<&str> = job.key.split('/').skip(2).collect();
+            let [evasion, strictness] = axes[..] else {
+                panic!("malformed key {}", job.key);
+            };
             // Every cell runs with an armed detector…
             let spec = job.config.detector.as_ref().unwrap();
             assert!(!spec.is_disabled(), "{}", job.key);
-            assert_eq!(spec.strictness.slug(), job.strictness, "{}", job.key);
+            assert_eq!(spec.strictness.slug(), strictness, "{}", job.key);
             // …and the un-evasive cells deploy the plain generation.
             let wrapped = matches!(job.config.attacker, AttackerKind::Evasive { .. });
-            assert_eq!(wrapped, job.evasion != "none", "{}", job.key);
+            assert_eq!(wrapped, evasion != "none", "{}", job.key);
         }
         // Strictness never changes the attack side: all three cells of a
         // pair share seed and attacker spec.
         let by_pair = |e: &str, s: &str| {
+            let key = format!("arms_race/cityhunter/{e}/{s}");
             jobs.iter()
-                .find(|j| j.attacker == "cityhunter" && j.evasion == e && j.strictness == s)
+                .find(|j| j.key == key)
                 .map(|j| (j.config.seed, j.config.attacker.clone()))
                 .unwrap()
         };
@@ -456,43 +354,5 @@ mod tests {
         assert!(posture_evasion("clone", SimDuration::from_mins(8)).beacon_clone);
         let throttle = posture_evasion("throttle", SimDuration::from_mins(8));
         assert_eq!(throttle.throttle.as_ref().unwrap().max_responses, 6);
-    }
-
-    #[test]
-    fn record_round_trips_through_the_manifest_codec() {
-        let record = ArmsRaceRecord {
-            row: SummaryRow {
-                label: "cityhunter rotate paranoid".into(),
-                total_clients: 180,
-                direct_clients: 14,
-                broadcast_clients: 166,
-                direct_connected: 6,
-                broadcast_connected: 24,
-            },
-            report: DetectionReport {
-                frames_observed: 5_012,
-                rogue_macs: 5,
-                legit_aps: 6,
-                verdicts: 9,
-                rogue_verdicts: 8,
-                flagged: 4,
-                flagged_rogue: 3,
-                flagged_legit: 1,
-                time_to_detect_us: Some(93_500_000),
-            },
-        };
-        let reparsed = Json::parse(&record.to_json().render()).unwrap();
-        assert_eq!(ArmsRaceRecord::from_json(&reparsed), Some(record.clone()));
-        // The undetected case round-trips its null.
-        let silent = ArmsRaceRecord {
-            report: DetectionReport {
-                time_to_detect_us: None,
-                ..record.report
-            },
-            ..record
-        };
-        let reparsed = Json::parse(&silent.to_json().render()).unwrap();
-        assert_eq!(ArmsRaceRecord::from_json(&reparsed), Some(silent));
-        assert_eq!(ArmsRaceRecord::from_json(&Json::Null), None);
     }
 }

@@ -6,11 +6,9 @@ use ch_mobility::VenueKind;
 use ch_sim::SimDuration;
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::{expect_fleet, standard_city};
 use crate::fleet::{attacker_seed, job_seed, run_jobs, slug, CampaignJob, JobRecord};
 use crate::metrics::SummaryRow;
 use crate::runner::{AttackerKind, RunConfig};
-use crate::world::CityData;
 
 /// One hourly test in one venue.
 #[derive(Debug, Clone)]
@@ -136,24 +134,6 @@ pub fn campaign_fleet(
     let jobs = campaign_jobs(seed, hours, duration);
     let (records, stats) = run_jobs(ctx, &jobs, opts)?;
     Ok((campaign_outcome(hours, &records), stats))
-}
-
-/// [`campaign_fleet`] with in-memory options and the paper's hour-long
-/// tests. Heavy: `4 × hours.len()` hour-long simulations.
-pub fn campaign_with(data: &CityData, seed: u64, hours: &[usize]) -> CampaignOutcome {
-    expect_fleet(campaign_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        hours,
-        SimDuration::from_hours(1),
-        &FleetOptions::in_memory("fig5", 0),
-    ))
-}
-
-/// The full 8am–8pm campaign.
-pub fn campaign(seed: u64) -> CampaignOutcome {
-    let hours: Vec<usize> = (8..20).collect();
-    campaign_with(&standard_city(), seed, &hours)
 }
 
 #[cfg(test)]

@@ -12,18 +12,14 @@
 
 use ch_attack::CityHunterConfig;
 use ch_fleet::{
-    run_campaign_scoped_with_retry, FleetOptions, FleetStats, JobSpec, JobStatus, Json,
-    ManifestCodec, RetryPolicy, TRANSIENT_PREFIX,
+    run_campaign_scoped_with_retry, FleetOptions, FleetStats, RetryPolicy, TRANSIENT_PREFIX,
 };
 use ch_sim::fault::{BurstLossSpec, ChurnSpec, CorruptionSpec, CrashSpec, FaultSpec};
 use ch_sim::{CrashMode, SimDuration};
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::standard_city;
-use crate::fleet::{attacker_seed, job_seed, row_fields, row_from_json};
-use crate::metrics::{RunnerStats, SummaryRow};
-use crate::runner::{run_experiment_ctx, AttackerKind, RunConfig, RunScratch};
-use crate::world::CityData;
+use crate::fleet::{attacker_seed, job_seed, records, run_job, CampaignJob, JobRecord};
+use crate::runner::{AttackerKind, RunConfig, RunScratch};
 
 /// The attacker generations under test, in render order.
 pub const FAULT_ATTACKERS: &[&str] = &["cityhunter", "mana", "karma"];
@@ -71,67 +67,6 @@ pub fn profile_fault(profile: &str, duration: SimDuration) -> Option<FaultSpec> 
     }
 }
 
-/// One run of the study: an attacker generation under one fault profile.
-#[derive(Debug, Clone)]
-pub struct FaultJob {
-    /// Manifest key, e.g. `faults/cityhunter/chaos-warm`.
-    pub key: String,
-    /// Attacker slug (an entry of [`FAULT_ATTACKERS`]).
-    pub attacker: &'static str,
-    /// Profile name (an entry of [`FAULT_PROFILES`]).
-    pub profile: &'static str,
-    /// The fully resolved run configuration, fault spec included.
-    pub config: RunConfig,
-}
-
-impl JobSpec for FaultJob {
-    fn key(&self) -> String {
-        self.key.clone()
-    }
-}
-
-/// What the manifest records per faulted run: the summary counts plus
-/// the runner's fault counters — all integers, so the JSONL round-trip
-/// is exact by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultsRecord {
-    /// The standard summary row.
-    pub row: SummaryRow,
-    /// The runner's fault/degradation counters.
-    pub stats: RunnerStats,
-}
-
-impl ManifestCodec for FaultsRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = row_fields(&self.row);
-        fields.extend([
-            (
-                "burst_dropped".into(),
-                self.stats.frames_burst_dropped.to_json(),
-            ),
-            ("corrupted".into(), self.stats.frames_corrupted.to_json()),
-            ("rejected".into(), self.stats.frames_rejected.to_json()),
-            ("churned".into(), self.stats.agents_churned.to_json()),
-            ("crashes".into(), self.stats.attacker_crashes.to_json()),
-        ]);
-        Json::Obj(fields)
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        let wide = |key: &str| json.get(key).and_then(u64::from_json);
-        Some(FaultsRecord {
-            row: row_from_json(json)?,
-            stats: RunnerStats {
-                frames_burst_dropped: wide("burst_dropped")?,
-                frames_corrupted: wide("corrupted")?,
-                frames_rejected: wide("rejected")?,
-                agents_churned: wide("churned")?,
-                attacker_crashes: wide("crashes")?,
-            },
-        })
-    }
-}
-
 /// The rendered study: one row per `(attacker, profile)` pair.
 #[derive(Debug, Clone)]
 pub struct FaultsOutcome {
@@ -139,12 +74,12 @@ pub struct FaultsOutcome {
     pub minutes: u64,
     /// `(attacker, profile, record)` in [`FAULT_ATTACKERS`] ×
     /// [`FAULT_PROFILES`] order.
-    pub rows: Vec<(&'static str, &'static str, FaultsRecord)>,
+    pub rows: Vec<(&'static str, &'static str, JobRecord)>,
 }
 
 impl FaultsOutcome {
     /// The record for one `(attacker, profile)` pair.
-    pub fn record(&self, attacker: &str, profile: &str) -> Option<&FaultsRecord> {
+    pub fn record(&self, attacker: &str, profile: &str) -> Option<&JobRecord> {
         self.rows
             .iter()
             .find(|(a, p, _)| *a == attacker && *p == profile)
@@ -179,7 +114,7 @@ impl FaultsOutcome {
                 let Some(record) = self.record(attacker, profile) else {
                     continue;
                 };
-                let (row, stats) = (&record.row, &record.stats);
+                let (row, stats) = (&record.row, &record.faults);
                 out.push_str(&format!(
                     "{:<12} {:<11} {:>7} {:>6.3} {:>6.3} {:>9} {:>8} {:>8} {:>7} {:>7}\n",
                     attacker,
@@ -218,7 +153,7 @@ impl FaultsOutcome {
 
 /// The study's job list: [`FAULT_ATTACKERS`] × [`FAULT_PROFILES`], keys
 /// like `faults/mana/burst`, seeds derived from `(campaign seed, key)`.
-pub fn faults_jobs(seed: u64, quick: bool) -> Vec<FaultJob> {
+pub fn faults_jobs(seed: u64, quick: bool) -> Vec<CampaignJob> {
     let duration = if quick {
         SimDuration::from_mins(8)
     } else {
@@ -245,12 +180,11 @@ pub fn faults_jobs(seed: u64, quick: bool) -> Vec<FaultJob> {
                 fault: profile_fault(profile, duration),
                 ..RunConfig::canteen_30min(kind, 0)
             };
-            jobs.push(FaultJob {
+            jobs.push(CampaignJob::new(
                 key,
-                attacker,
-                profile,
+                format!("{attacker} {profile}"),
                 config,
-            });
+            ));
         }
     }
     jobs
@@ -276,59 +210,32 @@ pub fn faults_fleet(
         opts,
         RetryPolicy::retries(1),
         RunScratch::new,
-        |job: &FaultJob, scratch: &mut RunScratch, attempt| {
-            if job.profile == "burst" && attempt == 0 {
+        |job: &CampaignJob, scratch: &mut RunScratch, attempt| {
+            if job.key.ends_with("/burst") && attempt == 0 {
                 panic!(
                     "{TRANSIENT_PREFIX} injected first-attempt fault in `{}`",
                     job.key
                 );
             }
-            let metrics = run_experiment_ctx(ctx, &job.config, scratch);
-            FaultsRecord {
-                row: metrics.summary(format!("{} {}", job.attacker, job.profile)),
-                stats: metrics.stats.clone(),
-            }
+            run_job(ctx, job, scratch)
         },
     )?;
-    let mut rows = Vec::with_capacity(jobs.len());
-    let mut failures = Vec::new();
-    for (job, outcome) in jobs.iter().zip(&report.outcomes) {
-        match &outcome.status {
-            JobStatus::Done(record) | JobStatus::Cached(record) => {
-                rows.push((job.attacker, job.profile, record.clone()));
-            }
-            JobStatus::Failed(message) => failures.push(format!("{}: {message}", outcome.key)),
-        }
-    }
-    if !failures.is_empty() {
-        return Err(format!(
-            "{} fault job(s) failed:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        ));
-    }
+    let (records, stats) = records(&jobs, report)?;
+    let cells = FAULT_ATTACKERS.iter().flat_map(|attacker| {
+        FAULT_PROFILES
+            .iter()
+            .map(move |profile| (*attacker, *profile))
+    });
     Ok((
         FaultsOutcome {
             minutes: if quick { 8 } else { 30 },
-            rows,
+            rows: cells
+                .zip(records)
+                .map(|((attacker, profile), record)| (attacker, profile, record))
+                .collect(),
         },
-        report.stats,
+        stats,
     ))
-}
-
-/// [`faults_fleet`] with in-memory options.
-pub fn faults_with(data: &CityData, seed: u64, quick: bool) -> FaultsOutcome {
-    crate::experiments::expect_fleet(faults_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        quick,
-        &FleetOptions::in_memory("faults", 0),
-    ))
-}
-
-/// [`faults_with`] over a freshly built standard city, full length.
-pub fn faults(seed: u64) -> FaultsOutcome {
-    faults_with(&standard_city(), seed, false)
 }
 
 #[cfg(test)]
@@ -346,7 +253,7 @@ mod tests {
         // The clean control carries no fault spec at all.
         for job in &jobs {
             assert_eq!(
-                job.profile == "clean",
+                job.key.ends_with("/clean"),
                 job.config.fault.is_none(),
                 "{}",
                 job.key
@@ -362,29 +269,5 @@ mod tests {
         assert_eq!(times(&quick), vec![192, 336]);
         assert_eq!(times(&full), vec![720, 1260]);
         assert!(profile_fault("clean", SimDuration::from_mins(8)).is_none());
-    }
-
-    #[test]
-    fn record_round_trips_through_the_manifest_codec() {
-        let record = FaultsRecord {
-            row: SummaryRow {
-                label: "cityhunter chaos-warm".into(),
-                total_clients: 210,
-                direct_clients: 15,
-                broadcast_clients: 195,
-                direct_connected: 7,
-                broadcast_connected: 31,
-            },
-            stats: RunnerStats {
-                frames_burst_dropped: 812,
-                frames_corrupted: 340,
-                frames_rejected: 287,
-                agents_churned: 66,
-                attacker_crashes: 2,
-            },
-        };
-        let reparsed = Json::parse(&record.to_json().render()).unwrap();
-        assert_eq!(FaultsRecord::from_json(&reparsed), Some(record));
-        assert_eq!(FaultsRecord::from_json(&Json::Null), None);
     }
 }

@@ -7,7 +7,6 @@
 use ch_fleet::{FleetOptions, FleetStats};
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::{expect_fleet, standard_city};
 use crate::fleet::{run_jobs, CampaignJob};
 use crate::runner::{AttackerKind, RunConfig};
 use crate::world::CityData;
@@ -56,20 +55,6 @@ pub fn fig1_fleet(
         },
         stats,
     ))
-}
-
-/// [`fig1_fleet`] with in-memory options.
-pub fn fig1_with(data: &CityData, seed: u64) -> Fig1Outcome {
-    expect_fleet(fig1_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        &FleetOptions::in_memory("fig1", 0),
-    ))
-}
-
-/// [`fig1_with`] over a freshly built standard city.
-pub fn fig1(seed: u64) -> Fig1Outcome {
-    fig1_with(&standard_city(), seed)
 }
 
 /// Outcome of the Fig. 2 reproduction.
@@ -139,20 +124,6 @@ pub fn fig2_fleet(
     ))
 }
 
-/// [`fig2_fleet`] with in-memory options.
-pub fn fig2_with(data: &CityData, seed: u64) -> Fig2Outcome {
-    expect_fleet(fig2_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        &FleetOptions::in_memory("fig2", 0),
-    ))
-}
-
-/// [`fig2_with`] over a freshly built standard city.
-pub fn fig2(seed: u64) -> Fig2Outcome {
-    fig2_with(&standard_city(), seed)
-}
-
 /// Outcome of the Fig. 4 reproduction: ASCII heat-map panels for two
 /// districts (Kowloon, Lantao Island).
 #[derive(Debug, Clone)]
@@ -171,11 +142,6 @@ pub fn fig4_with(data: &CityData) -> Fig4Outcome {
         .map(|d| (d.name.clone(), data.heat.render_ascii(d.area, 2)))
         .collect();
     Fig4Outcome { panels }
-}
-
-/// [`fig4_with`] over a freshly built standard city.
-pub fn fig4() -> Fig4Outcome {
-    fig4_with(&standard_city())
 }
 
 /// Fig. 3 stand-in: the paper's logic-flow diagram, rendered with this
@@ -225,6 +191,7 @@ pub fn fig3() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::standard_city;
 
     #[test]
     fn fig4_renders_two_districts() {

@@ -10,7 +10,6 @@ use ch_attack::CityHunterConfig;
 use ch_fleet::{FleetOptions, FleetStats};
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::expect_fleet;
 use crate::fleet::{run_jobs, slug, CampaignJob, JobRecord};
 use crate::replicate::{seed_range, summarize};
 use crate::runner::{AttackerKind, RunConfig};
@@ -263,23 +262,6 @@ fn sweep_outcome(spec: &SweepSpec, replicas: usize, records: &[JobRecord]) -> Sw
     }
 }
 
-/// One sweep on the fleet engine.
-///
-/// # Errors
-///
-/// Fails if the engine cannot run or any replica's simulation failed.
-pub fn sweep_fleet(
-    ctx: &CampaignCtx,
-    spec: &SweepSpec,
-    base_seed: u64,
-    replicas: usize,
-    opts: &FleetOptions,
-) -> Result<(SweepOutcome, FleetStats), String> {
-    let jobs = sweep_jobs_for(spec, base_seed, replicas);
-    let (records, stats) = run_jobs(ctx, &jobs, opts)?;
-    Ok((sweep_outcome(spec, replicas, &records), stats))
-}
-
 /// The full suite on the fleet engine as one campaign: all five sweeps'
 /// replicas interleave on the worker pool, and one manifest resumes the
 /// lot.
@@ -308,41 +290,6 @@ pub fn sweep_suite_fleet(
         offset += len;
     }
     Ok((outcomes, stats))
-}
-
-fn sweep_with(data: &CityData, spec: &SweepSpec, base_seed: u64, replicas: usize) -> SweepOutcome {
-    expect_fleet(sweep_fleet(
-        &CampaignCtx::build(data),
-        spec,
-        base_seed,
-        replicas,
-        &FleetOptions::in_memory("sweep", 0),
-    ))
-}
-
-/// The lure-budget sweep (see [`lure_budget_spec`]).
-pub fn sweep_lure_budget(data: &CityData, base_seed: u64, replicas: usize) -> SweepOutcome {
-    sweep_with(data, &lure_budget_spec(), base_seed, replicas)
-}
-
-/// The radio-range sweep (see [`radio_range_spec`]).
-pub fn sweep_radio_range(data: &CityData, base_seed: u64, replicas: usize) -> SweepOutcome {
-    sweep_with(data, &radio_range_spec(), base_seed, replicas)
-}
-
-/// The MAC-randomization sweep (see [`mac_randomization_spec`]).
-pub fn sweep_mac_randomization(data: &CityData, base_seed: u64, replicas: usize) -> SweepOutcome {
-    sweep_with(data, &mac_randomization_spec(data), base_seed, replicas)
-}
-
-/// The crowd-density sweep (see [`crowd_density_spec`]).
-pub fn sweep_crowd_density(data: &CityData, base_seed: u64, replicas: usize) -> SweepOutcome {
-    sweep_with(data, &crowd_density_spec(), base_seed, replicas)
-}
-
-/// The scan-interval sweep (see [`scan_interval_spec`]).
-pub fn sweep_scan_interval(data: &CityData, base_seed: u64, replicas: usize) -> SweepOutcome {
-    sweep_with(data, &scan_interval_spec(data), base_seed, replicas)
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@ use ch_fleet::{FleetOptions, FleetStats};
 use ch_wifi::Ssid;
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::{expect_fleet, standard_city};
 use crate::fleet::{run_jobs, CampaignJob};
 use crate::metrics::SummaryRow;
 use crate::runner::{AttackerKind, RunConfig};
@@ -60,20 +59,6 @@ pub fn table1_fleet(
         },
         stats,
     ))
-}
-
-/// [`table1_fleet`] with in-memory options.
-pub fn table1_with(data: &CityData, seed: u64) -> Table1Outcome {
-    expect_fleet(table1_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        &FleetOptions::in_memory("table1", 0),
-    ))
-}
-
-/// [`table1_with`] over a freshly built standard city.
-pub fn table1(seed: u64) -> Table1Outcome {
-    table1_with(&standard_city(), seed)
 }
 
 /// Outcome of the Table II reproduction.
@@ -135,20 +120,6 @@ pub fn table2_fleet(
     ))
 }
 
-/// [`table2_fleet`] with in-memory options.
-pub fn table2_with(data: &CityData, seed: u64) -> Table2Outcome {
-    expect_fleet(table2_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        &FleetOptions::in_memory("table2", 0),
-    ))
-}
-
-/// [`table2_with`] over a freshly built standard city.
-pub fn table2(seed: u64) -> Table2Outcome {
-    table2_with(&standard_city(), seed)
-}
-
 /// Outcome of the Table III reproduction.
 #[derive(Debug, Clone)]
 pub struct Table3Outcome {
@@ -185,20 +156,6 @@ pub fn table3_fleet(
     ))
 }
 
-/// [`table3_fleet`] with in-memory options.
-pub fn table3_with(data: &CityData, seed: u64) -> Table3Outcome {
-    expect_fleet(table3_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        &FleetOptions::in_memory("table3", 0),
-    ))
-}
-
-/// [`table3_with`] over a freshly built standard city.
-pub fn table3(seed: u64) -> Table3Outcome {
-    table3_with(&standard_city(), seed)
-}
-
 /// Outcome of the Table IV reproduction.
 #[derive(Debug, Clone)]
 pub struct Table4Outcome {
@@ -217,14 +174,10 @@ pub fn table4_with(data: &CityData) -> Table4Outcome {
     }
 }
 
-/// [`table4_with`] over a freshly built standard city.
-pub fn table4() -> Table4Outcome {
-    table4_with(&standard_city())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::standard_city;
 
     #[test]
     fn table4_reproduces_heat_vs_count_contrast() {

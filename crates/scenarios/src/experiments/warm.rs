@@ -4,10 +4,8 @@ use ch_attack::CityHunterConfig;
 use ch_fleet::{FleetOptions, FleetStats};
 
 use crate::ctx::CampaignCtx;
-use crate::experiments::{expect_fleet, standard_city};
 use crate::fleet::{attacker_seed, job_seed, run_jobs, CampaignJob};
 use crate::runner::{AttackerKind, RunConfig};
-use crate::world::CityData;
 
 /// Warm-start study (beyond the paper): §V-A re-initializes the database
 /// before every test; what does *not* doing that buy? One attacker
@@ -87,19 +85,4 @@ pub fn warm_start_fleet(
         })
         .collect();
     Ok((WarmStartOutcome { slots: results }, stats))
-}
-
-/// [`warm_start_fleet`] with in-memory options.
-pub fn warm_start_with(data: &CityData, seed: u64, slots: usize) -> WarmStartOutcome {
-    expect_fleet(warm_start_fleet(
-        &CampaignCtx::build(data),
-        seed,
-        slots,
-        &FleetOptions::in_memory("warm-start", 0),
-    ))
-}
-
-/// [`warm_start_with`] over a freshly built standard city, 4 slots.
-pub fn warm_start(seed: u64) -> WarmStartOutcome {
-    warm_start_with(&standard_city(), seed, 4)
 }

@@ -1,20 +1,23 @@
 //! Campaign-job plumbing between the experiment drivers and `ch-fleet`.
 //!
-//! The figure drivers in [`crate::experiments`] describe their work as a
-//! flat list of [`CampaignJob`]s — one independent simulation each, with
-//! a stable key and a seed derived from `(campaign seed, key)` — and hand
+//! Every `RunConfig` study in [`crate::experiments`] describes its work as
+//! a flat list of [`CampaignJob`]s — one independent simulation each, with
+//! a stable key and a seed derived from `(campaign seed, key)` — and hands
 //! it to [`run_jobs`], which executes them on the fleet engine: in
 //! parallel, panic-isolated, resumable from a JSONL manifest, and with
-//! results returned in input order regardless of completion order.
+//! results returned in input order regardless of completion order. One
+//! job type goes in and one [`JobRecord`] per job comes out, carrying the
+//! fault and detector counters when the run armed those planes.
 
+use ch_detect::DetectionReport;
 use ch_fleet::{
-    derive_seed, run_campaign_scoped, FleetOptions, FleetStats, JobSpec, JobStatus, Json,
-    ManifestCodec,
+    derive_seed, run_campaign_scoped, CampaignReport, FleetOptions, FleetStats, JobSpec, JobStatus,
+    Json, ManifestCodec,
 };
 use ch_sim::SimDuration;
 
 use crate::ctx::CampaignCtx;
-use crate::metrics::{ExperimentMetrics, SummaryRow};
+use crate::metrics::{ExperimentMetrics, RunnerStats, SummaryRow};
 use crate::runner::{run_experiment_ctx, RunConfig, RunScratch};
 
 /// One simulation in a campaign: a stable, human-readable key plus the
@@ -210,9 +213,10 @@ impl RichRecord {
     }
 }
 
-/// What the manifest records per job: the paper's summary row plus the
-/// Fig. 6 breakdowns. Every field is an integer count, so the JSONL
-/// round-trip is exact by construction.
+/// What the manifest records per job: the paper's summary row, the Fig. 6
+/// breakdowns, and the counters of whichever planes the run armed. Every
+/// field is an integer count, so the JSONL round-trip is exact by
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// The Fig. 5 stacked-bar numbers.
@@ -221,6 +225,11 @@ pub struct JobRecord {
     pub sources: (usize, usize, usize),
     /// Broadcast-hit buffer lanes `(popularity, freshness)`.
     pub lanes: (usize, usize),
+    /// The fault plane's degradation counters (all zero without faults).
+    pub faults: RunnerStats,
+    /// The detector's score against ground truth, present only when the
+    /// run armed a detector.
+    pub detection: Option<DetectionReport>,
     /// The figure-class series, present only for rich jobs.
     pub extra: Option<RichRecord>,
 }
@@ -232,6 +241,8 @@ impl JobRecord {
             row: metrics.summary(label),
             sources: metrics.source_breakdown(),
             lanes: metrics.lane_breakdown(),
+            faults: metrics.stats.clone(),
+            detection: metrics.detection,
             extra: None,
         }
     }
@@ -261,45 +272,120 @@ impl JobRecord {
     }
 }
 
-/// The [`SummaryRow`] as the leading fields of a manifest record: the
-/// label, then the five client counts. Every campaign record starts so.
-pub(crate) fn row_fields(row: &SummaryRow) -> Vec<(String, Json)> {
-    vec![
-        ("label".into(), Json::str(row.label.clone())),
-        ("total".into(), Json::from_usize(row.total_clients)),
-        ("direct".into(), Json::from_usize(row.direct_clients)),
-        ("broadcast".into(), Json::from_usize(row.broadcast_clients)),
-        ("direct_conn".into(), Json::from_usize(row.direct_connected)),
-        (
-            "broadcast_conn".into(),
-            Json::from_usize(row.broadcast_connected),
-        ),
-    ]
+/// Every top-level member a [`JobRecord`] is written with. Decoding
+/// rejects any other, so a corrupted plane key re-runs the job instead of
+/// reading as "plane not armed".
+const RECORD_KEYS: [&str; 14] = [
+    "label",
+    "total",
+    "direct",
+    "broadcast",
+    "direct_conn",
+    "broadcast_conn",
+    "src_wigle",
+    "src_direct",
+    "src_carrier",
+    "lane_pop",
+    "lane_fresh",
+    "faults",
+    "detection",
+    "rich",
+];
+
+fn faults_to_json(stats: &RunnerStats) -> Json {
+    Json::Obj(vec![
+        ("burst_dropped".into(), stats.frames_burst_dropped.to_json()),
+        ("corrupted".into(), stats.frames_corrupted.to_json()),
+        ("rejected".into(), stats.frames_rejected.to_json()),
+        ("churned".into(), stats.agents_churned.to_json()),
+        ("crashes".into(), stats.attacker_crashes.to_json()),
+    ])
 }
 
-/// Reads the [`row_fields`] of a manifest record back.
-pub(crate) fn row_from_json(json: &Json) -> Option<SummaryRow> {
-    let count = |key: &str| json.get(key).and_then(Json::as_usize);
-    Some(SummaryRow {
-        label: json.get("label")?.as_str()?.to_string(),
-        total_clients: count("total")?,
-        direct_clients: count("direct")?,
-        broadcast_clients: count("broadcast")?,
-        direct_connected: count("direct_conn")?,
-        broadcast_connected: count("broadcast_conn")?,
+fn faults_from_json(json: &Json) -> Option<RunnerStats> {
+    let wide = |key: &str| json.get(key).and_then(u64::from_json);
+    Some(RunnerStats {
+        frames_burst_dropped: wide("burst_dropped")?,
+        frames_corrupted: wide("corrupted")?,
+        frames_rejected: wide("rejected")?,
+        agents_churned: wide("churned")?,
+        attacker_crashes: wide("crashes")?,
     })
+}
+
+fn detection_to_json(report: &DetectionReport) -> Json {
+    Json::Obj(vec![
+        ("frames".into(), report.frames_observed.to_json()),
+        ("rogue_macs".into(), report.rogue_macs.to_json()),
+        ("legit_aps".into(), report.legit_aps.to_json()),
+        ("verdicts".into(), report.verdicts.to_json()),
+        ("rogue_verdicts".into(), report.rogue_verdicts.to_json()),
+        ("flagged".into(), report.flagged.to_json()),
+        ("flagged_rogue".into(), report.flagged_rogue.to_json()),
+        ("flagged_legit".into(), report.flagged_legit.to_json()),
+        (
+            "ttd_us".into(),
+            match report.time_to_detect_us {
+                Some(us) => us.to_json(),
+                None => Json::Null,
+            },
+        ),
+    ])
+}
+
+fn detection_from_json(json: &Json) -> Option<DetectionReport> {
+    let wide = |key: &str| json.get(key).and_then(u64::from_json);
+    let time_to_detect_us = match json.get("ttd_us")? {
+        Json::Null => None,
+        value => Some(u64::from_json(value)?),
+    };
+    Some(DetectionReport {
+        frames_observed: wide("frames")?,
+        rogue_macs: wide("rogue_macs")?,
+        legit_aps: wide("legit_aps")?,
+        verdicts: wide("verdicts")?,
+        rogue_verdicts: wide("rogue_verdicts")?,
+        flagged: wide("flagged")?,
+        flagged_rogue: wide("flagged_rogue")?,
+        flagged_legit: wide("flagged_legit")?,
+        time_to_detect_us,
+    })
+}
+
+/// Decodes an optional member: absent reads as `None`, present but
+/// malformed fails the whole record (the job re-runs).
+fn optional<T>(json: &Json, key: &str, decode: fn(&Json) -> Option<T>) -> Option<Option<T>> {
+    match json.get(key) {
+        Some(member) => decode(member).map(Some),
+        None => Some(None),
+    }
 }
 
 impl ManifestCodec for JobRecord {
     fn to_json(&self) -> Json {
-        let mut fields = row_fields(&self.row);
-        fields.extend([
+        let row = &self.row;
+        let mut fields = vec![
+            ("label".into(), Json::str(row.label.clone())),
+            ("total".into(), Json::from_usize(row.total_clients)),
+            ("direct".into(), Json::from_usize(row.direct_clients)),
+            ("broadcast".into(), Json::from_usize(row.broadcast_clients)),
+            ("direct_conn".into(), Json::from_usize(row.direct_connected)),
+            (
+                "broadcast_conn".into(),
+                Json::from_usize(row.broadcast_connected),
+            ),
             ("src_wigle".into(), Json::from_usize(self.sources.0)),
             ("src_direct".into(), Json::from_usize(self.sources.1)),
             ("src_carrier".into(), Json::from_usize(self.sources.2)),
             ("lane_pop".into(), Json::from_usize(self.lanes.0)),
             ("lane_fresh".into(), Json::from_usize(self.lanes.1)),
-        ]);
+        ];
+        if self.faults != RunnerStats::default() {
+            fields.push(("faults".into(), faults_to_json(&self.faults)));
+        }
+        if let Some(report) = &self.detection {
+            fields.push(("detection".into(), detection_to_json(report)));
+        }
         if let Some(rich) = &self.extra {
             fields.push(("rich".into(), rich.to_json()));
         }
@@ -307,23 +393,45 @@ impl ManifestCodec for JobRecord {
     }
 
     fn from_json(json: &Json) -> Option<Self> {
-        let field = |key: &str| json.get(key).and_then(Json::as_usize);
-        // A present-but-malformed `rich` object invalidates the record
-        // (the job re-runs); an absent one is a summary-only record.
-        let extra = match json.get("rich") {
-            Some(rich) => Some(RichRecord::from_json(rich)?),
-            None => None,
+        let Json::Obj(members) = json else {
+            return None;
         };
+        if members
+            .iter()
+            .any(|(key, _)| !RECORD_KEYS.contains(&key.as_str()))
+        {
+            return None;
+        }
+        let field = |key: &str| json.get(key).and_then(Json::as_usize);
         Some(JobRecord {
-            row: row_from_json(json)?,
+            row: SummaryRow {
+                label: json.get("label")?.as_str()?.to_string(),
+                total_clients: field("total")?,
+                direct_clients: field("direct")?,
+                broadcast_clients: field("broadcast")?,
+                direct_connected: field("direct_conn")?,
+                broadcast_connected: field("broadcast_conn")?,
+            },
             sources: (
                 field("src_wigle")?,
                 field("src_direct")?,
                 field("src_carrier")?,
             ),
             lanes: (field("lane_pop")?, field("lane_fresh")?),
-            extra,
+            faults: optional(json, "faults", faults_from_json)?.unwrap_or_default(),
+            detection: optional(json, "detection", detection_from_json)?,
+            extra: optional(json, "rich", RichRecord::from_json)?,
         })
+    }
+}
+
+/// Runs one job on a worker's scratch and captures its record.
+pub(crate) fn run_job(ctx: &CampaignCtx, job: &CampaignJob, scratch: &mut RunScratch) -> JobRecord {
+    let metrics = run_experiment_ctx(ctx, &job.config, scratch);
+    if job.rich {
+        JobRecord::capture_rich(&metrics, job.label.clone(), job.config.duration)
+    } else {
+        JobRecord::capture(&metrics, job.label.clone())
     }
 }
 
@@ -336,30 +444,30 @@ impl ManifestCodec for JobRecord {
 /// rather than `N × (derive + allocate + simulate)`.
 ///
 /// A job that panics is reported by the engine as a structured failure;
-/// this wrapper turns any failure into an `Err` naming every failed key,
-/// because a campaign figure with holes in it is not a figure.
+/// any failure becomes an `Err` naming every failed key, because a
+/// campaign figure with holes in it is not a figure.
 pub fn run_jobs(
     ctx: &CampaignCtx,
     jobs: &[CampaignJob],
     opts: &FleetOptions,
 ) -> Result<(Vec<JobRecord>, FleetStats), String> {
-    let report = run_campaign_scoped(
-        jobs,
-        opts,
-        RunScratch::new,
-        |job: &CampaignJob, scratch: &mut RunScratch| {
-            let metrics = run_experiment_ctx(ctx, &job.config, scratch);
-            if job.rich {
-                JobRecord::capture_rich(&metrics, job.label.clone(), job.config.duration)
-            } else {
-                JobRecord::capture(&metrics, job.label.clone())
-            }
-        },
-    )?;
+    let report = run_campaign_scoped(jobs, opts, RunScratch::new, |job, scratch| {
+        run_job(ctx, job, scratch)
+    })?;
+    records(jobs, report)
+}
+
+/// The records of a finished campaign, in input order, or an `Err` naming
+/// every job that failed — or that came from the manifest without the rich
+/// series its job asks for.
+pub(crate) fn records(
+    jobs: &[CampaignJob],
+    report: CampaignReport<JobRecord>,
+) -> Result<(Vec<JobRecord>, FleetStats), String> {
     let mut records = Vec::with_capacity(report.outcomes.len());
     let mut failures = Vec::new();
-    for (job, outcome) in jobs.iter().zip(&report.outcomes) {
-        match &outcome.status {
+    for (job, outcome) in jobs.iter().zip(report.outcomes) {
+        match outcome.status {
             JobStatus::Done(record) | JobStatus::Cached(record) => {
                 if job.rich && record.extra.is_none() {
                     failures.push(format!(
@@ -367,7 +475,7 @@ pub fn run_jobs(
                         outcome.key
                     ));
                 } else {
-                    records.push(record.clone());
+                    records.push(record);
                 }
             }
             JobStatus::Failed(message) => failures.push(format!("{}: {message}", outcome.key)),
@@ -421,16 +529,92 @@ mod tests {
             },
             sources: (40, 14, 1),
             lanes: (48, 7),
+            faults: RunnerStats::default(),
+            detection: None,
             extra: None,
         };
         let json = record.to_json();
-        assert!(
-            !json.render().contains("rich"),
-            "summary-only records must keep the pre-rich manifest format"
+        // A record with no plane armed and no series keeps the byte format
+        // of the committed manifests.
+        assert_eq!(
+            json.render(),
+            "{\"label\":\"canteen 12:00\",\"total\":321,\"direct\":21,\"broadcast\":300,\
+             \"direct_conn\":9,\"broadcast_conn\":55,\"src_wigle\":40,\"src_direct\":14,\
+             \"src_carrier\":1,\"lane_pop\":48,\"lane_fresh\":7}"
         );
         let reparsed = Json::parse(&json.render()).unwrap();
         assert_eq!(JobRecord::from_json(&reparsed), Some(record));
         assert_eq!(JobRecord::from_json(&Json::Null), None);
+    }
+
+    #[test]
+    fn plane_counters_round_trip_and_corruption_reruns() {
+        let record = JobRecord {
+            row: SummaryRow {
+                label: "cityhunter rotate paranoid".into(),
+                total_clients: 180,
+                direct_clients: 14,
+                broadcast_clients: 166,
+                direct_connected: 6,
+                broadcast_connected: 24,
+            },
+            sources: (20, 4, 0),
+            lanes: (19, 5),
+            faults: RunnerStats {
+                frames_burst_dropped: 812,
+                frames_corrupted: 340,
+                frames_rejected: 287,
+                agents_churned: 66,
+                attacker_crashes: 2,
+            },
+            detection: Some(DetectionReport {
+                frames_observed: 5_012,
+                rogue_macs: 5,
+                legit_aps: 6,
+                verdicts: 9,
+                rogue_verdicts: 8,
+                flagged: 4,
+                flagged_rogue: 3,
+                flagged_legit: 1,
+                time_to_detect_us: Some(93_500_000),
+            }),
+            extra: None,
+        };
+        let text = record.to_json().render();
+        assert_eq!(
+            JobRecord::from_json(&Json::parse(&text).unwrap()),
+            Some(record.clone())
+        );
+        // The undetected case round-trips its null.
+        let silent = JobRecord {
+            detection: record.detection.map(|report| DetectionReport {
+                time_to_detect_us: None,
+                ..report
+            }),
+            ..record.clone()
+        };
+        let silent_text = silent.to_json().render();
+        assert!(silent_text.contains("\"ttd_us\":null"), "{silent_text}");
+        assert_eq!(
+            JobRecord::from_json(&Json::parse(&silent_text).unwrap()),
+            Some(silent)
+        );
+
+        // A flipped key, inner or top-level, or a malformed plane object
+        // invalidates the whole record, so the job re-runs.
+        for (from, to) in [
+            ("\"churned\"", "\"chorned\""),
+            ("\"verdicts\"", "\"verdictz\""),
+            ("\"faults\"", "\"faulty\""),
+            ("\"detection\"", "\"detectian\""),
+            ("\"ttd_us\":93500000", "\"ttd_us\":\"soon\""),
+            ("\"burst_dropped\":812", "\"burst_dropped\":\"many\""),
+        ] {
+            let tampered = text.replace(from, to);
+            assert_ne!(tampered, text, "{from} must occur in the record");
+            let parsed = Json::parse(&tampered).unwrap();
+            assert_eq!(JobRecord::from_json(&parsed), None, "{from} -> {to}");
+        }
     }
 
     #[test]
@@ -446,6 +630,8 @@ mod tests {
             },
             sources: (3, 0, 0),
             lanes: (2, 1),
+            faults: RunnerStats::default(),
+            detection: None,
             extra: Some(RichRecord {
                 db_series: vec![(0, 5), (1, 9)],
                 connected: vec![(0, 0), (1, 2)],

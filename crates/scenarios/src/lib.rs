@@ -2,9 +2,9 @@
 //!
 //! Wires every substrate together into the paper's field deployments:
 //!
-//! * [`world`] — builds the shared city data (WiGLE snapshot, heat map),
-//!   places each venue at a matching city POI, and assembles a
-//!   [`world::World`] for one deployment;
+//! * [`world`] — builds the shared city data (WiGLE snapshot, heat map)
+//!   and places each venue at a matching city POI with per-venue
+//!   population parameters;
 //! * [`runner`] — the discrete-event loop: group arrivals → per-person
 //!   visits and phones → scan events → probe/response exchanges over the
 //!   radio medium (with the §III-A 40-response budget enforced by airtime)
@@ -63,4 +63,4 @@ pub use runner::{
     run_experiment, run_experiment_ctx, run_experiment_observed, AttackerKind, CollectingObserver,
     RunConfig, RunScratch,
 };
-pub use world::{CityData, World};
+pub use world::CityData;

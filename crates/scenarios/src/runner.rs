@@ -33,7 +33,7 @@ use crate::ctx::CampaignCtx;
 use crate::detect::DetectionHarness;
 use crate::metrics::ExperimentMetrics;
 use crate::scan::{self, Planes, Radio, Reach, ScanScratch};
-use crate::world::{CityData, World};
+use crate::world::CityData;
 
 /// Which attacker to deploy: the declarative [`ch_attack::AttackerSpec`].
 ///
@@ -362,10 +362,11 @@ fn run_with(
     attacker: &mut dyn Attacker,
     observer: &mut dyn FrameObserver,
 ) -> ExperimentMetrics {
-    let World {
-        population, site, ..
-    } = World::assemble(data, config.venue);
-    let population = config.population.clone().unwrap_or(population);
+    let site = data.site_for(config.venue);
+    let population = config
+        .population
+        .clone()
+        .unwrap_or_else(|| data.population_params_for(config.venue));
     let builder = PopulationBuilder::new(&data.wigle, &data.heat, population);
     let detection = config
         .detector

@@ -1,7 +1,7 @@
-//! World assembly: city data + venue placement.
+//! The shared city data and where each venue sits in it.
 
 use ch_geo::{CityModel, GeoPoint, HeatMap, PhotoCollection, PoiKind, WigleSnapshot};
-use ch_mobility::{VenueKind, VenueTemplate};
+use ch_mobility::VenueKind;
 use ch_phone::popgen::PopulationParams;
 use ch_sim::SimRng;
 
@@ -73,28 +73,6 @@ impl CityData {
     }
 }
 
-/// One deployment: the venue template plus the city context it sits in.
-#[derive(Debug, Clone)]
-pub struct World {
-    /// The venue geometry/mobility template.
-    pub venue: VenueTemplate,
-    /// Where in the city the attacker sits.
-    pub site: GeoPoint,
-    /// Population behaviour for this venue.
-    pub population: PopulationParams,
-}
-
-impl World {
-    /// Assembles the world for a venue.
-    pub fn assemble(data: &CityData, venue: VenueKind) -> Self {
-        World {
-            venue: venue.template(),
-            site: data.site_for(venue),
-            population: data.population_params_for(venue),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,13 +109,5 @@ mod tests {
         let canteen = data.population_params_for(VenueKind::Canteen);
         let passage = data.population_params_for(VenueKind::SubwayPassage);
         assert!(canteen.connected_locally > passage.connected_locally);
-    }
-
-    #[test]
-    fn world_assembly() {
-        let data = CityData::standard(4);
-        let world = World::assemble(&data, VenueKind::Canteen);
-        assert_eq!(world.venue.kind, VenueKind::Canteen);
-        assert!(data.city.extent().contains(world.site));
     }
 }

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 
 use ch_fleet::{fingerprint, FleetOptions};
 use ch_scenarios::experiments::{campaign_fleet, standard_city};
-use ch_scenarios::CampaignCtx;
+use ch_scenarios::fleet::run_jobs;
+use ch_scenarios::{AttackerKind, CampaignCtx, CampaignJob, RunConfig};
 use ch_sim::SimDuration;
 
 /// A deliberately tiny campaign: 4 venues × 2 hours × 3 simulated
@@ -79,5 +80,42 @@ fn fig5_resumes_from_a_truncated_manifest_to_the_same_figure() {
     assert_eq!(resumed.render_fig5(), fresh.render_fig5());
     assert_eq!(resumed.render_fig6(), fresh.render_fig6());
 
+    let _ = fs::remove_file(&path);
+}
+
+/// A two-minute canteen run: the cheapest job that exercises the engine.
+fn short_job(key: &str) -> CampaignJob {
+    let config = RunConfig {
+        duration: SimDuration::from_mins(2),
+        ..RunConfig::canteen_30min(AttackerKind::Karma, 3)
+    };
+    CampaignJob::new(key, key, config)
+}
+
+#[test]
+fn run_jobs_names_every_job_it_cannot_use() {
+    let data = city();
+    let opts = FleetOptions::in_memory("fail-test", 0).with_jobs(Some(2));
+
+    // A job that panics (a negative arrival multiplier) fails the campaign
+    // beside a good one, and the error names only the bad key.
+    let mut bad = short_job("bad/negative-arrivals");
+    bad.config.arrival_multiplier = Some(-1.0);
+    let err = run_jobs(&data, &[short_job("good/plain"), bad], &opts).unwrap_err();
+    assert!(err.starts_with("1 campaign job(s) failed"), "{err}");
+    assert!(err.contains("bad/negative-arrivals"), "{err}");
+    assert!(!err.contains("good/plain"), "{err}");
+
+    // A rich job resumed from a manifest its summary-only twin wrote has
+    // no series to render: the error names the key and the way out.
+    let path = temp_manifest("rich-twin");
+    let _ = fs::remove_file(&path);
+    let opts = FleetOptions::in_memory("rich-twin-test", 0).with_manifest(&path);
+    let summary = short_job("twin/canteen");
+    let (records, _) = run_jobs(&data, std::slice::from_ref(&summary), &opts).unwrap();
+    assert!(records[0].extra.is_none());
+    let err = run_jobs(&data, &[summary.with_rich()], &opts).unwrap_err();
+    assert!(err.contains("twin/canteen"), "{err}");
+    assert!(err.contains("--fresh"), "{err}");
     let _ = fs::remove_file(&path);
 }

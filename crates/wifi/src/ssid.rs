@@ -233,11 +233,6 @@ impl SsidId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The raw u32 value.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for SsidId {

@@ -1,16 +1,22 @@
 //! Smoke tests for the table/figure drivers: every outcome renders, and
 //! the paper's qualitative observations hold on the rendered artifacts.
 
-use city_hunter::scenarios::experiments as exp;
+use std::sync::OnceLock;
 
-fn data() -> city_hunter::scenarios::CityData {
-    exp::standard_city()
+use ch_fleet::FleetOptions;
+use city_hunter::scenarios::experiments as exp;
+use city_hunter::scenarios::CampaignCtx;
+use city_hunter::sim::SimDuration;
+
+/// The standard city's campaign context, built once for the whole file.
+fn ctx() -> &'static CampaignCtx {
+    static CTX: OnceLock<CampaignCtx> = OnceLock::new();
+    CTX.get_or_init(|| CampaignCtx::build(&exp::standard_city()))
 }
 
 #[test]
 fn fig1_series_are_coherent() {
-    let data = data();
-    let outcome = exp::fig1_with(&data, 9);
+    let (outcome, _) = exp::fig1_fleet(ctx(), 9, &FleetOptions::in_memory("fig1", 0)).unwrap();
     // 30 one-minute samples (plus the t=0 sample).
     assert!(outcome.db_size.len() >= 30);
     // MANA's database only grows.
@@ -48,8 +54,7 @@ fn fig1_series_are_coherent() {
 
 #[test]
 fn fig2_depth_distributions() {
-    let data = data();
-    let outcome = exp::fig2_with(&data, 9);
+    let (outcome, _) = exp::fig2_fleet(ctx(), 9, &FleetOptions::in_memory("fig2", 0)).unwrap();
     // Canteen panel: deep (mean in the paper's 100-200 ballpark).
     let mean = outcome.canteen_mean();
     assert!((80.0..260.0).contains(&mean), "canteen mean {mean}");
@@ -72,15 +77,15 @@ fn fig2_depth_distributions() {
 
 #[test]
 fn table4_and_fig4_render() {
-    let data = data();
-    let t4 = exp::table4_with(&data);
+    let data = ctx().data();
+    let t4 = exp::table4_with(data);
     assert!(t4.render().contains("heat value"));
     // Contrast: heat ranking differs from count ranking.
     let by_count: Vec<_> = t4.by_ap_count.iter().map(|(s, _)| s.clone()).collect();
     let by_heat: Vec<_> = t4.by_heat.iter().map(|(s, _)| s.clone()).collect();
     assert_ne!(by_count, by_heat, "the two rankings must differ");
 
-    let f4 = exp::fig4_with(&data);
+    let f4 = exp::fig4_with(data);
     assert_eq!(f4.panels.len(), 2);
     assert!(f4.render().contains("Kowloon"));
 }
@@ -89,8 +94,14 @@ fn table4_and_fig4_render() {
 fn mini_campaign_preserves_venue_ordering() {
     // One representative hour per venue (noon) — the cheap version of the
     // Fig. 5 ordering check.
-    let data = data();
-    let outcome = exp::campaign_with(&data, 5, &[12]);
+    let (outcome, _) = exp::campaign_fleet(
+        ctx(),
+        5,
+        &[12],
+        SimDuration::from_hours(1),
+        &FleetOptions::in_memory("fig5", 0),
+    )
+    .unwrap();
     assert_eq!(outcome.venues.len(), 4);
     let hb = |venue: city_hunter::mobility::VenueKind| {
         outcome
