@@ -58,7 +58,7 @@ echo "==> fleet smoke (full fig5 campaign: serial, 2 jobs, cached rerun; committ
 smoke_dir="target/ci-fleet-smoke"
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
-smoke_args=(fig5 1 --minutes 60 --bench "$smoke_dir/BENCH_fleet.json")
+smoke_args=(fig5 1 --minutes 60)
 cargo run -q --release -p ch-bench --bin experiment -- "${smoke_args[@]}" --jobs 1 \
   --manifest "$smoke_dir/fleet_fig5_serial.jsonl" \
   > "$smoke_dir/run0.txt" 2> "$smoke_dir/run0.log"
@@ -68,26 +68,24 @@ cargo run -q --release -p ch-bench --bin experiment -- "${smoke_args[@]}" --jobs
   > "$smoke_dir/run1.txt" 2> "$smoke_dir/run1.log"
 grep -q '48 executed, 0 cached, 0 failed' "$smoke_dir/run1.log"
 cmp "$smoke_dir/run0.txt" "$smoke_dir/run1.txt"
-# The cached rerun skips the bench file so the fresh jobs=2 timing (and
-# its speedup annotation) survives as the latest slot.
 cargo run -q --release -p ch-bench --bin experiment -- "${smoke_args[@]}" --jobs 2 \
-  --manifest "$smoke_dir/fleet_fig5.jsonl" --no-bench \
+  --manifest "$smoke_dir/fleet_fig5.jsonl" \
   > "$smoke_dir/run2.txt" 2> "$smoke_dir/run2.log"
 grep -q '0 executed, 48 cached, 0 failed' "$smoke_dir/run2.log"
 cmp "$smoke_dir/run1.txt" "$smoke_dir/run2.txt"
-test -s "$smoke_dir/BENCH_fleet.json"
 # Scaling gate: with the build-once campaign context and worker-local
 # scratch, the parallel leg must never be slower than serial (hard
-# floor 1.0x; the ≥0.7×N target stays report-only). The engine clamps
+# floor 1.0x; the ≥0.7×N target stays report-only). Both fresh legs'
+# stderr status lines end `… on N thread(s) in M ms`. The engine clamps
 # spawned workers at the machine's parallelism, so on a single-core
 # host the --jobs 2 leg runs one worker and there is no scaling to
 # gate — assert the clamp itself instead.
-par_line=$(grep '"jobs":2' "$smoke_dir/BENCH_fleet.json")
-threads=$(echo "$par_line" | grep -o '"threads":[0-9]*' | cut -d: -f2)
-speedup=$(echo "$par_line" | grep -o '"speedup_vs_serial":[0-9.eE+-]*' \
-  | cut -d: -f2)
-test -n "$threads" && test -n "$speedup"
+fleet_status='s/^fleet: campaign .* on \([0-9]*\) thread(s) in \([0-9]*\) ms$/\1 \2/p'
+read -r _ serial_ms <<< "$(sed -n "$fleet_status" "$smoke_dir/run0.log")"
+read -r threads par_ms <<< "$(sed -n "$fleet_status" "$smoke_dir/run1.log")"
+test -n "$serial_ms" && test -n "$threads" && test -n "$par_ms"
 test "$threads" -le "$(nproc)"
+speedup=$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { print a / (b > 0 ? b : 1) }')
 if [ "$threads" -ge 2 ]; then
   echo "scaling: fig5 --jobs 2 ran ${speedup}x vs serial ($threads workers; gate: >= 1.0)"
   awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'
@@ -96,8 +94,6 @@ if [ "$threads" -ge 2 ]; then
 else
   echo "scaling: single-core host, --jobs 2 clamped to 1 worker (${speedup}x vs serial, report-only)"
 fi
-# Archive the fleet bench telemetry alongside the lint CI artifact.
-cp "$smoke_dir/BENCH_fleet.json" "$lint_dir/BENCH_fleet.json"
 # The committed manifests must still decode: each campaign, resumed from a
 # copy of its manifest, runs nothing, prints the committed artifact, and
 # leaves the copy as it was. (The drift leg below regenerates with --fresh,
@@ -107,7 +103,7 @@ for committed in fig5:48 ablation:14 warm_start:4; do
   jobs=${committed##*:}
   cp "results/fleet_$id.jsonl" "$smoke_dir/committed_$id.jsonl"
   cargo run -q --release -p ch-bench --bin experiment -- "$id" 1 \
-    --manifest "$smoke_dir/committed_$id.jsonl" --no-bench \
+    --manifest "$smoke_dir/committed_$id.jsonl" \
     > "$smoke_dir/committed_$id.txt" 2> "$smoke_dir/committed_$id.log"
   grep -q "0 executed, $jobs cached, 0 failed" "$smoke_dir/committed_$id.log"
   cmp "$smoke_dir/committed_$id.txt" "results/$id.txt"
@@ -126,7 +122,7 @@ for id in table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 arms_race \
   defense defense_live; do
   grep -q "^  $id " "$smoke_dir/list.txt"
 done
-t1_args=(table1 1 --manifest "$smoke_dir/fleet_table1.jsonl" --no-bench)
+t1_args=(table1 1 --manifest "$smoke_dir/fleet_table1.jsonl")
 cargo run -q --release -p ch-bench --bin experiment -- "${t1_args[@]}" \
   > "$smoke_dir/t1_run1.txt" 2> "$smoke_dir/t1_run1.log"
 grep -q '2 executed, 0 cached, 0 failed' "$smoke_dir/t1_run1.log"
@@ -163,7 +159,7 @@ for artifact in results/*.txt; do
   id=$(basename "$artifact" .txt)
   test "$id" = fig5 && continue
   cargo run -q --release -p ch-bench --bin experiment -- "$id" \
-    --manifest "$drift_dir/$id.jsonl" --fresh --no-bench \
+    --manifest "$drift_dir/$id.jsonl" --fresh \
     > "$drift_dir/$id.txt" 2> "$drift_dir/$id.log"
   cmp "$drift_dir/$id.txt" "$artifact"
 done
@@ -174,42 +170,39 @@ cmp "$drift_dir/BENCH_hotpath.json" results/BENCH_hotpath.json
 echo "==> city smoke (sharded day: shard-count byte-identity, events/sec, scaling)"
 # The city-scale gate: the quick city must render byte-identically at
 # shard counts 1, 4 and 16 and across worker widths (shards are an
-# execution arrangement, never a semantic one), report wall-clock
-# events/sec, and emit BENCH_city.json (archived with the lint artifact).
+# execution arrangement, never a semantic one), and report wall-clock
+# events/sec on stderr.
 city_dir="target/ci-city-smoke"
 rm -rf "$city_dir"
 mkdir -p "$city_dir"
 cargo run -q --release -p ch-bench --bin experiment -- city 1 --quick --shards 1 --jobs 1 \
-  --bench "$city_dir/BENCH_city.json" \
   > "$city_dir/s1.txt" 2> "$city_dir/s1.log"
 for s in 4 16; do
   cargo run -q --release -p ch-bench --bin experiment -- city 1 --quick --shards "$s" \
-    --no-bench > "$city_dir/s$s.txt" 2> "$city_dir/s$s.log"
+    > "$city_dir/s$s.txt" 2> "$city_dir/s$s.log"
   cmp "$city_dir/s1.txt" "$city_dir/s$s.txt"
 done
 cargo run -q --release -p ch-bench --bin experiment -- city 1 --quick --shards 4 --jobs 4 \
-  --no-bench > "$city_dir/j4.txt" 2> "$city_dir/j4.log"
+  > "$city_dir/j4.txt" 2> "$city_dir/j4.log"
 cmp "$city_dir/s1.txt" "$city_dir/j4.txt"
 grep -q 'events/sec (wall-clock)' "$city_dir/s1.log"
-grep -q '"schema":"ch-city-bench-v1"' "$city_dir/BENCH_city.json"
-cp "$city_dir/BENCH_city.json" "$lint_dir/BENCH_city.json"
 # City scaling gate: the 16-district hour (every venue meets every
 # attacker; about 0.5 s serial, long enough that thread start-up cannot
 # decide the ratio) runs at --jobs 1 and --jobs 2, must render the same
 # bytes, and the 2-worker leg must never be slower than serial (hard
-# floor 1.0x; the >=0.7xN target stays report-only). On a single-core
+# floor 1.0x; the >=0.7xN target stays report-only). Each leg's stderr
+# status line carries `… M ms wall (S shards, W jobs)`. On a single-core
 # host the --jobs 2 leg is clamped to one worker: assert the clamp
 # instead, as the fleet smoke does.
 city_gate=(city 1 --districts 16 --minutes 60)
 for j in 1 2; do
   cargo run -q --release -p ch-bench --bin experiment -- "${city_gate[@]}" --jobs "$j" \
-    --bench "$city_dir/BENCH_city_j$j.json" \
     > "$city_dir/gate_j$j.txt" 2> "$city_dir/gate_j$j.log"
 done
 cmp "$city_dir/gate_j1.txt" "$city_dir/gate_j2.txt"
-serial_ms=$(grep -o '"elapsed_ms":[0-9.eE+-]*' "$city_dir/BENCH_city_j1.json" | cut -d: -f2)
-par_ms=$(grep -o '"elapsed_ms":[0-9.eE+-]*' "$city_dir/BENCH_city_j2.json" | cut -d: -f2)
-city_threads=$(grep -o '"jobs":[0-9]*' "$city_dir/BENCH_city_j2.json" | cut -d: -f2)
+city_status='s/^city: .* | \([0-9]*\) ms wall ([0-9]* shards, \([0-9]*\) jobs).*/\1 \2/p'
+read -r serial_ms _ <<< "$(sed -n "$city_status" "$city_dir/gate_j1.log")"
+read -r par_ms city_threads <<< "$(sed -n "$city_status" "$city_dir/gate_j2.log")"
 test -n "$serial_ms" && test -n "$par_ms" && test -n "$city_threads"
 test "$city_threads" -le "$(nproc)"
 city_speedup=$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { printf "%.2f", a / (b > 0 ? b : 1) }')

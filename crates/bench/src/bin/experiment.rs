@@ -5,13 +5,14 @@
 //! cargo run --release -p ch-bench --bin experiment -- table1 [seed] [--json]
 //! cargo run --release -p ch-bench --bin experiment -- fig5 [seed] \
 //!     [--hours 8,12,18] [--minutes N] [--jobs N] \
-//!     [--manifest PATH] [--fresh] [--bench PATH | --no-bench] [--csv]
+//!     [--manifest PATH] [--fresh] [--csv]
 //! ```
 //!
 //! Every experiment gains the same fleet controls: `--jobs` (or the
-//! `CH_JOBS` environment variable) caps the workers, `--manifest` makes
-//! the run resumable, `--bench` emits `BENCH_fleet.json` telemetry.
-//! Parallel runs are bit-identical to `--jobs 1`.
+//! `CH_JOBS` environment variable) caps the workers and `--manifest`
+//! makes the run resumable. Parallel runs are bit-identical to
+//! `--jobs 1`. A campaign's worker count and wall time go to stderr in
+//! its status line; the timed ledger is the `benchmark/` package.
 
 fn main() -> Result<(), String> {
     ch_bench::driver::main_experiment()

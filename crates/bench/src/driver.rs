@@ -4,9 +4,9 @@
 //! The artifact binaries are one-line shims into this module:
 //! `experiment` is [`main_experiment`] (any id, `--list`, `--json`), and
 //! `reproduce_all` is [`main_reproduce_all`]. Both share one flag
-//! grammar ([`Cli`]), one [`FleetOptions`] assembly (worker width,
-//! resumable manifest, bench telemetry) and one output contract: fleet
-//! stats on stderr, the artifact bytes on stdout.
+//! grammar ([`Cli`]), one [`FleetOptions`] assembly (worker width and
+//! resumable manifest) and one output contract: fleet stats on stderr,
+//! the artifact bytes on stdout.
 //!
 //! The one [`registry`] entry marked `external`, `city`, executes here
 //! rather than in `ch-scenarios` because it wraps the driver's wall clock
@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use ch_fleet::{fingerprint, FleetOptions, Json, Stopwatch};
+use ch_fleet::{fingerprint, FleetOptions, Stopwatch};
 use ch_scenarios::experiments as exp;
 use ch_scenarios::registry::{self, Artifact, ExperimentSpec, RunParams, REGISTRY};
 use ch_scenarios::{run_city, CampaignCtx, CityConfig, CityPlan};
@@ -26,7 +26,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--minutes",
     "--jobs",
     "--manifest",
-    "--bench",
     "--replicas",
     "--slots",
     "--id",
@@ -35,15 +34,7 @@ const VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Bare flags.
-const BARE_FLAGS: &[&str] = &[
-    "--fresh",
-    "--no-bench",
-    "--bench-full",
-    "--json",
-    "--csv",
-    "--list",
-    "--quick",
-];
+const BARE_FLAGS: &[&str] = &["--fresh", "--json", "--csv", "--list", "--quick"];
 
 /// The parsed command line, shared by every binary.
 #[derive(Debug, Clone, Default)]
@@ -140,15 +131,14 @@ fn run_params(cli: &Cli, seed: u64) -> RunParams {
 
 /// Assembles the fleet options for one experiment: worker width from
 /// `--jobs` (then `CH_JOBS`, then `available_parallelism`), the spec's
-/// default manifest/bench policy with CLI overrides, and a fingerprint
+/// default manifest with the `--manifest` override, and a fingerprint
 /// over everything that changes job identity.
 fn fleet_options(spec: &ExperimentSpec, params: &RunParams, cli: &Cli) -> FleetOptions {
     let parts = spec.fingerprint_parts(params);
     let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
     let campaign = spec.campaign.unwrap_or(spec.id);
     let mut opts = FleetOptions::in_memory(campaign, fingerprint(&part_refs))
-        .with_jobs(cli.positive("--jobs"))
-        .with_bench_full(cli.flag("--bench-full"));
+        .with_jobs(cli.positive("--jobs"));
     let manifest = cli
         .value_of("--manifest")
         .map(PathBuf::from)
@@ -158,15 +148,6 @@ fn fleet_options(spec: &ExperimentSpec, params: &RunParams, cli: &Cli) -> FleetO
             let _ = std::fs::remove_file(&path);
         }
         opts.manifest = Some(path);
-    }
-    if !cli.flag("--no-bench") {
-        match cli.value_of("--bench") {
-            Some(path) => opts.bench = Some(PathBuf::from(path)),
-            None if spec.default_bench => {
-                opts.bench = Some(PathBuf::from("results/BENCH_fleet.json"));
-            }
-            None => {}
-        }
     }
     opts
 }
@@ -232,7 +213,7 @@ pub fn list_text() -> String {
         ));
     }
     out.push_str(
-        "\nflags: --jobs N --manifest PATH --fresh --bench PATH --no-bench --bench-full\n       \
+        "\nflags: --jobs N --manifest PATH --fresh\n       \
          --hours a,b,c --minutes N --replicas N --slots N --json / --csv --quick\n       \
          --districts N --shards N (city)\n",
     );
@@ -316,7 +297,7 @@ fn run_external(
 
 /// The `city` experiment: a whole sharded synthetic city day, with
 /// wall-clock throughput (events/sec, not just sim-clock) reported on
-/// stderr and into `results/BENCH_city.json`.
+/// stderr.
 ///
 /// `--quick` runs the CI-sized slice; the full mode is the ~1M-device
 /// 12-hour day. `--districts`, `--shards`, `--minutes` and `--jobs`
@@ -351,41 +332,6 @@ fn run_city_experiment(
         layout.workers,
         events_per_sec,
     );
-
-    if !cli.flag("--no-bench") {
-        let path = cli
-            .value_of("--bench")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results/BENCH_city.json"));
-        let entry = Json::Obj(vec![
-            ("schema".into(), Json::str("ch-city-bench-v1")),
-            (
-                "mode".into(),
-                Json::str(if params.quick { "quick" } else { "full" }),
-            ),
-            ("seed".into(), Json::from_u64(config.seed)),
-            ("districts".into(), Json::from_usize(layout.districts)),
-            ("shards".into(), Json::from_usize(layout.shards)),
-            ("jobs".into(), Json::from_usize(layout.workers)),
-            ("sim_minutes".into(), Json::from_u64(config.epochs)),
-            ("devices".into(), Json::from_u64(outcome.devices())),
-            ("events".into(), Json::from_u64(events)),
-            ("hits".into(), Json::from_u64(outcome.hits())),
-            ("handoffs_out".into(), Json::from_u64(handoffs_out)),
-            ("handoffs_in".into(), Json::from_u64(handoffs_in)),
-            ("elapsed_ms".into(), Json::Num(elapsed_ms.round())),
-            ("events_per_sec".into(), Json::Num(events_per_sec.round())),
-        ]);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("creating {}: {e}", parent.display()))?;
-            }
-        }
-        std::fs::write(&path, format!("{}\n", entry.render()))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!("city: bench entry -> {}", path.display());
-    }
 
     Ok(Artifact {
         id: "city",
@@ -448,8 +394,11 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let err = Cli::parse(&["--frobnicate".to_string()]).unwrap_err();
-        assert!(err.contains("--frobnicate"));
+        // `experiment` writes no timing file, so it takes no flag for one.
+        for flag in ["--frobnicate", "--bench", "--bench-full", "--no-bench"] {
+            let err = Cli::parse(&[flag.to_string()]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
         let err = Cli::parse(&["--jobs".to_string()]).unwrap_err();
         assert!(err.contains("needs a value"));
     }
@@ -510,21 +459,14 @@ mod tests {
             opts.manifest,
             Some(PathBuf::from("results/fleet_fig5.jsonl"))
         );
-        assert_eq!(opts.bench, Some(PathBuf::from("results/BENCH_fleet.json")));
 
         let table1 = registry::find("table1").unwrap();
         let opts = fleet_options(table1, &params, &cli(&[]));
         assert_eq!(opts.manifest, None);
-        assert_eq!(opts.bench, None);
         assert_eq!(opts.campaign, "table1");
 
-        // CLI overrides win, `--no-bench` beats the spec default.
-        let opts = fleet_options(
-            fig5,
-            &params,
-            &cli(&["--manifest", "m.jsonl", "--no-bench"]),
-        );
+        // The CLI override wins over the spec default.
+        let opts = fleet_options(fig5, &params, &cli(&["--manifest", "m.jsonl"]));
         assert_eq!(opts.manifest, Some(PathBuf::from("m.jsonl")));
-        assert_eq!(opts.bench, None);
     }
 }

@@ -1,4 +1,4 @@
-//! The campaign orchestrator: pool + manifest + telemetry + panic walls.
+//! The campaign orchestrator: pool + manifest + panic walls.
 //!
 //! [`run_campaign`] executes a list of [`JobSpec`]s through the worker
 //! pool with three guarantees:
@@ -21,12 +21,12 @@ use ch_sim::det_hash_set;
 use crate::job::JobSpec;
 use crate::manifest::{Manifest, ManifestCodec};
 use crate::pool::{effective_jobs, scoped_parallel_map_with_state, worker_cap};
-use crate::telemetry::{record_bench, BenchRun, Stopwatch};
+use crate::telemetry::Stopwatch;
 
-/// How a campaign runs: worker width, manifest, telemetry sinks.
+/// How a campaign runs: worker width and manifest.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Campaign name — manifest header and bench entry key.
+    /// Campaign name — manifest header and status-line label.
     pub campaign: String,
     /// Configuration fingerprint (see [`crate::job::fingerprint`]); a
     /// manifest written under a different fingerprint is discarded.
@@ -36,23 +36,16 @@ pub struct FleetOptions {
     pub jobs: Option<usize>,
     /// JSONL manifest path; `None` disables resume entirely.
     pub manifest: Option<PathBuf>,
-    /// `BENCH_fleet.json` path; `None` disables timing emission.
-    pub bench: Option<PathBuf>,
-    /// Emit the full per-job `job_ms` map in bench entries (the
-    /// `--bench-full` flag); compact percentile summaries are always on.
-    pub bench_full: bool,
 }
 
 impl FleetOptions {
-    /// Options with no on-disk artifacts: no manifest, no bench file.
+    /// Options with no on-disk artifacts: no manifest.
     pub fn in_memory(campaign: &str, fingerprint: u64) -> FleetOptions {
         FleetOptions {
             campaign: campaign.to_string(),
             fingerprint,
             jobs: None,
             manifest: None,
-            bench: None,
-            bench_full: false,
         }
     }
 
@@ -67,13 +60,6 @@ impl FleetOptions {
     #[must_use]
     pub fn with_manifest(mut self, path: impl Into<PathBuf>) -> FleetOptions {
         self.manifest = Some(path.into());
-        self
-    }
-
-    /// Toggles the full per-job `job_ms` dump in bench entries.
-    #[must_use]
-    pub fn with_bench_full(mut self, full: bool) -> FleetOptions {
-        self.bench_full = full;
         self
     }
 }
@@ -195,8 +181,6 @@ pub struct JobOutcome<R> {
     pub key: String,
     /// How it ended.
     pub status: JobStatus<R>,
-    /// Wall-clock milliseconds (recorded run time for cached jobs).
-    pub ms: f64,
 }
 
 impl<R> JobOutcome<R> {
@@ -274,7 +258,7 @@ impl<R> CampaignReport<R> {
 /// # Errors
 ///
 /// Fails on duplicate job keys (resume would be ambiguous) and on
-/// manifest/bench I/O errors. Job *panics* are not errors — they surface
+/// manifest I/O errors. Job *panics* are not errors — they surface
 /// as [`JobStatus::Failed`] outcomes.
 pub fn run_campaign<J, R>(
     jobs: &[J],
@@ -296,8 +280,8 @@ where
 ///
 /// # Errors
 ///
-/// Same contract as [`run_campaign`]: duplicate keys and manifest/bench
-/// I/O fail the campaign; job panics do not.
+/// Same contract as [`run_campaign`]: duplicate keys and manifest I/O
+/// fail the campaign; job panics do not.
 pub fn run_campaign_with_retry<J, R>(
     jobs: &[J],
     opts: &FleetOptions,
@@ -390,12 +374,11 @@ where
         let cached = manifest
             .as_ref()
             .and_then(|m| m.cached(key))
-            .and_then(|hit| Some((R::from_json(&hit.result)?, hit.ms)));
+            .and_then(R::from_json);
         match cached {
-            Some((result, ms)) => slots.push(Some(JobOutcome {
+            Some(result) => slots.push(Some(JobOutcome {
                 key: key.clone(),
                 status: JobStatus::Cached(result),
-                ms,
             })),
             None => {
                 slots.push(None);
@@ -404,13 +387,12 @@ where
         }
     }
 
-    let requested = effective_jobs(opts.jobs);
     // Spawned width is capped at the machine's parallelism: the workers
     // are CPU-bound, so running wider than the core count is pure
     // scheduling overhead (the pre-context fig5 regression: `--jobs 8`
     // on one core ran 0.88x serial). Results are width-independent by
     // construction, so the clamp only ever changes wall-clock.
-    let threads = requested.min(worker_cap());
+    let threads = effective_jobs(opts.jobs).min(worker_cap());
     let write_error: Mutex<Option<String>> = Mutex::new(None);
     let stash_error = |result: Result<(), String>| {
         if let Err(e) = result {
@@ -459,7 +441,6 @@ where
                     JobOutcome {
                         key,
                         status: JobStatus::Done(result),
-                        ms,
                     }
                 }
                 Err(message) => {
@@ -469,7 +450,6 @@ where
                     JobOutcome {
                         key,
                         status: JobStatus::Failed(message),
-                        ms,
                     }
                 }
             }
@@ -505,23 +485,6 @@ where
         failed: count(|s| matches!(s, JobStatus::Failed(_))),
         retried: retried.load(Ordering::Relaxed),
     };
-
-    if let Some(bench_path) = &opts.bench {
-        record_bench(
-            bench_path,
-            &BenchRun {
-                campaign: stats.campaign.clone(),
-                jobs: requested,
-                threads: stats.threads,
-                total_ms: stats.total_ms,
-                executed: stats.executed,
-                cached: stats.cached,
-                failed: stats.failed,
-                job_ms: outcomes.iter().map(|o| (o.key.clone(), o.ms)).collect(),
-                full: opts.bench_full,
-            },
-        )?;
-    }
 
     Ok(CampaignReport { outcomes, stats })
 }

@@ -1,5 +1,6 @@
 //! A minimal JSON value — parser and serializer — for the fleet's
-//! manifest and telemetry artifacts.
+//! manifest, the job records it stores and `ch-serve`'s wire protocol
+//! and checkpoints.
 //!
 //! The workspace builds offline (no serde), so the subset the fleet needs
 //! is implemented here: finite numbers, strings, bools, null, arrays, and

@@ -19,15 +19,17 @@
 //! * [`manifest`] — a resumable run manifest: results stream to a JSONL
 //!   artifact as each job completes, and re-running a campaign skips
 //!   jobs whose keys are already recorded;
-//! * [`telemetry`] — per-job and campaign wall-clock timing plus the
-//!   `BENCH_fleet.json` emitter. This is the **only** module in the
-//!   determinism-critical crates allowed to read the wall clock (the
-//!   allowance is scoped in `ch-lint.toml` and pinned by a test);
+//! * [`telemetry`] — the [`Stopwatch`] behind the per-job `ms` manifest
+//!   field and the campaign status line ([`FleetStats::render_line`]).
+//!   This is the **only** module in the determinism-critical crates
+//!   allowed to read the wall clock (the allowance is scoped in
+//!   `ch-lint.toml` and pinned by a test); wall-clock benchmarks live in
+//!   the separate `benchmark/` package;
 //! * [`engine`] — [`run_campaign`] ties the above together and isolates
 //!   per-job panics: a poisoned job reports
 //!   [`Failed`](engine::JobStatus::Failed) instead of killing the run;
-//! * [`json`] — the minimal JSON value the manifest and telemetry
-//!   artifacts are written in (the workspace builds offline; no serde).
+//! * [`json`] — the minimal JSON value the manifest is written in (the
+//!   workspace builds offline; no serde).
 //!
 //! ```
 //! use ch_fleet::{run_campaign, FleetOptions, JobSpec};
@@ -62,4 +64,4 @@ pub use job::{derive_seed, fingerprint, JobSpec};
 pub use json::Json;
 pub use manifest::{Manifest, ManifestCodec};
 pub use pool::{effective_jobs, scoped_lockstep, scoped_parallel_map_with_state, worker_cap};
-pub use telemetry::{record_bench, BenchRun, Stopwatch};
+pub use telemetry::Stopwatch;

@@ -5,11 +5,12 @@
 //! open, a manifest whose header matches yields its completed jobs as a
 //! cache — the engine skips those keys entirely — while a mismatched or
 //! corrupt manifest is discarded and rewritten, never wrongly reused.
-//! A torn final line (the run was killed mid-write) is skipped on load,
-//! so that job simply re-runs.
+//! A torn or corrupt line (a run killed mid-write, a flipped byte) is
+//! dropped on load, so that job simply re-runs; a `done` record that a
+//! later `done` record for the same key supersedes is dropped with it.
 
 use std::fs;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -77,91 +78,110 @@ impl ManifestCodec for String {
     }
 }
 
-/// One completed job as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedJob {
-    /// The recorded result.
-    pub result: Json,
-    /// Wall-clock the job took when it originally ran, in milliseconds.
-    pub ms: f64,
-}
-
 /// An append-only JSONL manifest for one campaign run.
 #[derive(Debug)]
 pub struct Manifest {
     path: PathBuf,
-    cached: DetHashMap<String, CachedJob>,
+    cached: DetHashMap<String, Json>,
     file: Mutex<fs::File>,
+}
+
+/// One intact record line, with the key and result when its status is
+/// `done`. `None` marks a corrupt line: not UTF-8, not JSON, or JSON that
+/// is not a job record — a flipped byte inside a string stays valid JSON.
+fn parse_record(line: &[u8]) -> Option<(&str, Option<(String, Json)>)> {
+    let line = std::str::from_utf8(line).ok()?;
+    let entry = Json::parse(line).ok()?;
+    let key = entry.get("key").and_then(Json::as_str)?;
+    match entry.get("status").and_then(Json::as_str)? {
+        "done" => Some((line, Some((key.to_string(), entry.get("result")?.clone())))),
+        // Failed jobs re-run on resume, but their records survive
+        // rewrites for post-mortems.
+        "failed" => Some((line, None)),
+        _ => None,
+    }
 }
 
 impl Manifest {
     /// Opens (or creates) the manifest at `path` for the given campaign.
     ///
     /// An existing file with a matching header has its completed jobs
-    /// loaded for resume; anything else is truncated and re-headed.
+    /// loaded for resume; anything else is truncated and re-headed. A
+    /// missing file opens empty; any other read error is returned.
     pub fn open(path: &Path, campaign: &str, fingerprint: u64) -> Result<Manifest, String> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             fs::create_dir_all(parent)
                 .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
         }
-        let existing = fs::read_to_string(path).unwrap_or_default();
-        let mut lines = existing.lines();
-        let header_matches = lines.next().is_some_and(|line| {
-            Json::parse(line).is_ok_and(|header| {
+        // Bytes, not a string: one non-UTF-8 byte must cost its own line
+        // only, not every record in the file.
+        let existing = match fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+        };
+        let mut lines = existing
+            .strip_suffix(b"\n")
+            .unwrap_or(&existing)
+            .split(|&byte| byte == b'\n');
+        let header_matches = lines
+            .next()
+            .and_then(|line| Json::parse(std::str::from_utf8(line).ok()?).ok())
+            .is_some_and(|header| {
                 header.get("campaign").and_then(Json::as_str) == Some(campaign)
                     // Through the u64 codec, not `as_u64`: fingerprints are
                     // full-range hashes, far beyond f64's exact integers.
                     && header.get("fingerprint").and_then(u64::from_json) == Some(fingerprint)
                     && header.get("version").and_then(Json::as_u64) == Some(VERSION)
-            })
-        });
+            });
 
         // Classify every record line: intact ones are kept (and the
-        // `done` ones cached for resume); torn or bit-flipped ones are
-        // dropped so the affected job simply re-runs. A line is corrupt
-        // whether it fails to parse *or* parses to something that is not
-        // a job record — a flipped byte inside a string stays valid JSON.
-        let mut cached = det_hash_map();
-        let mut kept: Vec<&str> = Vec::new();
+        // `done` ones cached for resume); corrupt ones are dropped so the
+        // affected job simply re-runs.
+        let mut records = Vec::new();
         let mut skipped = 0usize;
         if header_matches {
             for line in lines {
-                let record = Json::parse(line).ok().and_then(|entry| {
-                    let key = entry.get("key").and_then(Json::as_str)?.to_string();
-                    let status = entry.get("status").and_then(Json::as_str)?;
-                    match status {
-                        "done" => {
-                            let result = entry.get("result")?.clone();
-                            let ms = entry.get("ms").and_then(Json::as_f64).unwrap_or(0.0);
-                            Some(Some((key, CachedJob { result, ms })))
-                        }
-                        // Failed jobs re-run on resume, but their records
-                        // survive rewrites for post-mortems.
-                        "failed" => Some(None),
-                        _ => None,
-                    }
-                });
-                match record {
-                    Some(hit) => {
-                        kept.push(line);
-                        if let Some((key, job)) = hit {
-                            cached.insert(key, job);
-                        }
-                    }
+                match parse_record(line) {
+                    Some(record) => records.push(record),
                     None => skipped += 1,
                 }
             }
         }
+        // A job whose `done` record stopped decoding re-runs and appends a
+        // second `done` line for its key. Walking backwards, the first
+        // `done` line met for a key is its latest; every earlier one is
+        // superseded and left out of the rewrite.
+        let mut cached = det_hash_map();
+        let mut kept: Vec<&str> = Vec::with_capacity(records.len());
+        let mut superseded = 0usize;
+        for (line, done) in records.into_iter().rev() {
+            if let Some((key, result)) = done {
+                if cached.contains_key(&key) {
+                    superseded += 1;
+                    continue;
+                }
+                cached.insert(key, result);
+            }
+            kept.push(line);
+        }
+        kept.reverse();
 
-        // A header mismatch or any corrupt line triggers a full rewrite —
-        // staged in a sibling tmp file and renamed into place, so a crash
-        // mid-rewrite leaves either the old manifest or the new one,
-        // never a half-written hybrid.
-        if !header_matches || skipped > 0 {
+        // A header mismatch, a corrupt line or a superseded record triggers
+        // a full rewrite — staged in a sibling tmp file and renamed into
+        // place, so a crash mid-rewrite leaves either the old manifest or
+        // the new one, never a half-written hybrid.
+        if !header_matches || skipped > 0 || superseded > 0 {
             if skipped > 0 {
                 eprintln!(
                     "fleet: manifest {}: skipped {skipped} corrupt line(s); \
                      the affected job(s) will re-run",
+                    path.display()
+                );
+            }
+            if superseded > 0 {
+                eprintln!(
+                    "fleet: manifest {}: dropped {superseded} superseded record(s)",
                     path.display()
                 );
             }
@@ -203,8 +223,8 @@ impl Manifest {
         &self.path
     }
 
-    /// The completed job recorded for `key`, if any.
-    pub fn cached(&self, key: &str) -> Option<&CachedJob> {
+    /// The result recorded for `key`'s latest completed run, if any.
+    pub fn cached(&self, key: &str) -> Option<&Json> {
         self.cached.get(key)
     }
 
@@ -268,9 +288,7 @@ mod tests {
 
         let resumed = Manifest::open(&path, "test", 42).unwrap();
         assert_eq!(resumed.cached_len(), 1, "failed entries must re-run");
-        let hit = resumed.cached("a").unwrap();
-        assert_eq!(hit.result, Json::from_u64(1));
-        assert_eq!(hit.ms, 5.0);
+        assert_eq!(resumed.cached("a"), Some(&Json::from_u64(1)));
         assert!(resumed.cached("b").is_none());
         let _ = fs::remove_file(&path);
     }
@@ -310,60 +328,105 @@ mod tests {
 
     #[test]
     fn corrupt_mid_file_line_is_skipped_and_repaired() {
-        let path = temp_path("midline");
+        // XOR 0x55 keeps every byte ASCII; the high bit makes the line
+        // invalid UTF-8, which must cost that line only, not the file.
+        for mask in [0b0101_0101u8, 0b1000_0000] {
+            let path = temp_path(&format!("midline-{mask:02x}"));
+            let _ = fs::remove_file(&path);
+            {
+                let manifest = Manifest::open(&path, "test", 11).unwrap();
+                manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
+                manifest.record_done("b", &Json::from_u64(2), 1.0).unwrap();
+                manifest.record_done("c", &Json::from_u64(3), 1.0).unwrap();
+            }
+            // Flip bytes inside the *middle* record (not the tail): a disk
+            // hiccup on a committed-style manifest, not a mid-write kill.
+            let mut bytes = fs::read(&path).unwrap();
+            let line_starts: Vec<usize> = std::iter::once(0)
+                .chain(
+                    bytes
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &b)| b == b'\n')
+                        .map(|(i, _)| i + 1),
+                )
+                .collect();
+            let (b_start, b_end) = (line_starts[2], line_starts[3] - 1);
+            for byte in &mut bytes[b_start..b_end] {
+                *byte ^= mask;
+            }
+            fs::write(&path, &bytes).unwrap();
+
+            let resumed = Manifest::open(&path, "test", 11).unwrap();
+            assert!(
+                resumed.cached("a").is_some(),
+                "mask {mask:#x}: records before the bad line survive"
+            );
+            assert!(
+                resumed.cached("b").is_none(),
+                "mask {mask:#x}: the corrupted job must re-run"
+            );
+            assert!(
+                resumed.cached("c").is_some(),
+                "mask {mask:#x}: records after the bad line survive"
+            );
+            drop(resumed);
+
+            // The open repaired the file in place: a second open sees a
+            // clean manifest (header + the two intact records) and no tmp
+            // residue.
+            let text = fs::read_to_string(&path).unwrap();
+            assert_eq!(text.lines().count(), 3, "mask {mask:#x}: {text}");
+            let mut tmp_name = path.as_os_str().to_os_string();
+            tmp_name.push(".tmp");
+            assert!(
+                !PathBuf::from(tmp_name).exists(),
+                "mask {mask:#x}: tmp file must be renamed away"
+            );
+            let again = Manifest::open(&path, "test", 11).unwrap();
+            assert_eq!(again.cached_len(), 2, "mask {mask:#x}");
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn superseded_done_records_are_dropped_on_open() {
+        let path = temp_path("superseded");
         let _ = fs::remove_file(&path);
         {
-            let manifest = Manifest::open(&path, "test", 11).unwrap();
+            // `a`'s first record stopped decoding and the job re-ran:
+            // a second `done` line for the same key follows it.
+            let manifest = Manifest::open(&path, "test", 17).unwrap();
             manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
-            manifest.record_done("b", &Json::from_u64(2), 1.0).unwrap();
-            manifest.record_done("c", &Json::from_u64(3), 1.0).unwrap();
+            manifest.record_failed("b", "boom", 1.0).unwrap();
+            manifest.record_done("a", &Json::from_u64(2), 1.0).unwrap();
         }
-        // Flip bytes inside the *middle* record (not the tail): a disk
-        // hiccup on a committed-style manifest, not a mid-write kill.
-        let mut bytes = fs::read(&path).unwrap();
-        let line_starts: Vec<usize> = std::iter::once(0)
-            .chain(
-                bytes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b == b'\n')
-                    .map(|(i, _)| i + 1),
-            )
-            .collect();
-        let (b_start, b_end) = (line_starts[2], line_starts[3] - 1);
-        for byte in &mut bytes[b_start..b_end] {
-            *byte ^= 0b0101_0101;
+        for _ in 0..2 {
+            let resumed = Manifest::open(&path, "test", 17).unwrap();
+            assert_eq!(resumed.cached("a"), Some(&Json::from_u64(2)), "latest wins");
+            assert_eq!(resumed.cached_len(), 1);
+            drop(resumed);
+            // Header, the failed record kept for post-mortems, and `a`'s
+            // latest record, in file order.
+            let text = fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 3, "{text}");
+            assert!(lines[1].contains("\"failed\""), "{text}");
+            assert!(lines[2].contains("\"result\":2"), "{text}");
         }
-        fs::write(&path, &bytes).unwrap();
-
-        let resumed = Manifest::open(&path, "test", 11).unwrap();
-        assert!(
-            resumed.cached("a").is_some(),
-            "records before the bad line survive"
-        );
-        assert!(
-            resumed.cached("b").is_none(),
-            "the corrupted job must re-run"
-        );
-        assert!(
-            resumed.cached("c").is_some(),
-            "records after the bad line survive"
-        );
-        drop(resumed);
-
-        // The open repaired the file in place: a second open sees a clean
-        // manifest (header + the two intact records) and no tmp residue.
-        let text = fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 3, "{text}");
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        assert!(
-            !PathBuf::from(tmp_name).exists(),
-            "tmp file must be renamed away"
-        );
-        let again = Manifest::open(&path, "test", 11).unwrap();
-        assert_eq!(again.cached_len(), 2);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unreadable_manifest_is_an_error_not_an_empty_cache() {
+        // A directory at the manifest path cannot be read; only a missing
+        // file opens as an empty manifest.
+        let path = temp_path("isdir");
+        let _ = fs::remove_dir_all(&path);
+        fs::create_dir_all(&path).unwrap();
+        let err = Manifest::open(&path, "test", 19).unwrap_err();
+        assert!(err.starts_with("cannot read"), "{err}");
+        let _ = fs::remove_dir_all(&path);
     }
 
     #[test]

@@ -1,27 +1,16 @@
-//! Wall-clock timing and the `BENCH_fleet.json` emitter.
+//! Wall-clock timing.
 //!
 //! This is the **only** module in the determinism-critical crates that
 //! may read the wall clock. The allowance is scoped to exactly this file
 //! in `ch-lint.toml` (`[scoped-allow] nondeterminism = ...`) and pinned
 //! by `crates/analysis/tests/workspace_clean.rs` — timing code added
 //! anywhere else in `ch-fleet` fails the lint gate. Timing is telemetry
-//! only: no simulation result may depend on a [`Stopwatch`] reading.
-//!
-//! [`record_bench`] maintains two artifacts side by side:
-//!
-//! * `BENCH_fleet.jsonl` — an append-only log, one line per campaign run
-//!   (the source of truth, safe to append from any run);
-//! * `BENCH_fleet.json` — regenerated from the log on every call: the
-//!   latest run per `(campaign, jobs)` pair, so serial (`--jobs 1`) and
-//!   parallel (`--jobs N`) timings sit next to each other for speedup
-//!   comparisons.
+//! only: no simulation result may depend on a [`Stopwatch`] reading. Its
+//! readings reach only stderr status lines (a campaign's
+//! [`crate::FleetStats`], the `city` driver's) and the manifest's per-job
+//! `ms` field.
 
-use std::fs;
-use std::io::Write;
-use std::path::Path;
 use std::time::Instant;
-
-use crate::json::Json;
 
 /// A started wall-clock timer.
 #[derive(Debug, Clone, Copy)]
@@ -45,296 +34,9 @@ impl Stopwatch {
     }
 }
 
-/// One campaign run's timing record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRun {
-    /// Campaign name (`fig5`, `ablation`, …).
-    pub campaign: String,
-    /// Requested worker width (`--jobs N`): the slot key, so serial and
-    /// parallel legs of the same campaign sit side by side.
-    pub jobs: usize,
-    /// Worker threads actually spawned — [`jobs`](Self::jobs) capped at
-    /// the machine's parallelism (`worker_cap`). On a single-core host a
-    /// `--jobs 8` leg records `threads: 1`.
-    pub threads: usize,
-    /// End-to-end campaign wall-clock, in milliseconds.
-    pub total_ms: f64,
-    /// Jobs actually executed this run.
-    pub executed: usize,
-    /// Jobs skipped because the manifest already recorded them.
-    pub cached: usize,
-    /// Jobs that panicked.
-    pub failed: usize,
-    /// Per-job wall-clock `(key, ms)`, in campaign order. Cached jobs
-    /// report the time recorded when they originally ran. Summarised to
-    /// `job_ms_p50`/`p95`/`max` in the emitted entry; the full per-key
-    /// map is dumped only when [`full`](Self::full) is set.
-    pub job_ms: Vec<(String, f64)>,
-    /// Emit the unbounded per-job map alongside the percentile summary
-    /// (the `--bench-full` flag).
-    pub full: bool,
-}
-
-impl BenchRun {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("campaign".into(), Json::str(&self.campaign)),
-            ("jobs".into(), Json::from_usize(self.jobs)),
-            ("threads".into(), Json::from_usize(self.threads)),
-            ("total_ms".into(), Json::Num(self.total_ms)),
-            ("executed".into(), Json::from_usize(self.executed)),
-            ("cached".into(), Json::from_usize(self.cached)),
-            ("failed".into(), Json::from_usize(self.failed)),
-        ];
-        if !self.job_ms.is_empty() {
-            let mut sorted: Vec<f64> = self.job_ms.iter().map(|(_, ms)| *ms).collect();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            // Nearest-rank percentiles: index ceil(q·n) - 1 on the sorted
-            // sample, so p50/p95 are actual observed job times.
-            let rank = |q: f64| {
-                let n = sorted.len();
-                let idx = (q * n as f64).ceil() as usize;
-                sorted[idx.clamp(1, n) - 1]
-            };
-            fields.push(("job_ms_p50".into(), Json::Num(rank(0.50))));
-            fields.push(("job_ms_p95".into(), Json::Num(rank(0.95))));
-            fields.push(("job_ms_max".into(), Json::Num(sorted[sorted.len() - 1])));
-        }
-        if self.full {
-            fields.push((
-                "job_ms".into(),
-                Json::Obj(
-                    self.job_ms
-                        .iter()
-                        .map(|(key, ms)| (key.clone(), Json::Num(*ms)))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::Obj(fields)
-    }
-}
-
-/// Appends `run` to the sibling `.jsonl` log and regenerates `json_path`
-/// with the latest run per `(campaign, jobs)` pair.
-pub fn record_bench(json_path: &Path, run: &BenchRun) -> Result<(), String> {
-    if let Some(parent) = json_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::create_dir_all(parent)
-            .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-    }
-    let log_path = json_path.with_extension("jsonl");
-    {
-        let mut log = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log_path)
-            .map_err(|e| format!("cannot open {}: {e}", log_path.display()))?;
-        writeln!(log, "{}", run.to_json().render())
-            .map_err(|e| format!("cannot append {}: {e}", log_path.display()))?;
-    }
-
-    // Latest entry per (campaign, jobs), in first-seen order.
-    let text = fs::read_to_string(&log_path)
-        .map_err(|e| format!("cannot read {}: {e}", log_path.display()))?;
-    let mut entries: Vec<(String, Json)> = Vec::new();
-    for line in text.lines() {
-        let Ok(entry) = Json::parse(line) else {
-            continue; // torn line from a killed run
-        };
-        let (Some(campaign), Some(jobs)) = (
-            entry.get("campaign").and_then(Json::as_str),
-            entry.get("jobs").and_then(Json::as_u64),
-        ) else {
-            continue;
-        };
-        let slot_key = format!("{campaign}@jobs={jobs}");
-        match entries.iter_mut().find(|(k, _)| *k == slot_key) {
-            Some((_, slot)) => *slot = entry,
-            None => entries.push((slot_key, entry)),
-        }
-    }
-
-    // Report-only speedup annotation: when a campaign has both a serial
-    // (`jobs=1`) slot and wider ones, each wider slot gains the serial
-    // reference and its wall-clock speedup. The append-only `.jsonl` log
-    // stays raw; only the regenerated summary carries derived fields.
-    let serial_ms: Vec<(String, f64)> = entries
-        .iter()
-        .filter(|(key, _)| key.ends_with("@jobs=1"))
-        .filter_map(|(key, entry)| {
-            let campaign = key.trim_end_matches("@jobs=1").to_string();
-            entry
-                .get("total_ms")
-                .and_then(Json::as_f64)
-                .map(|ms| (campaign, ms))
-        })
-        .collect();
-    for (key, entry) in &mut entries {
-        if key.ends_with("@jobs=1") {
-            continue;
-        }
-        let Some((campaign, _)) = key.rsplit_once("@jobs=") else {
-            continue;
-        };
-        let Some(&(_, serial)) = serial_ms.iter().find(|(c, _)| c == campaign) else {
-            continue;
-        };
-        let Some(total) = entry.get("total_ms").and_then(Json::as_f64) else {
-            continue;
-        };
-        if let Json::Obj(fields) = entry {
-            fields.retain(|(name, _)| name != "serial_total_ms" && name != "speedup_vs_serial");
-            fields.push(("serial_total_ms".into(), Json::Num(serial)));
-            if total > 0.0 {
-                fields.push(("speedup_vs_serial".into(), Json::Num(serial / total)));
-            }
-        }
-    }
-
-    let mut out = String::from("{\n  \"entries\": [");
-    for (i, (_, entry)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&entry.render());
-    }
-    out.push_str("\n  ]\n}\n");
-    fs::write(json_path, out).map_err(|e| format!("cannot write {}: {e}", json_path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn temp_json(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("ch-fleet-bench-{}-{tag}.json", std::process::id()))
-    }
-
-    fn run(campaign: &str, jobs: usize, total_ms: f64) -> BenchRun {
-        BenchRun {
-            campaign: campaign.into(),
-            jobs,
-            threads: jobs,
-            total_ms,
-            executed: 2,
-            cached: 0,
-            failed: 0,
-            job_ms: vec![("a".into(), 1.0), ("b".into(), 2.0)],
-            full: false,
-        }
-    }
-
-    #[test]
-    fn bench_file_keeps_latest_per_campaign_and_width() {
-        let path = temp_json("merge");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(path.with_extension("jsonl"));
-
-        record_bench(&path, &run("fig5", 1, 100.0)).unwrap();
-        record_bench(&path, &run("fig5", 4, 30.0)).unwrap();
-        record_bench(&path, &run("fig5", 1, 90.0)).unwrap(); // supersedes
-        record_bench(&path, &run("ablation", 4, 50.0)).unwrap();
-
-        let text = fs::read_to_string(&path).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
-        assert_eq!(entries.len(), 3, "{text}");
-        let fig5_serial = entries
-            .iter()
-            .find(|e| {
-                e.get("campaign").and_then(Json::as_str) == Some("fig5")
-                    && e.get("jobs").and_then(Json::as_u64) == Some(1)
-            })
-            .unwrap();
-        assert_eq!(
-            fig5_serial.get("total_ms").and_then(Json::as_f64),
-            Some(90.0),
-            "latest run wins"
-        );
-        assert_eq!(
-            fig5_serial.get("job_ms_p50").and_then(Json::as_f64),
-            Some(1.0),
-            "compact percentile summary recorded"
-        );
-        assert_eq!(
-            fig5_serial.get("job_ms_max").and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert!(
-            fig5_serial.get("job_ms").is_none(),
-            "full per-job map stays off without --bench-full"
-        );
-
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(path.with_extension("jsonl"));
-    }
-
-    #[test]
-    fn full_mode_dumps_the_per_job_map() {
-        let path = temp_json("full");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(path.with_extension("jsonl"));
-
-        let mut full = run("fig5", 8, 40.0);
-        full.full = true;
-        record_bench(&path, &full).unwrap();
-
-        let doc = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
-        let entry = &doc.get("entries").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(
-            entry
-                .get("job_ms")
-                .and_then(|m| m.get("a"))
-                .and_then(Json::as_f64),
-            Some(1.0),
-            "full map present under --bench-full"
-        );
-        assert_eq!(entry.get("job_ms_p95").and_then(Json::as_f64), Some(2.0));
-
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(path.with_extension("jsonl"));
-    }
-
-    #[test]
-    fn parallel_slots_report_speedup_vs_serial() {
-        let path = temp_json("speedup");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(path.with_extension("jsonl"));
-
-        record_bench(&path, &run("fig5", 1, 90.0)).unwrap();
-        record_bench(&path, &run("fig5", 4, 30.0)).unwrap();
-        record_bench(&path, &run("lonely", 4, 25.0)).unwrap(); // no serial slot
-
-        let doc = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
-        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
-        let slot = |campaign: &str, jobs: u64| {
-            entries
-                .iter()
-                .find(|e| {
-                    e.get("campaign").and_then(Json::as_str) == Some(campaign)
-                        && e.get("jobs").and_then(Json::as_u64) == Some(jobs)
-                })
-                .unwrap()
-        };
-        let parallel = slot("fig5", 4);
-        assert_eq!(
-            parallel.get("serial_total_ms").and_then(Json::as_f64),
-            Some(90.0)
-        );
-        assert_eq!(
-            parallel.get("speedup_vs_serial").and_then(Json::as_f64),
-            Some(3.0)
-        );
-        // The serial slot itself and campaigns with no serial reference
-        // stay unannotated.
-        assert!(slot("fig5", 1).get("speedup_vs_serial").is_none());
-        assert!(slot("lonely", 4).get("speedup_vs_serial").is_none());
-
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(path.with_extension("jsonl"));
-    }
 
     #[test]
     fn stopwatch_monotone() {

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ch_fleet::{
     derive_seed, run_campaign, run_campaign_scoped, run_campaign_scoped_with_retry,
-    run_campaign_with_retry, FleetOptions, JobOutcome, JobSpec, JobStatus, RetryPolicy,
+    run_campaign_with_retry, worker_cap, FleetOptions, JobOutcome, JobSpec, JobStatus, RetryPolicy,
     TRANSIENT_PREFIX,
 };
 
@@ -229,10 +229,16 @@ fn transient_panics_retry_to_bit_identical_results() {
         assert_eq!(retried.stats.executed, 8);
         assert_eq!(retried.stats.retried, 4);
         assert_eq!(values(&retried.outcomes), values(&clean.outcomes));
-        assert!(
-            retried.stats.render_line().contains("0 failed, 4 retried"),
-            "{}",
-            retried.stats.render_line()
+        // The whole status line: ci.sh's fleet scaling gate reads the
+        // worker count and the wall time from its `on N thread(s) in M ms`.
+        assert_eq!(retried.stats.threads, threads.min(worker_cap()));
+        assert_eq!(
+            retried.stats.render_line(),
+            format!(
+                "fleet: campaign `flaky`: 8 job(s) (8 executed, 0 cached, 0 failed, 4 retried) \
+                 on {} thread(s) in {:.0} ms",
+                retried.stats.threads, retried.stats.total_ms
+            )
         );
     }
 }

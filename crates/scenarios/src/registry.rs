@@ -2,8 +2,8 @@
 //! DESIGN §4 artifact (Tables I–IV, Figures 1–6) and per beyond-paper
 //! study, in a fixed canonical order.
 //!
-//! A spec names the artifact, its fleet campaign, its default manifest /
-//! telemetry policy, and how to expand and render it; [`ExperimentSpec::run`]
+//! A spec names the artifact, its fleet campaign, its default manifest,
+//! and how to expand and render it; [`ExperimentSpec::run`]
 //! executes any non-external entry against prepared [`ch_fleet::FleetOptions`]
 //! and returns the rendered [`Artifact`]. The `ch-bench` `experiment`
 //! binary dispatches through this table; `reproduce_all` iterates it.
@@ -107,8 +107,6 @@ pub struct ExperimentSpec {
     pub campaign: Option<&'static str>,
     /// Default resumable manifest path (committed campaigns only).
     pub default_manifest: Option<&'static str>,
-    /// Whether `BENCH_fleet.json` telemetry is on by default.
-    pub default_bench: bool,
     /// Default replication factor (0 where not applicable).
     pub default_replicas: usize,
     /// Whether `reproduce_all` includes this entry.
@@ -132,7 +130,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "KARMA vs MANA in the canteen (2 jobs)",
         campaign: Some("table1"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -146,7 +143,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "MANA database growth vs real-time hit rate (1 job)",
         campaign: Some("fig1"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -160,7 +156,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "MANA vs preliminary City-Hunter in the canteen (2 jobs)",
         campaign: Some("table2"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -174,7 +169,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "preliminary City-Hunter in the subway passage (1 job)",
         campaign: Some("table3"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -188,7 +182,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "per-client SSID-depth distributions (2 jobs)",
         campaign: Some("fig2"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -202,7 +195,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "City-Hunter logic-flow diagram with live parameters (offline)",
         campaign: None,
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -216,7 +208,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "top-5 SSIDs by AP count vs heat value (offline)",
         campaign: None,
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -230,7 +221,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "photo-density heat map for two districts (offline)",
         campaign: None,
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -244,7 +234,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "4-venue x 12-hour campaign, per-hour stacks (48 jobs)",
         campaign: Some("fig5"),
         default_manifest: Some("results/fleet_fig5.jsonl"),
-        default_bench: true,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -258,7 +247,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "hit-SSID breakdowns, same campaign as fig5 (48 jobs)",
         campaign: Some("fig5"),
         default_manifest: Some("results/fleet_fig5.jsonl"),
-        default_bench: true,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: Some("fig5"),
@@ -272,7 +260,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "each design choice disabled in isolation (14 jobs)",
         campaign: Some("ablation"),
         default_manifest: Some("results/fleet_ablation.jsonl"),
-        default_bench: true,
         default_replicas: 0,
         in_reproduce_all: true,
         shares_campaign_with: None,
@@ -286,7 +273,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "database carry-over vs per-test re-init (slots jobs + serial chain)",
         campaign: Some("warm-start"),
         default_manifest: Some("results/fleet_warm_start.jsonl"),
-        default_bench: true,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -300,7 +286,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "Tables I/II comparison with confidence intervals (venues x attackers x seeds)",
         campaign: Some("replication"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 8,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -314,7 +299,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "five sensitivity sweeps with replicated CIs (points x seeds)",
         campaign: Some("sweep"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 5,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -328,7 +312,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "attackers under burst loss, corruption, churn and crashes (15 jobs)",
         campaign: Some("faults"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -343,7 +326,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
             "attacker evasion vs the ch-detect monitor (attacker x evasion x strictness, 36 jobs)",
         campaign: Some("arms-race"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -357,7 +339,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "frames to the first ch-detect verdict per attacker generation (4 jobs)",
         campaign: Some("defense"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -371,7 +352,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         summary: "the ch-detect monitor in a live canteen deployment (1 job)",
         campaign: Some("defense-live"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
@@ -386,7 +366,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
             "city-scale sharded day: districts x epochs with handoff mailboxes (--quick for CI)",
         campaign: Some("city"),
         default_manifest: None,
-        default_bench: false,
         default_replicas: 0,
         in_reproduce_all: false,
         shares_campaign_with: None,
