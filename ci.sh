@@ -109,6 +109,14 @@ for committed in fig5:48 ablation:14 warm_start:4; do
   cmp "$smoke_dir/committed_$id.txt" "results/$id.txt"
   cmp "$smoke_dir/committed_$id.jsonl" "results/fleet_$id.jsonl"
 done
+# A fig5 run the committed manifest does not hold (another seed, hour and
+# length) without --manifest must run in memory and leave that file as it
+# was, not rewrite it under its own fingerprint.
+cp results/fleet_fig5.jsonl "$smoke_dir/committed_fig5_before.jsonl"
+cargo run -q --release -p ch-bench --bin experiment -- fig5 2 --hours 8 --minutes 5 \
+  > "$smoke_dir/other_fig5.txt" 2> "$smoke_dir/other_fig5.log"
+grep -q '4 executed, 0 cached, 0 failed' "$smoke_dir/other_fig5.log"
+cmp "$smoke_dir/committed_fig5_before.jsonl" results/fleet_fig5.jsonl
 
 echo "==> registry smoke (experiment --list, torn-manifest resume)"
 # The unified driver must list every artifact, and a table-class campaign

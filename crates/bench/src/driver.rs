@@ -13,6 +13,7 @@
 //! around the run.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use ch_fleet::{fingerprint, FleetOptions, Stopwatch};
 use ch_scenarios::experiments as exp;
@@ -130,19 +131,31 @@ fn run_params(cli: &Cli, seed: u64) -> RunParams {
 }
 
 /// Assembles the fleet options for one experiment: worker width from
-/// `--jobs` (then `CH_JOBS`, then `available_parallelism`), the spec's
-/// default manifest with the `--manifest` override, and a fingerprint
-/// over everything that changes job identity.
+/// `--jobs` (then `CH_JOBS`, then `available_parallelism`), a fingerprint
+/// over everything that changes job identity, and the manifest: the
+/// `--manifest` path, else the spec's default manifest when the run is
+/// the seed-1 default one that file holds. Any other run of the campaign
+/// would change the fingerprint, and opening the committed file with it
+/// would rewrite that file, so such a run stays in memory.
 fn fleet_options(spec: &ExperimentSpec, params: &RunParams, cli: &Cli) -> FleetOptions {
     let parts = spec.fingerprint_parts(params);
     let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
     let campaign = spec.campaign.unwrap_or(spec.id);
     let mut opts = FleetOptions::in_memory(campaign, fingerprint(&part_refs))
         .with_jobs(cli.positive("--jobs"));
-    let manifest = cli
-        .value_of("--manifest")
-        .map(PathBuf::from)
-        .or_else(|| spec.default_manifest.map(PathBuf::from));
+    let manifest = match cli.value_of("--manifest") {
+        Some(path) => Some(PathBuf::from(path)),
+        None => spec.default_manifest.and_then(|path| {
+            if parts == spec.fingerprint_parts(&RunParams::new(1)) {
+                return Some(PathBuf::from(path));
+            }
+            eprintln!(
+                "fleet: {path} holds the default seed-1 run, not this one; \
+                 running in memory (pass --manifest to keep one)"
+            );
+            None
+        }),
+    };
     if let Some(path) = manifest {
         if cli.flag("--fresh") {
             let _ = std::fs::remove_file(&path);
@@ -159,7 +172,7 @@ fn run_spec(spec: &'static ExperimentSpec, cli: &Cli, seed: u64) -> Result<(), S
     let opts = fleet_options(spec, &params, cli);
     // Build the campaign context once: every per-venue WiGLE scan and the
     // population pool are shared by all of this run's jobs.
-    let ctx = CampaignCtx::build(&exp::standard_city());
+    let ctx = CampaignCtx::from_arc(Arc::new(exp::standard_city()));
     let artifact = if spec.external {
         run_external(spec, &ctx, &params, cli)?
     } else {
@@ -233,7 +246,7 @@ pub fn main_reproduce_all() -> Result<(), String> {
     let jobs = cli.positive("--jobs");
     let params = run_params(&cli, seed);
     eprintln!("building the standard city...");
-    let ctx = CampaignCtx::build(&exp::standard_city());
+    let ctx = CampaignCtx::from_arc(Arc::new(exp::standard_city()));
 
     let mut sections: Vec<(&str, String)> = Vec::new();
     for spec in REGISTRY.iter().filter(|s| s.in_reproduce_all) {
@@ -468,5 +481,24 @@ mod tests {
         // The CLI override wins over the spec default.
         let opts = fleet_options(fig5, &params, &cli(&["--manifest", "m.jsonl"]));
         assert_eq!(opts.manifest, Some(PathBuf::from("m.jsonl")));
+
+        // A run the committed manifest does not hold never opens it, so
+        // cannot rewrite it.
+        for (seed, args) in [
+            (2, &[][..]),
+            (1, &["--hours", "8"][..]),
+            (1, &["--minutes", "5"][..]),
+        ] {
+            let cli = cli(args);
+            let opts = fleet_options(fig5, &run_params(&cli, seed), &cli);
+            assert_eq!(opts.manifest, None, "seed {seed}, {args:?}");
+        }
+        // The worker width is no part of a job's identity.
+        let cli = cli(&["--jobs", "2"]);
+        let opts = fleet_options(fig5, &run_params(&cli, 1), &cli);
+        assert_eq!(
+            opts.manifest,
+            Some(PathBuf::from("results/fleet_fig5.jsonl"))
+        );
     }
 }

@@ -81,6 +81,10 @@ pub struct CityModel {
     extent: GeoRect,
     districts: Vec<District>,
     pois: Vec<Poi>,
+    /// `footfall_sums[i]` is the left-fold sum of the cleaned footfall of
+    /// `pois[..=i]`, so its last entry is bit for bit the `total`
+    /// [`SimRng::weighted_index`] computes over the same weights.
+    footfall_sums: Vec<f64>,
 }
 
 /// Counts of each POI kind synthesized into the default city.
@@ -254,10 +258,12 @@ impl CityModel {
             0.6,
         );
 
+        let footfall_sums = running_sums(&pois);
         CityModel {
             extent,
             districts,
             pois,
+            footfall_sums,
         }
     }
 
@@ -292,14 +298,47 @@ impl CityModel {
     }
 
     /// Draws a POI with probability proportional to footfall — the
-    /// "places people actually go" distribution used by both the photo
-    /// generator and the PNL generator.
+    /// "places people actually go" distribution the photo and WiGLE
+    /// synthesis place their points around.
+    ///
+    /// Takes the one `unit_f64` draw [`SimRng::weighted_index`] takes over
+    /// the POIs' footfall and picks the same POI, in O(log n): a binary
+    /// search of the running sums instead of a scan of every weight.
     pub fn sample_poi_by_footfall(&self, rng: &mut SimRng) -> &Poi {
-        let weights: Vec<f64> = self.pois.iter().map(|p| p.footfall).collect();
-        let idx = rng
-            .weighted_index(&weights)
-            .expect("city always has POIs with positive footfall");
-        &self.pois[idx]
+        let total = self.footfall_sums.last().copied().unwrap_or(0.0);
+        assert!(total > 0.0, "city always has POIs with positive footfall");
+        &self.pois[self.footfall_index(rng.unit_f64() * total)]
+    }
+
+    /// The POI index `weighted_index`'s scan stops at for `target`.
+    ///
+    /// The search over the running sums and the scan's running
+    /// subtraction each round by at most `n·ε·total`, so a target farther
+    /// than `4·n·ε·total` from both sums that bound it lands where the
+    /// scan would. Closer to a sum, the scan itself decides.
+    fn footfall_index(&self, target: f64) -> usize {
+        let sums = &self.footfall_sums;
+        let total = sums.last().copied().unwrap_or(0.0);
+        let slack = 4.0 * sums.len() as f64 * f64::EPSILON * total;
+        let i = sums.partition_point(|&sum| sum <= target);
+        let below = if i == 0 { 0.0 } else { sums[i - 1] };
+        if i < sums.len() && target - below > slack && sums[i] - target > slack {
+            return i;
+        }
+        // Exactness guard: `weighted_index`'s own subtract-and-compare
+        // scan, floating-point fallback included.
+        let mut rest = target;
+        for (i, poi) in self.pois.iter().enumerate() {
+            let w = clean_weight(poi.footfall);
+            if rest < w {
+                return i;
+            }
+            rest -= w;
+        }
+        self.pois
+            .iter()
+            .rposition(|poi| clean_weight(poi.footfall) > 0.0)
+            .expect("city always has POIs with positive footfall")
     }
 
     /// The POI closest to `p`.
@@ -310,6 +349,26 @@ impl CityModel {
                 .partial_cmp(&b.location.distance_to(p))
                 .expect("distances are finite")
         })
+    }
+}
+
+/// The left-fold running sums of the POIs' cleaned footfall.
+fn running_sums(pois: &[Poi]) -> Vec<f64> {
+    pois.iter()
+        .scan(0.0, |sum, poi| {
+            *sum += clean_weight(poi.footfall);
+            Some(*sum)
+        })
+        .collect()
+}
+
+/// A footfall weight as [`SimRng::weighted_index`] counts it: a
+/// non-finite or non-positive weight counts as zero.
+fn clean_weight(w: f64) -> f64 {
+    if w.is_finite() && w > 0.0 {
+        w
+    } else {
+        0.0
     }
 }
 
@@ -437,6 +496,87 @@ mod tests {
             (share - expected).abs() < 0.03,
             "share={share} expected={expected}"
         );
+    }
+
+    /// `0x0C17F00D` is `CITY_SEED`, the city every experiment runs in.
+    const DIFFERENTIAL_SEEDS: [u64; 3] = [0x0C17_F00D, 1, 77];
+
+    /// Asserts `draws` footfall draws pick the POIs `weighted_index` picks
+    /// over the same footfall, from the same RNG state, and leave the RNG
+    /// where it leaves it.
+    fn assert_draws_match_weighted_index(c: &CityModel, rng_seed: u64, draws: usize) {
+        let weights: Vec<f64> = c.pois().iter().map(|p| p.footfall).collect();
+        let mut fast = SimRng::seed_from(rng_seed);
+        let mut scan = fast.clone();
+        for draw in 0..draws {
+            let poi = c.sample_poi_by_footfall(&mut fast);
+            let idx = scan.weighted_index(&weights).unwrap();
+            assert!(
+                std::ptr::eq(poi, &c.pois()[idx]),
+                "draw {draw}: picked {} where weighted_index picks {}",
+                poi.name,
+                c.pois()[idx].name
+            );
+        }
+        assert_eq!(fast.save_state(), scan.save_state());
+    }
+
+    #[test]
+    fn footfall_draws_match_weighted_index() {
+        for seed in DIFFERENTIAL_SEEDS {
+            let c = CityModel::synthesize(&mut SimRng::seed_from(seed));
+            assert_draws_match_weighted_index(&c, seed ^ 0x5eed, 100_000);
+        }
+        // Weights `weighted_index` counts as zero are never drawn.
+        let mut c = CityModel::synthesize(&mut SimRng::seed_from(DIFFERENTIAL_SEEDS[0]));
+        let last = c.pois.len() - 1;
+        for (i, w) in [(0, f64::NAN), (5, 0.0), (9, -40.0), (last, f64::INFINITY)] {
+            c.pois[i].footfall = w;
+        }
+        c.footfall_sums = running_sums(&c.pois);
+        assert_draws_match_weighted_index(&c, 3, 20_000);
+    }
+
+    /// `weighted_index`'s scan for a given target, written out on its own.
+    fn reference_scan(weights: &[f64], target: f64) -> usize {
+        let mut rest = target;
+        for (i, &w) in weights.iter().enumerate() {
+            let w = if w.is_finite() && w > 0.0 { w } else { 0.0 };
+            if rest < w {
+                return i;
+            }
+            rest -= w;
+        }
+        weights
+            .iter()
+            .rposition(|w| w.is_finite() && *w > 0.0)
+            .unwrap()
+    }
+
+    #[test]
+    fn targets_at_running_sums_agree_with_the_scan() {
+        for seed in DIFFERENTIAL_SEEDS {
+            let c = CityModel::synthesize(&mut SimRng::seed_from(seed));
+            let weights: Vec<f64> = c.pois().iter().map(|p| p.footfall).collect();
+            let total = *c.footfall_sums.last().unwrap();
+            let mut targets = vec![0.0, total.next_down()];
+            for &sum in &c.footfall_sums {
+                let (mut up, mut down) = (sum, sum);
+                targets.push(sum);
+                for _ in 0..4 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    targets.extend([up, down]);
+                }
+            }
+            for target in targets.into_iter().filter(|&t| (0.0..total).contains(&t)) {
+                assert_eq!(
+                    c.footfall_index(target),
+                    reference_scan(&weights, target),
+                    "seed {seed}, target {target:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! what makes the §V-B carrier extension interesting. They live in
 //! [`carrier_ssids`].
 
+use std::cmp::Ordering;
+
 use ch_sim::{det_hash_map, DetHashMap, SimRng};
 use ch_wifi::{MacAddr, Ssid};
 
@@ -295,7 +297,7 @@ impl WigleSnapshot {
     /// `true` if *any* AP of this SSID is open — the precondition for a
     /// lure on this SSID to end in an automatic association.
     pub fn is_open_ssid(&self, ssid: &Ssid) -> bool {
-        self.records_of(ssid).any(|r| r.open)
+        self.by_ssid.get(ssid).is_some_and(|idx| self.any_open(idx))
     }
 
     /// Distinct SSIDs with their AP counts, unordered.
@@ -307,41 +309,43 @@ impl WigleSnapshot {
     /// determinism), optionally restricted to SSIDs with at least one open
     /// AP.
     pub fn top_by_ap_count(&self, n: usize, open_only: bool) -> Vec<(Ssid, usize)> {
-        let mut all: Vec<(Ssid, usize)> = self
+        let mut ranked: Vec<(&Ssid, usize)> = self
             .by_ssid
             .iter()
-            .filter(|(s, _)| !open_only || self.is_open_ssid(s))
-            .map(|(s, v)| (s.clone(), v.len()))
+            .filter(|(_, idx)| !open_only || self.any_open(idx))
+            .map(|(s, idx)| (s, idx.len()))
             .collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
+        keep_top(&mut ranked, n, |a, b| {
+            b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+        });
+        ranked
+            .into_iter()
+            .map(|(s, count)| (s.clone(), count))
+            .collect()
     }
 
     /// The heat value of an SSID: the sum of the heat-map value at each of
     /// its AP locations (§IV-B).
     pub fn ssid_heat(&self, heat: &HeatMap, ssid: &Ssid) -> f64 {
-        self.records_of(ssid)
-            .map(|r| heat.value_at(r.location))
-            .sum()
+        let idx = self.by_ssid.get(ssid).map_or(&[][..], Vec::as_slice);
+        self.heat_of(heat, idx)
     }
 
     /// The `n` SSIDs with the highest heat value, open SSIDs only (the
     /// attacker cannot auto-join victims onto protected networks).
     pub fn top_by_heat(&self, heat: &HeatMap, n: usize) -> Vec<(Ssid, f64)> {
-        let mut all: Vec<(Ssid, f64)> = self
+        let mut ranked: Vec<(&Ssid, f64)> = self
             .by_ssid
-            .keys()
-            .filter(|s| self.is_open_ssid(s))
-            .map(|s| (s.clone(), self.ssid_heat(heat, s)))
+            .iter()
+            .filter(|(_, idx)| self.any_open(idx))
+            .map(|(s, idx)| (s, self.heat_of(heat, idx)))
             .collect();
-        all.sort_by(|a, b| {
+        keep_top(&mut ranked, n, |a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("heat values are finite")
-                .then_with(|| a.0.cmp(&b.0))
+                .then_with(|| a.0.cmp(b.0))
         });
-        all.truncate(n);
-        all
+        ranked.into_iter().map(|(s, h)| (s.clone(), h)).collect()
     }
 
     /// Records within `radius_m` of `point`.
@@ -356,27 +360,51 @@ impl WigleSnapshot {
     }
 
     /// The `n` distinct open SSIDs nearest to `point` (by their closest
-    /// AP), nearest first — the "100 SSIDs near the attacking location"
-    /// seed of §III-B.
+    /// open AP), nearest first — the "100 SSIDs near the attacking
+    /// location" seed of §III-B.
     pub fn nearest_open_ssids(&self, point: GeoPoint, n: usize) -> Vec<Ssid> {
-        let mut best: DetHashMap<&Ssid, f64> = det_hash_map();
-        for r in &self.records {
-            if !r.open {
-                continue;
-            }
-            let d = r.location.distance_to(point);
-            best.entry(&r.ssid)
-                .and_modify(|cur| *cur = cur.min(d))
-                .or_insert(d);
-        }
-        let mut ranked: Vec<(&Ssid, f64)> = best.into_iter().collect();
-        ranked.sort_by(|a, b| {
+        let mut ranked: Vec<(&Ssid, f64)> = self
+            .by_ssid
+            .iter()
+            .filter_map(|(s, idx)| {
+                idx.iter()
+                    .map(|&i| &self.records[i])
+                    .filter(|r| r.open)
+                    .map(|r| r.location.distance_to(point))
+                    .reduce(f64::min)
+                    .map(|d| (s, d))
+            })
+            .collect();
+        keep_top(&mut ranked, n, |a, b| {
             a.1.partial_cmp(&b.1)
                 .expect("distances are finite")
                 .then_with(|| a.0.cmp(b.0))
         });
-        ranked.into_iter().take(n).map(|(s, _)| s.clone()).collect()
+        ranked.into_iter().map(|(s, _)| s.clone()).collect()
     }
+
+    /// `true` if any of the records at `idx` is open.
+    fn any_open(&self, idx: &[usize]) -> bool {
+        idx.iter().any(|&i| self.records[i].open)
+    }
+
+    /// The summed heat at the records at `idx`, in record order.
+    fn heat_of(&self, heat: &HeatMap, idx: &[usize]) -> f64 {
+        idx.iter()
+            .map(|&i| heat.value_at(self.records[i].location))
+            .sum()
+    }
+}
+
+/// Leaves the first `n` entries of `ranked` under the total order `cmp`,
+/// sorted: the list a full sort and truncate leave, with only the kept
+/// head sorted.
+fn keep_top<T>(ranked: &mut Vec<T>, n: usize, mut cmp: impl FnMut(&T, &T) -> Ordering) {
+    if n < ranked.len() {
+        ranked.select_nth_unstable_by(n, &mut cmp);
+        ranked.truncate(n);
+    }
+    ranked.sort_unstable_by(cmp);
 }
 
 fn airport_location(city: &CityModel) -> GeoPoint {
@@ -493,6 +521,102 @@ mod tests {
                 .fold(f64::INFINITY, f64::min)
         };
         assert!(min_dist(&near[0]) <= min_dist(&near[99]));
+    }
+
+    /// The clone-then-sort rankings the borrowed walk replaced, kept as
+    /// the reference it must match.
+    mod reference {
+        use super::*;
+
+        pub fn top_by_ap_count(w: &WigleSnapshot, n: usize, open_only: bool) -> Vec<(Ssid, usize)> {
+            let mut all: Vec<(Ssid, usize)> = w
+                .by_ssid
+                .iter()
+                .filter(|(s, _)| !open_only || w.records_of(s).any(|r| r.open))
+                .map(|(s, v)| (s.clone(), v.len()))
+                .collect();
+            all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            all.truncate(n);
+            all
+        }
+
+        pub fn top_by_heat(w: &WigleSnapshot, heat: &HeatMap, n: usize) -> Vec<(Ssid, f64)> {
+            let mut all: Vec<(Ssid, f64)> = w
+                .by_ssid
+                .keys()
+                .filter(|s| w.records_of(s).any(|r| r.open))
+                .map(|s| {
+                    let h = w.records_of(s).map(|r| heat.value_at(r.location)).sum();
+                    (s.clone(), h)
+                })
+                .collect();
+            all.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .expect("heat values are finite")
+                    .then_with(|| a.0.cmp(&b.0))
+            });
+            all.truncate(n);
+            all
+        }
+
+        pub fn nearest_open_ssids(w: &WigleSnapshot, point: GeoPoint, n: usize) -> Vec<Ssid> {
+            let mut best: DetHashMap<&Ssid, f64> = det_hash_map();
+            for r in &w.records {
+                if !r.open {
+                    continue;
+                }
+                let d = r.location.distance_to(point);
+                best.entry(&r.ssid)
+                    .and_modify(|cur| *cur = cur.min(d))
+                    .or_insert(d);
+            }
+            let mut ranked: Vec<(&Ssid, f64)> = best.into_iter().collect();
+            ranked.sort_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .expect("distances are finite")
+                    .then_with(|| a.0.cmp(b.0))
+            });
+            ranked.into_iter().take(n).map(|(s, _)| s.clone()).collect()
+        }
+    }
+
+    #[test]
+    fn rankings_match_the_clone_then_sort_reference() {
+        // `0x0C17F00D` is `CITY_SEED`, the city every experiment runs in.
+        for seed in [0x0C17_F00D, 2, 41] {
+            let mut rng = SimRng::seed_from(seed);
+            let city = CityModel::synthesize(&mut rng);
+            let snap = WigleSnapshot::synthesize(&city, &mut rng);
+            let photos = crate::PhotoCollection::synthesize(&city, 40_000, &mut rng);
+            let heat = HeatMap::from_photos(&city, &photos, 100.0);
+            let count = snap.ssid_count();
+            let points: Vec<GeoPoint> = [0, 3, 17, 120, city.pois().len() - 1]
+                .iter()
+                .map(|&i| city.pois()[i].location)
+                .chain([GeoPoint::new(-500.0, 20_000.0)])
+                .collect();
+            for n in [0, 1, 5, 100, 200, count, count + 1] {
+                for open_only in [true, false] {
+                    assert_eq!(
+                        snap.top_by_ap_count(n, open_only),
+                        reference::top_by_ap_count(&snap, n, open_only),
+                        "seed {seed}, n {n}, open_only {open_only}"
+                    );
+                }
+                assert_eq!(
+                    snap.top_by_heat(&heat, n),
+                    reference::top_by_heat(&snap, &heat, n),
+                    "seed {seed}, n {n}"
+                );
+                for &point in &points {
+                    assert_eq!(
+                        snap.nearest_open_ssids(point, n),
+                        reference::nearest_open_ssids(&snap, point, n),
+                        "seed {seed}, n {n}, point {point:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
