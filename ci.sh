@@ -287,27 +287,37 @@ mkdir -p "$serve_dir"
 # service process itself rather than a cargo wrapper.
 cargo build -q --release -p ch-serve
 serve_bin="target/release/ch-serve"
-serve_args=(--attacker cityhunter --evasive --seed 11 --duration-mins 10
-  --checkpoint-every 64 --stats-every 128)
-"$serve_bin" "${serve_args[@]}" \
-  --out "$serve_dir/base.ndjson" --report "$serve_dir/base.json" \
-  --checkpoint "$serve_dir/base.ckpt" 2> "$serve_dir/base.log"
-chaos_cmd=("$serve_bin" "${serve_args[@]}"
-  --out "$serve_dir/chaos.ndjson" --report "$serve_dir/chaos.json"
-  --checkpoint "$serve_dir/chaos.ckpt")
-"${chaos_cmd[@]}" --throttle-ms 2 2> "$serve_dir/kill.log" &
-serve_pid=$!
-sleep 1.5
-kill -9 "$serve_pid" 2> /dev/null || true
-wait "$serve_pid" 2> /dev/null || true
-test -s "$serve_dir/chaos.ckpt"   # the kill must land after a checkpoint
-"${chaos_cmd[@]}" 2> "$serve_dir/recover.log"
-grep -q 'recovered warm from checkpoint' "$serve_dir/recover.log"
-cmp "$serve_dir/base.ndjson" "$serve_dir/chaos.ndjson"
-cmp "$serve_dir/base.json" "$serve_dir/chaos.json"
-# The recovered run's last checkpoint equals the uninterrupted run's:
-# attacker state survives save -> JSON -> load -> save after a real kill.
-cmp "$serve_dir/base.ckpt" "$serve_dir/chaos.ckpt"
+# serve_kill_recover DIR ATTACKER: the ground-truth run, the kill -9, the
+# warm recovery and the three cmps, for one attacker generation.
+serve_kill_recover() {
+  local dir="$1"
+  local serve_args=(--attacker "$2" --evasive --seed 11 --duration-mins 10
+    --checkpoint-every 64 --stats-every 128)
+  "$serve_bin" "${serve_args[@]}" \
+    --out "$dir/base.ndjson" --report "$dir/base.json" \
+    --checkpoint "$dir/base.ckpt" 2> "$dir/base.log"
+  local chaos_cmd=("$serve_bin" "${serve_args[@]}"
+    --out "$dir/chaos.ndjson" --report "$dir/chaos.json"
+    --checkpoint "$dir/chaos.ckpt")
+  "${chaos_cmd[@]}" --throttle-ms 2 2> "$dir/kill.log" &
+  local serve_pid=$!
+  sleep 1.5
+  kill -9 "$serve_pid" 2> /dev/null || true
+  wait "$serve_pid" 2> /dev/null || true
+  test -s "$dir/chaos.ckpt"   # the kill must land after a checkpoint
+  "${chaos_cmd[@]}" 2> "$dir/recover.log"
+  grep -q 'recovered warm from checkpoint' "$dir/recover.log"
+  cmp "$dir/base.ndjson" "$dir/chaos.ndjson"
+  cmp "$dir/base.json" "$dir/chaos.json"
+  # The recovered run's last checkpoint equals the uninterrupted run's:
+  # attacker state survives save -> JSON -> load -> save after a real kill.
+  cmp "$dir/base.ckpt" "$dir/chaos.ckpt"
+}
+serve_kill_recover "$serve_dir" cityhunter
 grep -q '"shed":' "$serve_dir/base.json"
+# MANA keeps a different state (the harvest and its replay order), so
+# its checkpoint gets the same real kill.
+mkdir -p "$serve_dir/mana"
+serve_kill_recover "$serve_dir/mana" mana
 
 echo "ci.sh: all gates passed"

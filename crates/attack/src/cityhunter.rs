@@ -2,7 +2,6 @@
 
 use ch_arc::EpochSet;
 use ch_geo::netdb::carrier_ssids;
-use ch_geo::{GeoPoint, HeatMap, WigleSnapshot};
 use ch_sim::{CrashMode, SimRng, SimTime};
 use ch_wifi::mgmt::ProbeRequest;
 use ch_wifi::{MacAddr, SsidId};
@@ -94,22 +93,9 @@ pub struct CityHunter {
 
 impl CityHunter {
     /// Builds the attacker with its database initialized per the config
-    /// (step 1 of Fig. 3). Runs the WiGLE scans itself; campaign code
-    /// precomputes them once and uses [`CityHunter::from_plan`].
-    pub fn new(
-        bssid: MacAddr,
-        wigle: &WigleSnapshot,
-        heat: &HeatMap,
-        site: GeoPoint,
-        config: CityHunterConfig,
-    ) -> Self {
-        Self::from_plan(bssid, &AttackSitePlan::build(wigle, heat, site), config)
-    }
-
-    /// [`CityHunter::new`] from a precomputed [`AttackSitePlan`]: seeds
-    /// the database from the plan's `(Ssid, weight)` lists in the exact
-    /// insertion order the scan-based constructor uses, so interned ids
-    /// and all downstream draws are bit-identical.
+    /// (step 1 of Fig. 3): seeded from the site plan's `(Ssid, weight)`
+    /// lists, heat-ranked city SSIDs first, then the open SSIDs nearest
+    /// the site.
     pub fn from_plan(bssid: MacAddr, plan: &AttackSitePlan, config: CityHunterConfig) -> Self {
         let mut db = SsidDatabase::new();
         if config.use_wigle {
@@ -313,32 +299,21 @@ mod tests {
     use super::*;
     use crate::prelim::WIGLE_TOP_BY_HEAT;
     use crate::AttackerState;
-    use ch_geo::{CityModel, PhotoCollection};
+    use ch_geo::{CityModel, HeatMap, PhotoCollection, WigleSnapshot};
     use ch_wifi::Ssid;
 
     fn mac(i: u8) -> MacAddr {
         MacAddr::new([2, 0, 0, 0, 0, i])
     }
 
-    struct Fixture {
-        wigle: WigleSnapshot,
-        heat: HeatMap,
-        site: GeoPoint,
-    }
-
-    fn fixture() -> Fixture {
+    fn hunter(config: CityHunterConfig) -> CityHunter {
         let mut rng = SimRng::seed_from(30);
         let city = CityModel::synthesize(&mut rng);
         let wigle = WigleSnapshot::synthesize(&city, &mut rng);
         let photos = PhotoCollection::synthesize(&city, 20_000, &mut rng);
         let heat = HeatMap::from_photos(&city, &photos, 100.0);
-        let site = city.pois()[5].location;
-        Fixture { wigle, heat, site }
-    }
-
-    fn hunter(config: CityHunterConfig) -> CityHunter {
-        let f = fixture();
-        CityHunter::new(mac(9), &f.wigle, &f.heat, f.site, config)
+        let plan = AttackSitePlan::build(&wigle, &heat, city.pois()[5].location);
+        CityHunter::from_plan(mac(9), &plan, config)
     }
 
     #[test]

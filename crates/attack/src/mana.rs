@@ -1,14 +1,14 @@
 //! The MANA attacker (DEF CON 22), §II–§III flaws included.
 
-use ch_sim::{CrashMode, DetHashMap, SimTime};
+use ch_sim::{CrashMode, SimTime};
 use ch_wifi::mgmt::ProbeRequest;
 use ch_wifi::{MacAddr, SsidId};
 
 use crate::api::{direct_reply_into, Attacker, Lure, LureLane, LureSource};
 use crate::db::SsidDatabase;
 
-/// Everything MANA learns online: the harvest, the order it replays it
-/// in, and what each device disclosed itself.
+/// Everything MANA learns online: the harvest and the order it replays
+/// it in.
 #[derive(Debug, Clone, Default)]
 pub struct ManaState {
     /// The harvested SSIDs.
@@ -16,8 +16,6 @@ pub struct ManaState {
     /// Insertion-ordered id list — MANA replays in harvest order. Ids
     /// resolve against `db`'s interner.
     pub harvest_order: Vec<SsidId>,
-    /// Per-device disclosures, for non-loud mode.
-    pub per_device: DetHashMap<MacAddr, Vec<SsidId>>,
 }
 
 /// MANA: harvest SSIDs from direct probes into a database; on a broadcast
@@ -32,42 +30,25 @@ pub struct ManaState {
 ///    per-client memory, so a client only ever sees the first
 ///    `budget` (~40) SSIDs no matter how many times it scans.
 ///
-/// The real `hostapd-mana` has two modes; both are modelled:
-///
-/// * **loud** (the paper's deployment): broadcast probes are answered with
-///   SSIDs harvested from *all* devices;
-/// * **non-loud** (the tool's default): each device is only offered SSIDs
-///   it disclosed *itself* — useless against broadcast-only clients, which
-///   is exactly why the paper evaluates loud mode.
+/// This is `hostapd-mana`'s **loud** mode, the one the paper deploys: a
+/// broadcast probe is answered with SSIDs harvested from *all* devices.
+/// The tool's default mode offers each device only the SSIDs it disclosed
+/// itself, so a broadcast-only client, most of the population, gets
+/// nothing; the paper "replays the whole DB to broadcast probes", and so
+/// does this model.
 #[derive(Debug, Clone)]
 pub struct ManaAttacker {
     bssid: MacAddr,
     pub(crate) state: ManaState,
-    loud: bool,
 }
 
 impl ManaAttacker {
-    /// Creates a loud-mode MANA attacker (the paper's configuration).
+    /// Creates a MANA attacker with an empty harvest.
     pub fn new(bssid: MacAddr) -> Self {
         ManaAttacker {
             bssid,
             state: ManaState::default(),
-            loud: true,
         }
-    }
-
-    /// Creates a non-loud MANA: broadcast probes are answered only with
-    /// SSIDs the *same* device disclosed earlier.
-    pub fn new_non_loud(bssid: MacAddr) -> Self {
-        ManaAttacker {
-            loud: false,
-            ..ManaAttacker::new(bssid)
-        }
-    }
-
-    /// `true` in loud mode.
-    pub fn is_loud(&self) -> bool {
-        self.loud
     }
 
     /// Read access to the database (Fig. 1 analysis).
@@ -94,18 +75,9 @@ impl Attacker for ManaAttacker {
     ) {
         if probe.is_broadcast() {
             out.clear();
-            let replay = if self.loud {
-                // Replay the database from the top; only the first
-                // `budget` can land (§III-A).
-                self.state.harvest_order.as_slice()
-            } else {
-                // Non-loud: only this device's own disclosures.
-                self.state
-                    .per_device
-                    .get(&probe.source)
-                    .map_or(&[][..], Vec::as_slice)
-            };
-            for &id in replay.iter().take(budget) {
+            // Replay the database from the top; only the first `budget`
+            // can land (§III-A).
+            for &id in self.state.harvest_order.iter().take(budget) {
                 out.push(Lure::new(
                     // ch-lint: allow(hot-path-alloc) — inline Ssid copy, no heap.
                     self.state.db.resolve(id).clone(),
@@ -118,10 +90,6 @@ impl Attacker for ManaAttacker {
             let id = self.state.db.observe_direct_probe(&probe.ssid, now);
             if !known {
                 self.state.harvest_order.push(id);
-            }
-            let disclosed = self.state.per_device.entry(probe.source).or_default();
-            if !disclosed.contains(&id) {
-                disclosed.push(id);
             }
             direct_reply_into(probe, out);
         }
@@ -215,49 +183,6 @@ mod tests {
         mana.respond_to_probe(SimTime::from_secs(1), &probe, 40);
         assert_eq!(mana.database_len(), 1);
         assert_eq!(mana.state.harvest_order.len(), 1);
-    }
-
-    #[test]
-    fn non_loud_mode_only_echoes_own_disclosures() {
-        let mut mana = ManaAttacker::new_non_loud(mac(9));
-        assert!(!mana.is_loud());
-        // Device 1 disclosed "Mine"; device 2 disclosed "Theirs".
-        mana.respond_to_probe(
-            SimTime::ZERO,
-            &ProbeRequest::direct(mac(1), ssid("Mine")),
-            40,
-        );
-        mana.respond_to_probe(
-            SimTime::ZERO,
-            &ProbeRequest::direct(mac(2), ssid("Theirs")),
-            40,
-        );
-        // Device 1's broadcast gets only its own SSID back.
-        let lures =
-            mana.respond_to_probe(SimTime::from_secs(1), &ProbeRequest::broadcast(mac(1)), 40);
-        let names: Vec<&str> = lures.iter().map(|l| l.ssid.as_str()).collect();
-        assert_eq!(names, ["Mine"]);
-        // A never-seen device gets nothing.
-        assert!(mana
-            .respond_to_probe(SimTime::from_secs(2), &ProbeRequest::broadcast(mac(3)), 40)
-            .is_empty());
-        // Loud mode would have offered both to everyone.
-        let mut loud = ManaAttacker::new(mac(9));
-        loud.respond_to_probe(
-            SimTime::ZERO,
-            &ProbeRequest::direct(mac(1), ssid("Mine")),
-            40,
-        );
-        loud.respond_to_probe(
-            SimTime::ZERO,
-            &ProbeRequest::direct(mac(2), ssid("Theirs")),
-            40,
-        );
-        assert_eq!(
-            loud.respond_to_probe(SimTime::from_secs(1), &ProbeRequest::broadcast(mac(3)), 40)
-                .len(),
-            2
-        );
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! heat-ranked city SSIDs, site-nearest open SSIDs, and city-wide
 //! AP-count ranking — and snapshots their results (with the rank
 //! weights already attached) as plain `(Ssid, weight)` lists. The
-//! plan-based constructors ([`crate::CityHunter::from_plan`],
-//! [`crate::PrelimCityHunter::from_plan`],
-//! [`crate::AttackerSpec::build_from_plan`]) seed their databases from
-//! those lists in exactly the insertion order the scan-based
-//! constructors use, so interned [`ch_wifi::SsidId`]s — and therefore
-//! every downstream draw — are bit-identical either way.
+//! attacker constructors ([`crate::CityHunter::from_plan`],
+//! [`crate::PrelimCityHunter::from_plan`], and
+//! [`crate::AttackerSpec::build_from_plan`] over both) seed their
+//! databases from these lists and nothing else, so a campaign's shared
+//! plan and a single run's own plan for the same site deploy identical
+//! attackers.
 
-use ch_geo::weights::{rank_weights, RankWeighting};
+use ch_geo::weights::rank_weights;
 use ch_geo::{GeoPoint, HeatMap, WigleSnapshot};
 use ch_wifi::Ssid;
 
@@ -42,14 +42,14 @@ impl AttackSitePlan {
     /// Runs the offline scans once for a deployment at `site`.
     pub fn build(wigle: &WigleSnapshot, heat: &HeatMap, site: GeoPoint) -> Self {
         let top = wigle.top_by_heat(heat, WIGLE_TOP_BY_HEAT);
-        let weights = rank_weights(top.len(), RankWeighting::Linear);
+        let weights = rank_weights(top.len());
         let by_heat = top
             .into_iter()
             .zip(weights)
             .map(|((ssid, _), w)| (ssid, w))
             .collect();
         let nearby = wigle.nearest_open_ssids(site, WIGLE_NEARBY);
-        let weights = rank_weights(nearby.len(), RankWeighting::Linear);
+        let weights = rank_weights(nearby.len());
         let nearby_open = nearby.into_iter().zip(weights).collect();
         let by_ap_count = wigle
             .top_by_ap_count(WIGLE_TOP_BY_HEAT, true)
@@ -85,8 +85,8 @@ mod tests {
         assert_eq!(plan.by_ap_count.len(), WIGLE_TOP_BY_HEAT);
 
         // Prefix property: the head of the precomputed list is exactly
-        // what a direct smaller scan returns (the clone-target and
-        // detector constructors rely on this).
+        // what a direct smaller scan returns (the beacon-clone target and
+        // the detector's legitimate APs rely on this).
         let direct: Vec<Ssid> = wigle.nearest_open_ssids(site, 6);
         let prefix: Vec<Ssid> = plan
             .nearby_open

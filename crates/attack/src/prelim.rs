@@ -1,7 +1,6 @@
 //! The preliminary City-Hunter (§III): MANA + two fixes.
 
 use ch_arc::EpochSet;
-use ch_geo::{GeoPoint, HeatMap, WigleSnapshot};
 use ch_sim::{CrashMode, SimTime};
 use ch_wifi::mgmt::ProbeRequest;
 use ch_wifi::{MacAddr, SsidId};
@@ -51,20 +50,11 @@ pub struct PrelimCityHunter {
 }
 
 impl PrelimCityHunter {
-    /// Builds the attacker and initializes its database from the WiGLE
-    /// snapshot: the 100 open SSIDs nearest `site`, then the top 200 open
-    /// SSIDs by city-wide AP count (§III-B's two criteria).
-    ///
-    /// The heat map is accepted for interface parity with
-    /// [`crate::CityHunter`] but its ranking is deliberately ignored:
-    /// heat ranking is the §IV-B refinement this version predates.
-    pub fn new(bssid: MacAddr, wigle: &WigleSnapshot, heat: &HeatMap, site: GeoPoint) -> Self {
-        Self::from_plan(bssid, &AttackSitePlan::build(wigle, heat, site))
-    }
-
-    /// [`PrelimCityHunter::new`] from a precomputed [`AttackSitePlan`]:
-    /// same seed lists, same insertion order, so the interned reply
-    /// order is bit-identical to the scan-based constructor's.
+    /// Builds the attacker and initializes its database from the site
+    /// plan's WiGLE lists: the 100 open SSIDs nearest the site, then the
+    /// top 200 open SSIDs by city-wide AP count (§III-B's two criteria).
+    /// The plan's heat ranking is deliberately ignored: it is the §IV-B
+    /// refinement this version predates.
     pub fn from_plan(bssid: MacAddr, plan: &AttackSitePlan) -> Self {
         let mut db = SsidDatabase::new();
         let mut reply_order = Vec::new();
@@ -187,7 +177,7 @@ impl Attacker for PrelimCityHunter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_geo::{CityModel, PhotoCollection};
+    use ch_geo::{CityModel, HeatMap, PhotoCollection, WigleSnapshot};
     use ch_sim::SimRng;
     use ch_wifi::Ssid;
 
@@ -201,8 +191,8 @@ mod tests {
         let wigle = WigleSnapshot::synthesize(&city, &mut rng);
         let photos = PhotoCollection::synthesize(&city, 20_000, &mut rng);
         let heat = HeatMap::from_photos(&city, &photos, 100.0);
-        let site = city.pois()[10].location;
-        PrelimCityHunter::new(mac(9), &wigle, &heat, site)
+        let plan = AttackSitePlan::build(&wigle, &heat, city.pois()[10].location);
+        PrelimCityHunter::from_plan(mac(9), &plan)
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! study) used to construct `KarmaAttacker`/`ManaAttacker`/… by
 //! hand. [`AttackerSpec`] centralizes that: a spec is plain data naming
 //! which generation to deploy (and, for the full City-Hunter, its
-//! configuration), and [`AttackerSpec::build`] is the single constructor
-//! the whole workspace shares.
+//! configuration), and [`AttackerSpec::build_from_plan`] is the single
+//! constructor the whole workspace shares.
 
-use ch_geo::{GeoPoint, HeatMap, WigleSnapshot};
 use ch_wifi::MacAddr;
 
 use crate::{
@@ -69,41 +68,10 @@ impl AttackerSpec {
         }
     }
 
-    /// Instantiates the attacker at a deployment site. `wigle`/`heat` are
-    /// the offline data products (ignored by the baselines that predate
-    /// them).
-    pub fn build(
-        &self,
-        bssid: MacAddr,
-        wigle: &WigleSnapshot,
-        heat: &HeatMap,
-        site: GeoPoint,
-    ) -> Box<dyn Attacker> {
-        match self {
-            AttackerSpec::Karma => Box::new(KarmaAttacker::new(bssid)),
-            AttackerSpec::Mana => Box::new(ManaAttacker::new(bssid)),
-            AttackerSpec::Prelim => Box::new(PrelimCityHunter::new(bssid, wigle, heat, site)),
-            AttackerSpec::CityHunter(config) => {
-                Box::new(CityHunter::new(bssid, wigle, heat, site, config.clone()))
-            }
-            AttackerSpec::Evasive { base, evasion } => {
-                let inner = base.build(bssid, wigle, heat, site);
-                // Clone the legitimate AP nearest the deployment site — the
-                // same neighbourhood the detector observes.
-                let clone_target = if evasion.beacon_clone {
-                    wigle.nearest_open_ssids(site, 1).into_iter().next()
-                } else {
-                    None
-                };
-                Box::new(EvasiveAttacker::new(inner, evasion.clone(), clone_target))
-            }
-        }
-    }
-
-    /// [`build`](AttackerSpec::build) from a precomputed
-    /// [`AttackSitePlan`] — the campaign path: the WiGLE scans ran once
-    /// per venue at context-build time, and every job deploys from the
-    /// shared plan with bit-identical results.
+    /// Instantiates the attacker from a deployment site's
+    /// [`AttackSitePlan`]. KARMA and MANA predate the offline data and
+    /// ignore the plan. A campaign builds one plan per venue and shares it
+    /// across its jobs; a single run builds one for its site.
     pub fn build_from_plan(&self, bssid: MacAddr, plan: &AttackSitePlan) -> Box<dyn Attacker> {
         match self {
             AttackerSpec::Karma => Box::new(KarmaAttacker::new(bssid)),
@@ -114,8 +82,8 @@ impl AttackerSpec {
             }
             AttackerSpec::Evasive { base, evasion } => {
                 let inner = base.build_from_plan(bssid, plan);
-                // Plan prefixes equal smaller scans, so the head of the
-                // nearby-open list is exactly `nearest_open_ssids(site, 1)`.
+                // Clone the legitimate AP nearest the deployment site —
+                // the same neighbourhood the detector observes.
                 let clone_target = if evasion.beacon_clone {
                     // ch-lint: allow(ssid-clone) — construction-time inline copy.
                     plan.nearby_open.first().map(|(ssid, _)| ssid.clone())
@@ -126,44 +94,39 @@ impl AttackerSpec {
             }
         }
     }
-
-    /// [`build`](AttackerSpec::build) under
-    /// [`default_bssid`](AttackerSpec::default_bssid) — what every
-    /// experiment driver uses.
-    pub fn build_default(
-        &self,
-        wigle: &WigleSnapshot,
-        heat: &HeatMap,
-        site: GeoPoint,
-    ) -> Box<dyn Attacker> {
-        self.build(Self::default_bssid(), wigle, heat, site)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_geo::{CityModel, PhotoCollection};
+    use ch_geo::{CityModel, GeoPoint, HeatMap, PhotoCollection, WigleSnapshot};
     use ch_sim::SimRng;
 
-    #[test]
-    fn spec_builds_every_generation_with_matching_names() {
+    const SITE: GeoPoint = GeoPoint {
+        east_m: 100.0,
+        north_m: 100.0,
+    };
+
+    fn wigle_and_plan() -> (WigleSnapshot, AttackSitePlan) {
         let mut rng = SimRng::seed_from(5);
         let city = CityModel::synthesize(&mut rng);
         let wigle = WigleSnapshot::synthesize(&city, &mut rng);
         let photos = PhotoCollection::synthesize(&city, 200, &mut rng);
         let heat = HeatMap::from_photos(&city, &photos, 50.0);
-        let site = GeoPoint {
-            east_m: 100.0,
-            north_m: 100.0,
-        };
+        let plan = AttackSitePlan::build(&wigle, &heat, SITE);
+        (wigle, plan)
+    }
+
+    #[test]
+    fn spec_builds_every_generation_with_matching_names() {
+        let (_, plan) = wigle_and_plan();
         for spec in [
             AttackerSpec::Karma,
             AttackerSpec::Mana,
             AttackerSpec::Prelim,
             AttackerSpec::CityHunter(CityHunterConfig::default()),
         ] {
-            let attacker = spec.build_default(&wigle, &heat, site);
+            let attacker = spec.build_from_plan(AttackerSpec::default_bssid(), &plan);
             assert_eq!(attacker.name(), spec.name());
             assert_eq!(attacker.bssid(), AttackerSpec::default_bssid());
         }
@@ -171,15 +134,7 @@ mod tests {
 
     #[test]
     fn evasive_spec_wraps_and_resolves_clone_target() {
-        let mut rng = SimRng::seed_from(5);
-        let city = CityModel::synthesize(&mut rng);
-        let wigle = WigleSnapshot::synthesize(&city, &mut rng);
-        let photos = PhotoCollection::synthesize(&city, 200, &mut rng);
-        let heat = HeatMap::from_photos(&city, &photos, 50.0);
-        let site = GeoPoint {
-            east_m: 100.0,
-            north_m: 100.0,
-        };
+        let (wigle, plan) = wigle_and_plan();
 
         // `with_evasion(none)` stays un-wrapped, so sweep axes compose.
         let plain = AttackerSpec::Karma.with_evasion(EvasionSpec::none());
@@ -187,11 +142,11 @@ mod tests {
 
         let spec = AttackerSpec::Mana.with_evasion(EvasionSpec::clone_beacons());
         assert_eq!(spec.name(), "MANA");
-        let mut attacker = spec.build_default(&wigle, &heat, site);
+        let mut attacker = spec.build_from_plan(AttackerSpec::default_bssid(), &plan);
         assert_eq!(attacker.name(), "MANA");
         // The clone target resolves to the legitimate AP nearest the site,
         // so the wrapper beacons under a real neighbourhood SSID.
-        let expected = wigle.nearest_open_ssids(site, 1);
+        let expected = wigle.nearest_open_ssids(SITE, 1);
         let beacon = attacker.beacon(ch_sim::SimTime::from_secs(10)).unwrap();
         assert_eq!(Some(&beacon.ssid), expected.first());
 
@@ -199,7 +154,7 @@ mod tests {
         let rotating = AttackerSpec::Karma.with_evasion(EvasionSpec::rotate_every(
             ch_sim::SimDuration::from_secs(60),
         ));
-        let rotated = rotating.build_default(&wigle, &heat, site);
+        let rotated = rotating.build_from_plan(AttackerSpec::default_bssid(), &plan);
         assert_ne!(rotated.bssid(), AttackerSpec::default_bssid());
     }
 }

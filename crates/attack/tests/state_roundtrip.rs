@@ -9,28 +9,21 @@
 //! must be refused.
 
 use ch_attack::{
-    Attacker, AttackerSpec, AttackerState, CityHunterConfig, EvasionSpec, Lure, RotationSpec,
-    ThrottleSpec,
+    AttackSitePlan, Attacker, AttackerSpec, AttackerState, CityHunterConfig, EvasionSpec, Lure,
+    RotationSpec, ThrottleSpec,
 };
-use ch_geo::{CityModel, GeoPoint, HeatMap, PhotoCollection, WigleSnapshot};
+use ch_geo::{CityModel, HeatMap, PhotoCollection, WigleSnapshot};
 use ch_sim::{SimDuration, SimRng, SimTime};
 use ch_wifi::mgmt::{Beacon, ProbeRequest};
 use ch_wifi::{MacAddr, Ssid};
 
-struct Fixture {
-    wigle: WigleSnapshot,
-    heat: HeatMap,
-    site: GeoPoint,
-}
-
-fn fixture() -> Fixture {
+fn fixture() -> AttackSitePlan {
     let mut rng = SimRng::seed_from(41);
     let city = CityModel::synthesize(&mut rng);
     let wigle = WigleSnapshot::synthesize(&city, &mut rng);
     let photos = PhotoCollection::synthesize(&city, 5_000, &mut rng);
     let heat = HeatMap::from_photos(&city, &photos, 100.0);
-    let site = city.pois()[3].location;
-    Fixture { wigle, heat, site }
+    AttackSitePlan::build(&wigle, &heat, city.pois()[3].location)
 }
 
 /// The four generations, then each wrapped with every evasion knob on.
@@ -55,8 +48,8 @@ fn specs() -> Vec<AttackerSpec> {
     plain.into_iter().chain(evasive).collect()
 }
 
-fn build(spec: &AttackerSpec, f: &Fixture) -> Box<dyn Attacker> {
-    spec.build_default(&f.wigle, &f.heat, f.site)
+fn build(spec: &AttackerSpec, plan: &AttackSitePlan) -> Box<dyn Attacker> {
+    spec.build_from_plan(AttackerSpec::default_bssid(), plan)
 }
 
 /// What an attacker showed for one event.

@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! cargo run --release -p ch-bench --bin experiment -- --list
-//! cargo run --release -p ch-bench --bin experiment -- table1 [seed] [--json]
+//! cargo run --release -p ch-bench --bin experiment -- table1 [seed]
 //! cargo run --release -p ch-bench --bin experiment -- fig5 [seed] \
 //!     [--hours 8,12,18] [--minutes N] [--jobs N] \
-//!     [--manifest PATH] [--fresh] [--csv]
+//!     [--manifest PATH] [--fresh]
 //! ```
 //!
 //! Every experiment gains the same fleet controls: `--jobs` (or the

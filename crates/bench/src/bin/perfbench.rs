@@ -22,7 +22,7 @@
 use std::io::Write as _;
 
 use ch_attack::buffers::{AdaptiveBuffers, SelectScratch};
-use ch_attack::{Attacker, CityHunter, CityHunterConfig, Lure};
+use ch_attack::{AttackSitePlan, Attacker, CityHunter, CityHunterConfig, Lure};
 use ch_scenarios::experiments::CITY_SEED;
 use ch_scenarios::runner::{run_experiment_with_attacker, RunConfig};
 use ch_scenarios::{AttackerKind, CityData};
@@ -50,6 +50,13 @@ fn mac(i: u32) -> MacAddr {
     MacAddr::from_index([2, 0, 0], i)
 }
 
+/// A City-Hunter deployed at the canteen site.
+fn canteen_hunter(data: &CityData, config: CityHunterConfig) -> CityHunter {
+    let site = data.site_for(ch_mobility::VenueKind::Canteen);
+    let plan = AttackSitePlan::build(&data.wigle, &data.heat, site);
+    CityHunter::from_plan(mac(9_999), &plan, config)
+}
+
 fn median(samples: &mut [u64]) -> u64 {
     samples.sort_unstable();
     samples[samples.len() / 2]
@@ -57,12 +64,11 @@ fn median(samples: &mut [u64]) -> u64 {
 
 /// Measures allocations per broadcast probe on a warm City-Hunter.
 fn respond_broadcast_median(data: &CityData, iters: usize, tracking: bool) -> u64 {
-    let site = data.site_for(ch_mobility::VenueKind::Canteen);
     let config = CityHunterConfig {
         untried_tracking: tracking,
         ..CityHunterConfig::default()
     };
-    let mut hunter = CityHunter::new(mac(9_999), &data.wigle, &data.heat, site, config);
+    let mut hunter = canteen_hunter(data, config);
 
     // Deepen the database past what the measurement can drain.
     for i in 0..HARVEST as u32 {
@@ -95,14 +101,7 @@ fn respond_broadcast_median(data: &CityData, iters: usize, tracking: bool) -> u6
 
 /// Measures allocations per *direct* probe for already-known SSIDs.
 fn respond_direct_median(data: &CityData, iters: usize) -> u64 {
-    let site = data.site_for(ch_mobility::VenueKind::Canteen);
-    let mut hunter = CityHunter::new(
-        mac(9_999),
-        &data.wigle,
-        &data.heat,
-        site,
-        CityHunterConfig::default(),
-    );
+    let mut hunter = canteen_hunter(data, CityHunterConfig::default());
     let probes: Vec<ProbeRequest> = (0..32u32)
         .map(|i| ProbeRequest::direct(mac(i), Ssid::new_lossy(format!("K{i:02}"))))
         .collect();
@@ -217,15 +216,8 @@ fn throughput(data: &CityData, minutes: u64) -> (u64, u64, u64) {
         duration: SimDuration::from_mins(minutes),
         ..RunConfig::canteen_30min(AttackerKind::CityHunter(CityHunterConfig::default()), 1)
     };
-    let site = data.site_for(config.venue);
     let mut attacker = CountingAttacker {
-        inner: CityHunter::new(
-            mac(9_999),
-            &data.wigle,
-            &data.heat,
-            site,
-            CityHunterConfig::default(),
-        ),
+        inner: canteen_hunter(data, CityHunterConfig::default()),
         probes: 0,
     };
     let metrics = run_experiment_with_attacker(data, &config, &mut attacker);

@@ -2,7 +2,7 @@
 //! registry.
 //!
 //! The artifact binaries are one-line shims into this module:
-//! `experiment` is [`main_experiment`] (any id, `--list`, `--json`), and
+//! `experiment` is [`main_experiment`] (any id, `--list`), and
 //! `reproduce_all` is [`main_reproduce_all`]. Both share one flag
 //! grammar ([`Cli`]), one [`FleetOptions`] assembly (worker width and
 //! resumable manifest) and one output contract: fleet stats on stderr,
@@ -35,7 +35,7 @@ const VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Bare flags.
-const BARE_FLAGS: &[&str] = &["--fresh", "--json", "--csv", "--list", "--quick"];
+const BARE_FLAGS: &[&str] = &["--fresh", "--list", "--quick"];
 
 /// The parsed command line, shared by every binary.
 #[derive(Debug, Clone, Default)]
@@ -113,10 +113,14 @@ impl Cli {
 }
 
 /// Builds the [`RunParams`] for one run from the shared flag grammar.
-fn run_params(cli: &Cli, seed: u64) -> RunParams {
+///
+/// # Errors
+///
+/// Fails on a `--hours` list that [`parse_hours`] rejects.
+fn run_params(cli: &Cli, seed: u64) -> Result<RunParams, String> {
     let mut params = RunParams::new(seed);
     if let Some(spec) = cli.value_of("--hours") {
-        params.hours = spec.split(',').filter_map(|h| h.parse().ok()).collect();
+        params.hours = parse_hours(spec)?;
     }
     if let Some(minutes) = cli.positive("--minutes") {
         params.minutes = minutes as u64;
@@ -125,9 +129,26 @@ fn run_params(cli: &Cli, seed: u64) -> RunParams {
     if let Some(slots) = cli.positive("--slots") {
         params.slots = slots;
     }
-    params.machine = cli.flag("--json") || cli.flag("--csv");
     params.quick = cli.flag("--quick");
-    params
+    Ok(params)
+}
+
+/// Parses `--hours`: a comma list of whole hours of the day, 0 to 23.
+///
+/// # Errors
+///
+/// Names the first entry that is not such an hour, the empty entry
+/// included.
+fn parse_hours(spec: &str) -> Result<Vec<usize>, String> {
+    spec.split(',')
+        .map(|entry| {
+            entry
+                .parse()
+                .ok()
+                .filter(|hour| *hour < 24)
+                .ok_or_else(|| format!("--hours: `{entry}` is not a whole hour from 0 to 23"))
+        })
+        .collect()
 }
 
 /// Assembles the fleet options for one experiment: worker width from
@@ -168,7 +189,7 @@ fn fleet_options(spec: &ExperimentSpec, params: &RunParams, cli: &Cli) -> FleetO
 /// Runs one registry entry end to end: fleet stats to stderr, the
 /// artifact bytes to stdout.
 fn run_spec(spec: &'static ExperimentSpec, cli: &Cli, seed: u64) -> Result<(), String> {
-    let params = run_params(cli, seed);
+    let params = run_params(cli, seed)?;
     let opts = fleet_options(spec, &params, cli);
     // Build the campaign context once: every per-venue WiGLE scan and the
     // population pool are shared by all of this run's jobs.
@@ -227,7 +248,7 @@ pub fn list_text() -> String {
     }
     out.push_str(
         "\nflags: --jobs N --manifest PATH --fresh\n       \
-         --hours a,b,c --minutes N --replicas N --slots N --json / --csv --quick\n       \
+         --hours a,b,c --minutes N --replicas N --slots N --quick\n       \
          --districts N --shards N (city)\n",
     );
     out
@@ -244,7 +265,7 @@ pub fn main_reproduce_all() -> Result<(), String> {
     let cli = Cli::from_env()?;
     let seed = cli.seed_at(0);
     let jobs = cli.positive("--jobs");
-    let params = run_params(&cli, seed);
+    let params = run_params(&cli, seed)?;
     eprintln!("building the standard city...");
     let ctx = CampaignCtx::from_arc(Arc::new(exp::standard_city()));
 
@@ -387,12 +408,11 @@ mod tests {
     fn defaults_without_flags() {
         let cli = cli(&[]);
         assert_eq!(cli.seed_at(0), 1);
-        let params = run_params(&cli, cli.seed_at(0));
+        let params = run_params(&cli, cli.seed_at(0)).unwrap();
         assert_eq!(params.hours, (8..20).collect::<Vec<_>>());
         assert_eq!(params.minutes, 60);
         assert_eq!(params.slots, 4);
         assert_eq!(params.replicas, None);
-        assert!(!params.machine);
     }
 
     #[test]
@@ -401,14 +421,35 @@ mod tests {
         assert_eq!(cli.seed_at(0), 7);
         assert_eq!(cli.positive("--jobs"), Some(4));
         assert!(cli.flag("--fresh"));
-        let params = run_params(&cli, 7);
+        let params = run_params(&cli, 7).unwrap();
         assert_eq!(params.hours, vec![12, 18]);
+        assert_eq!(parse_hours("0,23"), Ok(vec![0, 23]));
+    }
+
+    #[test]
+    fn bad_hours_are_rejected() {
+        // Each would have run silently: an empty campaign, a wrapped
+        // "25:00" row, or hour 8 alone.
+        for (spec, entry) in [("x", "x"), ("8,x", "x"), ("25", "25"), ("", "")] {
+            let cli = cli(&["--hours", spec]);
+            let err = run_params(&cli, 1).unwrap_err();
+            assert!(err.contains(&format!("`{entry}`")), "{spec:?}: {err}");
+        }
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
         // `experiment` writes no timing file, so it takes no flag for one.
-        for flag in ["--frobnicate", "--bench", "--bench-full", "--no-bench"] {
+        // Its one output is the artifact text, so it takes no `--json` or
+        // `--csv` either.
+        for flag in [
+            "--frobnicate",
+            "--bench",
+            "--bench-full",
+            "--no-bench",
+            "--json",
+            "--csv",
+        ] {
             let err = Cli::parse(&[flag.to_string()]).unwrap_err();
             assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
         }
@@ -432,7 +473,7 @@ mod tests {
     fn city_reports_the_layout_that_runs() {
         let layout = |args: &[&str]| {
             let cli = cli(args);
-            let config = city_config(&run_params(&cli, 1), &cli);
+            let config = city_config(&run_params(&cli, 1).unwrap(), &cli);
             CityPlan::build(&config).layout(config.jobs)
         };
         // One shard keeps one worker busy, whatever --jobs asks for.
@@ -454,7 +495,7 @@ mod tests {
     fn city_minutes_fall_back_to_the_mode_default() {
         let epochs = |args: &[&str]| {
             let cli = cli(args);
-            city_config(&run_params(&cli, 1), &cli).epochs
+            city_config(&run_params(&cli, 1).unwrap(), &cli).epochs
         };
         // A zero or unparsable value is dropped like `--districts` and
         // `--shards` are, leaving the mode's default rather than 60.
@@ -490,12 +531,12 @@ mod tests {
             (1, &["--minutes", "5"][..]),
         ] {
             let cli = cli(args);
-            let opts = fleet_options(fig5, &run_params(&cli, seed), &cli);
+            let opts = fleet_options(fig5, &run_params(&cli, seed).unwrap(), &cli);
             assert_eq!(opts.manifest, None, "seed {seed}, {args:?}");
         }
         // The worker width is no part of a job's identity.
         let cli = cli(&["--jobs", "2"]);
-        let opts = fleet_options(fig5, &run_params(&cli, 1), &cli);
+        let opts = fleet_options(fig5, &run_params(&cli, 1).unwrap(), &cli);
         assert_eq!(
             opts.manifest,
             Some(PathBuf::from("results/fleet_fig5.jsonl"))

@@ -8,7 +8,7 @@
 //! asserts a median of zero allocations per call.
 
 use ch_attack::buffers::{AdaptiveBuffers, SelectScratch};
-use ch_attack::{Attacker, CityHunter, CityHunterConfig, Lure};
+use ch_attack::{AttackSitePlan, Attacker, CityHunter, CityHunterConfig, Lure};
 use ch_scenarios::experiments::CITY_SEED;
 use ch_scenarios::CityData;
 use ch_sim::alloc::count_allocations;
@@ -37,7 +37,8 @@ fn warm_hunter(data: &CityData, tracking: bool) -> CityHunter {
         untried_tracking: tracking,
         ..CityHunterConfig::default()
     };
-    let mut hunter = CityHunter::new(mac(9_999), &data.wigle, &data.heat, site, config);
+    let plan = AttackSitePlan::build(&data.wigle, &data.heat, site);
+    let mut hunter = CityHunter::from_plan(mac(9_999), &plan, config);
     // Deep database: the measured scans must never drain the untried list.
     for i in 0..1_700u32 {
         let probe = ProbeRequest::direct(mac(100_000 + i), Ssid::new_lossy(format!("D{i:04}")));

@@ -24,7 +24,10 @@
 //!
 //! When an AP's combined score crosses the active [`Strictness`] threshold
 //! the detector emits a scored [`DetectionVerdict`] (at most one per AP per
-//! evidence window, so the verdict stream stays compact). The detector
+//! evidence window, so the verdict stream stays compact). Strictness is
+//! the one setting; the behavioral tuning (the 60 s evidence window, the
+//! reply and correlation windows, the point caps and minimums) is fixed in
+//! this module's private constants. The detector
 //! consumes no randomness: the verdict stream is a pure function of the
 //! observed frame sequence, which is what makes the `arms_race` experiment
 //! byte-identical across `--jobs` widths.
@@ -96,65 +99,52 @@ impl Strictness {
     }
 }
 
-/// Tuning knobs for the behavioral layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BehaviorParams {
-    /// A directed response this soon after a client's *broadcast* probe is
-    /// treated as an answer to it.
-    pub broadcast_reply_window: SimDuration,
-    /// How long a directed probe keeps an SSID "recently probed" for the
-    /// PNL-replay correlation.
-    pub correlation_window: SimDuration,
-    /// Distinct bait SSIDs in one window before the broadcast-bait signal
-    /// fires.
-    pub bait_min: usize,
-    /// Cap on broadcast-bait points per window.
-    pub bait_points_cap: u32,
-    /// Cap on PNL-replay points per window.
-    pub replay_points_cap: u32,
-    /// Distinct advertised SSIDs before co-location fires.
-    pub colocation_min: usize,
-    /// Points co-location contributes.
-    pub colocation_points: u32,
-}
+/// The behavioral evidence window: windowed evidence resets at each
+/// boundary.
+const WINDOW: SimDuration = SimDuration::from_secs(60);
 
-impl Default for BehaviorParams {
-    fn default() -> Self {
-        BehaviorParams {
-            broadcast_reply_window: SimDuration::from_secs(2),
-            correlation_window: SimDuration::from_secs(60),
-            bait_min: 2,
-            bait_points_cap: 10,
-            replay_points_cap: 4,
-            colocation_min: 10,
-            colocation_points: 4,
-        }
-    }
-}
+/// A directed response this soon after a client's *broadcast* probe is
+/// treated as an answer to it.
+const BROADCAST_REPLY_WINDOW: SimDuration = SimDuration::from_secs(2);
+
+/// How long a directed probe keeps an SSID "recently probed" for the
+/// PNL-replay correlation.
+const CORRELATION_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// Distinct bait SSIDs in one window before the broadcast-bait signal
+/// fires.
+const BAIT_MIN: usize = 2;
+
+/// Cap on broadcast-bait points per window.
+const BAIT_POINTS_CAP: u32 = 10;
+
+/// Cap on PNL-replay points per window.
+const REPLAY_POINTS_CAP: u32 = 4;
+
+/// Distinct advertised SSIDs before co-location fires.
+const COLOCATION_MIN: usize = 10;
+
+/// Points co-location contributes.
+const COLOCATION_POINTS: u32 = 4;
 
 /// Configuration for a [`Detector`]; threaded through
 /// `ch_scenarios::RunConfig` so detection runs concurrently with an attack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The behavioral tuning and the 60 s evidence window are fixed.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DetectorSpec {
     /// Flagging threshold regime.
     pub strictness: Strictness,
-    /// Behavioral evidence window; windowed evidence resets at each
-    /// boundary.
-    pub window: SimDuration,
 }
 
 impl DetectorSpec {
-    /// The default operating point (standard strictness, 60 s windows).
+    /// The default operating point (standard strictness).
     pub fn standard() -> Self {
         DetectorSpec::default()
     }
 
-    /// A spec at the given strictness with the default window.
+    /// A spec at the given strictness.
     pub fn with_strictness(strictness: Strictness) -> Self {
-        DetectorSpec {
-            strictness,
-            ..DetectorSpec::default()
-        }
+        DetectorSpec { strictness }
     }
 
     /// A present-but-disabled spec; behaves exactly like `None`.
@@ -165,15 +155,6 @@ impl DetectorSpec {
     /// `true` if this spec disables detection entirely.
     pub fn is_disabled(&self) -> bool {
         self.strictness == Strictness::Off
-    }
-}
-
-impl Default for DetectorSpec {
-    fn default() -> Self {
-        DetectorSpec {
-            strictness: Strictness::Standard,
-            window: SimDuration::from_secs(60),
-        }
     }
 }
 
@@ -296,7 +277,6 @@ struct DirectProbe {
 pub struct Detector {
     spec: DetectorSpec,
     db: SignatureDb,
-    params: BehaviorParams,
     profiles: DetHashMap<MacAddr, ApProfile>,
     broadcasters: DetHashMap<MacAddr, SimTime>,
     direct_probes: DetHashMap<Ssid, DirectProbe>,
@@ -306,17 +286,16 @@ pub struct Detector {
 }
 
 impl Detector {
-    /// A detector with the stock signature database and behavior tuning.
+    /// A detector with the stock signature database.
     pub fn new(spec: DetectorSpec) -> Self {
-        Detector::with_db(spec, SignatureDb::standard(), BehaviorParams::default())
+        Detector::with_db(spec, SignatureDb::standard())
     }
 
-    /// A detector with a custom signature database and behavior tuning.
-    pub fn with_db(spec: DetectorSpec, db: SignatureDb, params: BehaviorParams) -> Self {
+    /// A detector with a custom signature database.
+    pub fn with_db(spec: DetectorSpec, db: SignatureDb) -> Self {
         Detector {
             spec,
             db,
-            params,
             profiles: det_hash_map(),
             broadcasters: det_hash_map(),
             direct_probes: det_hash_map(),
@@ -379,7 +358,7 @@ impl Detector {
         matches!(
             self.direct_probes.get(ssid),
             Some(dp) if dp.client != client
-                && at.saturating_since(dp.at) <= self.params.correlation_window
+                && at.saturating_since(dp.at) <= CORRELATION_WINDOW
         )
     }
 
@@ -389,7 +368,7 @@ impl Detector {
         matches!(
             self.direct_probes.get(ssid),
             Some(dp) if dp.client == client
-                && at.saturating_since(dp.at) <= self.params.correlation_window
+                && at.saturating_since(dp.at) <= CORRELATION_WINDOW
         )
     }
 
@@ -401,7 +380,7 @@ impl Detector {
             .profiles
             .entry(bssid)
             .or_insert_with(|| ApProfile::new(at, denylisted, bssid.is_locally_administered()));
-        profile.roll_window(at.bucket(self.spec.window));
+        profile.roll_window(at.bucket(WINDOW));
         profile
     }
 
@@ -409,7 +388,7 @@ impl Detector {
         let replay = self.is_replay(at, &response.ssid, response.destination);
         let bait = matches!(
             self.broadcasters.get(&response.destination),
-            Some(&t) if at.saturating_since(t) <= self.params.broadcast_reply_window
+            Some(&t) if at.saturating_since(t) <= BROADCAST_REPLY_WINDOW
         ) && !self.is_own_request(at, &response.ssid, response.destination);
         let bait_wording = self.db.matches_bait(&response.ssid);
         let downgrade = !response.capabilities.privacy && self.db.is_protected(&response.ssid);
@@ -467,16 +446,16 @@ impl Detector {
         }
         let (mut score, mut reasons) = self.db.score(profile);
         let bait = profile.window_bait.len();
-        if bait >= self.params.bait_min {
-            score += (bait as u32).min(self.params.bait_points_cap);
+        if bait >= BAIT_MIN {
+            score += (bait as u32).min(BAIT_POINTS_CAP);
             reasons.insert(Reason::BroadcastBait);
         }
         if profile.window_replays > 0 {
-            score += profile.window_replays.min(self.params.replay_points_cap);
+            score += profile.window_replays.min(REPLAY_POINTS_CAP);
             reasons.insert(Reason::PnlReplay);
         }
-        if profile.advertised.len() >= self.params.colocation_min {
-            score += self.params.colocation_points;
+        if profile.advertised.len() >= COLOCATION_MIN {
+            score += COLOCATION_POINTS;
             reasons.insert(Reason::ImplausibleCoLocation);
         }
         if profile.downgrade {
@@ -803,7 +782,7 @@ mod tests {
             protected_ssids: names.iter().map(|n| ssid(n)).collect(),
             ..SignatureDb::standard()
         };
-        Detector::with_db(DetectorSpec::standard(), db, BehaviorParams::default())
+        Detector::with_db(DetectorSpec::standard(), db)
     }
 
     fn deauth(secs: u64, source: MacAddr, victim: u8) -> (SimTime, MgmtFrame) {
@@ -962,21 +941,20 @@ mod tests {
     fn colocation_fires_once_at_threshold() {
         // A clean vendor AP beaconing ever more SSIDs: co-location is its
         // only tell, and alone it reaches the paranoid threshold.
-        let params = BehaviorParams::default();
         let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
-        for i in 1..params.colocation_min as u64 {
+        for i in 1..COLOCATION_MIN as u64 {
             detector.observe(t(i), &beacon(legit(), &format!("venue-net-{i}")));
         }
         assert!(detector.verdicts().is_empty(), "one SSID short");
-        let at = t(params.colocation_min as u64);
+        let at = t(COLOCATION_MIN as u64);
         detector.observe(at, &beacon(legit(), "venue-net-last"));
         let v = detector.verdicts()[0];
         assert_eq!(v.at, at);
-        assert_eq!(v.score, params.colocation_points);
+        assert_eq!(v.score, COLOCATION_POINTS);
         assert!(v.reasons.contains(Reason::ImplausibleCoLocation));
         assert_eq!(
             detector.profile(legit()).unwrap().advertised_ssids(),
-            params.colocation_min
+            COLOCATION_MIN
         );
         // More SSIDs inside the window raise nothing new.
         detector.observe(at, &beacon(legit(), "venue-net-extra"));

@@ -55,7 +55,7 @@ pub mod report;
 pub mod signature;
 pub mod verdict;
 
-pub use detector::{ApProfile, BehaviorParams, Detector, DetectorSpec, Strictness};
+pub use detector::{ApProfile, Detector, DetectorSpec, Strictness};
 pub use report::DetectionReport;
 pub use signature::{SignatureDb, SignatureRule, SsidPattern, ROGUE_MINIMAL_IE};
 pub use verdict::{DetectionVerdict, Reason, ReasonSet};

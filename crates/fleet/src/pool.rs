@@ -38,34 +38,15 @@ pub fn effective_jobs(requested: Option<usize>) -> usize {
 
 /// The machine's usable worker ceiling:
 /// [`std::thread::available_parallelism`] (fallback 4, matching
-/// [`effective_jobs`]), optionally lowered by the `CH_WORKER_CAP`
-/// environment variable. CPU-bound workers gain nothing from running
-/// wider than this — oversubscription is pure scheduling overhead — so
-/// the campaign engine caps its spawned width here regardless of the
-/// requested `--jobs`.
-///
-/// `CH_WORKER_CAP` lets CI hosts and benchmark runs pin the width
-/// reproducibly; it is clamped to the hardware ceiling (a cap wider than
-/// the machine is meaningless), and zero or unparsable values are
-/// ignored. The cap never affects results — only wall-clock.
+/// [`effective_jobs`]). CPU-bound workers gain nothing from running wider
+/// than this — oversubscription is pure scheduling overhead — so the
+/// campaign engine caps its spawned width here regardless of the
+/// requested `--jobs`; `--jobs` and `CH_JOBS` choose a narrower width.
+/// The cap never affects results — only wall-clock.
 pub fn worker_cap() -> usize {
-    let available = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    let requested = std::env::var("CH_WORKER_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    worker_cap_from(requested, available)
-}
-
-/// The pure clamp behind [`worker_cap`]: an env-requested cap is honoured
-/// only up to the hardware ceiling, and nonsense (zero, absent) falls back
-/// to the ceiling itself.
-fn worker_cap_from(requested: Option<usize>, available: usize) -> usize {
-    match requested.filter(|&n| n > 0) {
-        Some(cap) => cap.min(available),
-        None => available,
-    }
+        .unwrap_or(4)
 }
 
 /// A scoped-thread parallel map over a slice on `threads` workers, with
@@ -507,27 +488,6 @@ mod tests {
         assert!(effective_jobs(None) >= 1);
         assert_eq!(effective_jobs(Some(3)), 3);
         assert!(effective_jobs(Some(0)) >= 1, "zero request falls through");
-    }
-
-    #[test]
-    fn worker_cap_env_lowers_below_available() {
-        // A cap narrower than the machine is honoured verbatim.
-        assert_eq!(worker_cap_from(Some(2), 16), 2);
-        assert_eq!(worker_cap_from(Some(1), 8), 1);
-    }
-
-    #[test]
-    fn worker_cap_env_clamps_to_available() {
-        // A cap wider than the machine clamps down to the hardware
-        // ceiling — CH_WORKER_CAP can never oversubscribe.
-        assert_eq!(worker_cap_from(Some(64), 8), 8);
-        assert_eq!(worker_cap_from(Some(9), 8), 8);
-    }
-
-    #[test]
-    fn worker_cap_ignores_nonsense() {
-        assert_eq!(worker_cap_from(Some(0), 8), 8);
-        assert_eq!(worker_cap_from(None, 8), 8);
         assert!(worker_cap() >= 1);
     }
 }

@@ -340,16 +340,6 @@ impl CityModel {
             .rposition(|poi| clean_weight(poi.footfall) > 0.0)
             .expect("city always has POIs with positive footfall")
     }
-
-    /// The POI closest to `p`.
-    pub fn nearest_poi(&self, p: GeoPoint) -> Option<&Poi> {
-        self.pois.iter().min_by(|a, b| {
-            a.location
-                .distance_to(p)
-                .partial_cmp(&b.location.distance_to(p))
-                .expect("distances are finite")
-        })
-    }
 }
 
 /// The left-fold running sums of the POIs' cleaned footfall.
@@ -577,13 +567,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn nearest_poi_finds_itself() {
-        let c = city();
-        let target = &c.pois()[17];
-        assert_eq!(c.nearest_poi(target.location).unwrap().name, target.name);
     }
 
     #[test]

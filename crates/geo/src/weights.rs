@@ -3,51 +3,19 @@
 //! Having ranked SSIDs by heat value, the paper assigns weights "using the
 //! ratio method proposed in \[Barron & Barrett 1996\]": with `k` ranked
 //! items, the top item gets weight `k` and the bottom item weight 1 —
-//! i.e. linear rank weights. The alternatives from the same literature
-//! (rank-sum normalized, rank-reciprocal, rank-order-centroid) are provided
-//! for the ablation bench, which asks whether the exact weighting scheme
-//! matters.
+//! i.e. linear rank weights. That is the one scheme here.
 
-/// How rank positions are converted to weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RankWeighting {
-    /// Linear: rank `r` of `k` gets weight `k - r + 1` (the paper's
-    /// choice: top = `k` … bottom = `1`).
-    Linear,
-    /// Rank reciprocal: weight `1 / r`, scaled so the bottom weight is 1.
-    Reciprocal,
-    /// Rank-order centroid: weight `Σ_{i=r..k} 1/i`, scaled so the bottom
-    /// weight is 1.
-    Centroid,
-}
-
-/// Weights for `k` ranked items, best first.
+/// Linear rank weights for `k` ranked items, best first: rank `r` of `k`
+/// (1-based) gets weight `k - r + 1`.
 ///
 /// ```
-/// use ch_geo::weights::{rank_weights, RankWeighting};
-/// let w = rank_weights(200, RankWeighting::Linear);
+/// use ch_geo::weights::rank_weights;
+/// let w = rank_weights(200);
 /// assert_eq!(w[0], 200.0);   // top SSID gets weight 200
 /// assert_eq!(w[199], 1.0);   // bottom gets 1 (§IV-B)
 /// ```
-pub fn rank_weights(k: usize, scheme: RankWeighting) -> Vec<f64> {
-    match scheme {
-        RankWeighting::Linear => (0..k).map(|r| (k - r) as f64).collect(),
-        RankWeighting::Reciprocal => {
-            // 1/r scaled by k so the bottom item gets exactly 1.
-            (0..k).map(|r| k as f64 / (r + 1) as f64).collect()
-        }
-        RankWeighting::Centroid => {
-            // Suffix harmonic sums, scaled so the bottom item gets 1.
-            let mut suffix = vec![0.0; k];
-            let mut acc = 0.0;
-            for r in (0..k).rev() {
-                acc += 1.0 / (r + 1) as f64;
-                suffix[r] = acc;
-            }
-            let bottom = suffix.last().copied().unwrap_or(1.0);
-            suffix.iter().map(|w| w / bottom).collect()
-        }
-    }
+pub fn rank_weights(k: usize) -> Vec<f64> {
+    (0..k).map(|r| (k - r) as f64).collect()
 }
 
 #[cfg(test)]
@@ -56,66 +24,34 @@ mod tests {
 
     #[test]
     fn linear_matches_paper_endpoints() {
-        let w = rank_weights(200, RankWeighting::Linear);
+        let w = rank_weights(200);
         assert_eq!(w.len(), 200);
         assert_eq!(w[0], 200.0);
         assert_eq!(w[199], 1.0);
-        let w100 = rank_weights(100, RankWeighting::Linear);
+        let w100 = rank_weights(100);
         assert_eq!(w100[0], 100.0);
         assert_eq!(w100[99], 1.0);
     }
 
     #[test]
     fn all_schemes_strictly_decreasing_and_positive() {
-        for scheme in [
-            RankWeighting::Linear,
-            RankWeighting::Reciprocal,
-            RankWeighting::Centroid,
-        ] {
-            let w = rank_weights(50, scheme);
-            assert_eq!(w.len(), 50);
-            for pair in w.windows(2) {
-                assert!(pair[0] > pair[1], "{scheme:?}: {pair:?}");
-            }
-            assert!(w.iter().all(|&x| x > 0.0));
+        let w = rank_weights(50);
+        assert_eq!(w.len(), 50);
+        for pair in w.windows(2) {
+            assert!(pair[0] > pair[1], "{pair:?}");
         }
+        assert!(w.iter().all(|&x| x > 0.0));
     }
 
     #[test]
     fn bottom_weight_is_one() {
-        for scheme in [
-            RankWeighting::Linear,
-            RankWeighting::Reciprocal,
-            RankWeighting::Centroid,
-        ] {
-            let w = rank_weights(37, scheme);
-            assert!(
-                (w.last().unwrap() - 1.0).abs() < 1e-12,
-                "{scheme:?}: bottom = {}",
-                w.last().unwrap()
-            );
-        }
+        let w = rank_weights(37);
+        assert_eq!(w.last(), Some(&1.0));
     }
 
     #[test]
     fn empty_and_singleton() {
-        for scheme in [
-            RankWeighting::Linear,
-            RankWeighting::Reciprocal,
-            RankWeighting::Centroid,
-        ] {
-            assert!(rank_weights(0, scheme).is_empty());
-            let one = rank_weights(1, scheme);
-            assert_eq!(one.len(), 1);
-            assert!((one[0] - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn reciprocal_is_steeper_than_linear() {
-        let lin = rank_weights(100, RankWeighting::Linear);
-        let rec = rank_weights(100, RankWeighting::Reciprocal);
-        // Ratio between top and 10th weight is larger for reciprocal.
-        assert!(rec[0] / rec[9] > lin[0] / lin[9]);
+        assert!(rank_weights(0).is_empty());
+        assert_eq!(rank_weights(1), [1.0]);
     }
 }

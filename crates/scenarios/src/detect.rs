@@ -134,15 +134,15 @@ impl DetectionHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_attack::{AttackerSpec, EvasionSpec};
+    use ch_attack::{AttackSitePlan, AttackerSpec, EvasionSpec, KarmaAttacker};
 
     #[test]
     fn harness_beacons_legit_aps_deterministically() {
         let data = CityData::standard(99);
         let site = data.site_for(ch_mobility::VenueKind::Canteen);
-        let mut attacker = AttackerSpec::Karma.build_default(&data.wigle, &data.heat, site);
+        let mut attacker = KarmaAttacker::new(AttackerSpec::default_bssid());
         let mut harness = DetectionHarness::new(DetectorSpec::standard(), &data, site);
-        harness.tick(SimTime::from_secs(30), attacker.as_mut());
+        harness.tick(SimTime::from_secs(30), &mut attacker);
         // Six legitimate APs, each caught up to t=30 s.
         assert_eq!(harness.detector().profiled_count(), LEGIT_AP_COUNT);
         let frames = harness.detector().frames_observed();
@@ -155,7 +155,7 @@ mod tests {
         assert_eq!(harness.report().legit_aps, LEGIT_AP_COUNT as u64);
         // A second harness over the same inputs sees the identical stream.
         let mut twin = DetectionHarness::new(DetectorSpec::standard(), &data, site);
-        twin.tick(SimTime::from_secs(30), attacker.as_mut());
+        twin.tick(SimTime::from_secs(30), &mut attacker);
         assert_eq!(twin.detector().frames_observed(), frames);
     }
 
@@ -164,7 +164,8 @@ mod tests {
         let data = CityData::standard(99);
         let site = data.site_for(ch_mobility::VenueKind::Canteen);
         let spec = AttackerSpec::Karma.with_evasion(EvasionSpec::clone_beacons());
-        let mut attacker = spec.build_default(&data.wigle, &data.heat, site);
+        let plan = AttackSitePlan::build(&data.wigle, &data.heat, site);
+        let mut attacker = spec.build_from_plan(AttackerSpec::default_bssid(), &plan);
         let mut harness = DetectionHarness::new(DetectorSpec::standard(), &data, site);
         harness.tick(SimTime::from_secs(10), attacker.as_mut());
         // The cloning attacker beaconed, so its MAC entered ground truth

@@ -13,7 +13,7 @@
 //!   read back from `metrics.detection`.
 
 use ch_attack::{Attacker, AttackerSpec, CityHunterConfig};
-use ch_detect::{BehaviorParams, Detector, DetectorSpec, SignatureDb};
+use ch_detect::{Detector, DetectorSpec, SignatureDb};
 use ch_fleet::{run_campaign, FleetOptions, FleetStats, JobSpec, JobStatus};
 use ch_mobility::VenueKind;
 use ch_sim::{SimDuration, SimTime};
@@ -42,7 +42,7 @@ fn monitor() -> Detector {
         protected_ssids: vec![protected()],
         ..SignatureDb::standard()
     };
-    Detector::with_db(DetectorSpec::standard(), db, BehaviorParams::default())
+    Detector::with_db(DetectorSpec::standard(), db)
 }
 
 /// Feeds `attacker` `count` direct probes from earlier victims, out of the
@@ -120,8 +120,7 @@ pub fn defense_fleet(
     ctx: &CampaignCtx,
     opts: &FleetOptions,
 ) -> Result<(String, FleetStats), String> {
-    let data = ctx.data();
-    let site = data.site_for(VenueKind::Canteen);
+    let plan = &ctx.plan(VenueKind::Canteen).attack;
     let jobs = [
         ("karma", AttackerSpec::Karma, 0),
         ("mana", AttackerSpec::Mana, 30),
@@ -138,7 +137,9 @@ pub fn defense_fleet(
         preharvest,
     });
     let report = run_campaign(&jobs, opts, |job: &DefenseJob| {
-        let mut attacker = job.spec.build_default(&data.wigle, &data.heat, site);
+        let mut attacker = job
+            .spec
+            .build_from_plan(AttackerSpec::default_bssid(), plan);
         preharvest(attacker.as_mut(), job.preharvest);
         let mut detector = monitor();
         let first = first_verdict(attacker.as_mut(), &mut detector, ROUNDS, Some(&protected()));
@@ -277,7 +278,7 @@ pub fn defense_live_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ch_attack::{CityHunter, KarmaAttacker, ManaAttacker};
+    use ch_attack::{AttackSitePlan, CityHunter, KarmaAttacker, ManaAttacker};
     use ch_detect::Reason;
 
     fn bssid() -> MacAddr {
@@ -310,13 +311,8 @@ mod tests {
     fn city_hunter_flagged_within_its_first_burst() {
         let data = crate::world::CityData::standard(0xDEF);
         let site = data.site_for(VenueKind::Canteen);
-        let mut attacker = CityHunter::new(
-            bssid(),
-            &data.wigle,
-            &data.heat,
-            site,
-            CityHunterConfig::default(),
-        );
+        let plan = AttackSitePlan::build(&data.wigle, &data.heat, site);
+        let mut attacker = CityHunter::from_plan(bssid(), &plan, CityHunterConfig::default());
         let mut detector = monitor();
         let (frames, round) = first_verdict(&mut attacker, &mut detector, 5, None).unwrap();
         assert_eq!(round, 0);

@@ -19,7 +19,6 @@ use ch_sim::SimDuration;
 use crate::ctx::CampaignCtx;
 use crate::experiments as exp;
 use crate::replicate::standard_study_fleet;
-use crate::report::summary_rows_to_json;
 
 /// What kind of artifact an experiment renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +56,6 @@ pub struct RunParams {
     pub replicas: Option<usize>,
     /// Warm-start slots.
     pub slots: usize,
-    /// Machine-readable output (`--json` / `--csv`) where supported.
-    pub machine: bool,
     /// Shortened runs (`--quick`) where supported (the fault study).
     pub quick: bool,
 }
@@ -72,7 +69,6 @@ impl RunParams {
             minutes: 60,
             replicas: None,
             slots: 4,
-            machine: false,
             quick: false,
         }
     }
@@ -437,12 +433,7 @@ impl ExperimentSpec {
         let (text, stats) = match self.id {
             "table1" => {
                 let (outcome, stats) = exp::table1_fleet(ctx, seed, opts)?;
-                let text = if params.machine {
-                    summary_rows_to_json(&[outcome.karma.clone(), outcome.mana.clone()])
-                } else {
-                    outcome.render()
-                };
-                (line(text), Some(stats))
+                (line(outcome.render()), Some(stats))
             }
             "fig1" => {
                 let (outcome, stats) = exp::fig1_fleet(ctx, seed, opts)?;
@@ -450,21 +441,11 @@ impl ExperimentSpec {
             }
             "table2" => {
                 let (outcome, stats) = exp::table2_fleet(ctx, seed, opts)?;
-                let text = if params.machine {
-                    summary_rows_to_json(&[outcome.mana.clone(), outcome.prelim.clone()])
-                } else {
-                    outcome.render()
-                };
-                (line(text), Some(stats))
+                (line(outcome.render()), Some(stats))
             }
             "table3" => {
                 let (outcome, stats) = exp::table3_fleet(ctx, seed, opts)?;
-                let text = if params.machine {
-                    summary_rows_to_json(std::slice::from_ref(&outcome.prelim))
-                } else {
-                    outcome.render()
-                };
-                (line(text), Some(stats))
+                (line(outcome.render()), Some(stats))
             }
             "fig2" => {
                 let (outcome, stats) = exp::fig2_fleet(ctx, seed, opts)?;
@@ -481,9 +462,7 @@ impl ExperimentSpec {
                     SimDuration::from_mins(params.minutes),
                     opts,
                 )?;
-                let text = if params.machine {
-                    outcome.to_csv()
-                } else if self.id == "fig5" {
+                let text = if self.id == "fig5" {
                     outcome.render_fig5()
                 } else {
                     outcome.render_fig6()

@@ -10,70 +10,6 @@ use std::fmt::Write as _;
 
 use crate::metrics::SummaryRow;
 
-/// Serializes summary rows (plus derived rates) as pretty JSON — the
-/// machine-readable twin of [`render_summary_table`].
-///
-/// Emitted by hand (no serde in the offline build); keys follow the field
-/// order of [`SummaryRow`], then the derived `h` / `h_b` rates.
-pub fn summary_rows_to_json(rows: &[SummaryRow]) -> String {
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            concat!(
-                "\n  {{\n    \"label\": {label},\n    \"total_clients\": {total},\n",
-                "    \"direct_clients\": {direct},\n    \"broadcast_clients\": {bcast},\n",
-                "    \"direct_connected\": {dconn},\n    \"broadcast_connected\": {bconn},\n",
-                "    \"h\": {h},\n    \"h_b\": {hb}\n  }}"
-            ),
-            label = json_string(&row.label),
-            total = row.total_clients,
-            direct = row.direct_clients,
-            bcast = row.broadcast_clients,
-            dconn = row.direct_connected,
-            bconn = row.broadcast_connected,
-            h = json_f64(row.h()),
-            hb = json_f64(row.h_b()),
-        );
-    }
-    out.push_str("\n]");
-    out
-}
-
-/// JSON string literal with the escapes the JSON grammar requires.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number rendering: finite floats round-trip via `{:?}`; non-finite
-/// values (not representable in JSON) become `null`.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Formats a rate as a percentage with one decimal, like the paper.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
@@ -119,19 +55,6 @@ pub fn render_summary_table(rows: &[SummaryRow]) -> String {
             pct(row.h()),
             pct(row.h_b()),
         );
-    }
-    out
-}
-
-/// Renders an `(x, y)` series as aligned columns.
-pub fn render_series<X: std::fmt::Display, Y: std::fmt::Display>(
-    header: (&str, &str),
-    series: &[(X, Y)],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{:>12}  {:>12}", header.0, header.1);
-    for (x, y) in series {
-        let _ = writeln!(out, "{x:>12}  {y:>12}");
     }
     out
 }
@@ -209,27 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn json_rows_carry_rates() {
-        let json = summary_rows_to_json(&[row()]);
-        assert!(json.contains("\"label\": \"MANA\""), "{json}");
-        assert!(json.contains("\"total_clients\": 688"), "{json}");
-        let h_field = json
-            .lines()
-            .find_map(|line| line.trim().strip_prefix("\"h\": "))
-            .expect("h field present");
-        let h: f64 = h_field.trim_end_matches(',').parse().unwrap();
-        assert!((h - 46.0 / 688.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_escapes_label() {
-        let mut odd = row();
-        odd.label = "quote\" slash\\ tab\t".into();
-        let json = summary_rows_to_json(&[odd]);
-        assert!(json.contains(r#""quote\" slash\\ tab\t""#), "{json}");
-    }
-
-    #[test]
     fn pct_formatting() {
         assert_eq!(pct(0.159), "15.9%");
         assert_eq!(pct(0.0), "0.0%");
@@ -255,13 +157,6 @@ mod tests {
         assert_eq!(ratio_label(69, 243), "1:3.5");
         assert_eq!(ratio_label(0, 7), "0:7");
         assert_eq!(ratio_label(10, 10), "1:1.0");
-    }
-
-    #[test]
-    fn series_renders_rows() {
-        let s = render_series(("minute", "db"), &[(1, 10), (2, 20)]);
-        assert_eq!(s.lines().count(), 3);
-        assert!(s.contains("minute"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! beacon plane.
 
 use ch_attack::ext::DeauthScheduler;
-use ch_attack::Attacker;
+use ch_attack::{AttackSitePlan, Attacker};
 use ch_mobility::arrival::GroupArrivalProcess;
 use ch_mobility::path::{visits_for_group, Visit};
 use ch_mobility::{VenueKind, VenueTemplate};
@@ -327,8 +327,10 @@ pub fn run_experiment_observed(
     config: &RunConfig,
     observer: &mut dyn FrameObserver,
 ) -> ExperimentMetrics {
-    let site = data.site_for(config.venue);
-    let mut attacker = config.attacker.build_default(&data.wigle, &data.heat, site);
+    let plan = AttackSitePlan::build(&data.wigle, &data.heat, data.site_for(config.venue));
+    let mut attacker = config
+        .attacker
+        .build_from_plan(AttackerKind::default_bssid(), &plan);
     run_with(data, config, attacker.as_mut(), observer)
 }
 

@@ -214,17 +214,11 @@ fn state_to_json(state: &AttackerState) -> Result<Json, String> {
                 ),
             ),
         ],
-        AttackerState::Mana(mana) => {
-            // Sorted by client so the bytes never depend on hash-map layout.
-            let mut per_device: Vec<_> = mana.per_device.iter().collect();
-            per_device.sort_unstable_by_key(|(mac, _)| mac.octets());
-            vec![
-                ("kind", Json::str("mana")),
-                ("db", db_to_json(&mana.db)?),
-                ("harvest_order", id_list_to_json(&mana.harvest_order)),
-                ("per_device", mac_id_pairs_to_json(per_device)),
-            ]
-        }
+        AttackerState::Mana(mana) => vec![
+            ("kind", Json::str("mana")),
+            ("db", db_to_json(&mana.db)?),
+            ("harvest_order", id_list_to_json(&mana.harvest_order)),
+        ],
         AttackerState::Prelim(prelim) => vec![
             ("kind", Json::str("prelim")),
             ("db", db_to_json(&prelim.db)?),
@@ -301,13 +295,6 @@ fn state_from_json(value: &Json) -> Result<AttackerState, String> {
                     &ids,
                     "harvest_order",
                 )?,
-                per_device: mac_id_pairs_from_json(
-                    field(value, "per_device")?,
-                    &ids,
-                    "per_device",
-                )?
-                .into_iter()
-                .collect(),
             }))
         }
         "prelim" => {

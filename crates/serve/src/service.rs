@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 
-use ch_attack::{Attacker, AttackerSpec, Lure};
+use ch_attack::{AttackSitePlan, Attacker, AttackerSpec, Lure};
 use ch_fleet::{fingerprint, Json, RetryPolicy, TRANSIENT_PREFIX};
 use ch_mobility::VenueKind;
 use ch_sim::{DetHashMap, SimTime};
@@ -134,8 +134,10 @@ impl Service {
     /// Builds the service: instantiates the attacker at the configured
     /// venue's attack site within the seed-derived city.
     pub fn new(data: &CityData, config: ServeConfig) -> Service {
-        let site = data.site_for(config.venue);
-        let attacker = config.spec.build_default(&data.wigle, &data.heat, site);
+        let plan = AttackSitePlan::build(&data.wigle, &data.heat, data.site_for(config.venue));
+        let attacker = config
+            .spec
+            .build_from_plan(AttackerSpec::default_bssid(), &plan);
         let fingerprint = config.fingerprint();
         Service {
             config,

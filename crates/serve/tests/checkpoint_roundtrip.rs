@@ -11,15 +11,18 @@
 //!
 //! Also pinned: a corrupted / truncated / foreign-configuration
 //! checkpoint triggers a **counted** cold start that still converges to
-//! the uninterrupted result.
+//! the uninterrupted result, and a checkpoint written by an older format
+//! with a member the decoder no longer reads still restores warm.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use ch_attack::{AttackerSpec, CityHunterConfig, EvasionSpec, RotationSpec, ThrottleSpec};
+use ch_fleet::Json;
 use ch_scenarios::{CityData, RunConfig};
-use ch_serve::{serve_to_files, EventSource, ServeConfig};
+use ch_serve::{serve_to_files, EventSource, InputEvent, ServeConfig};
 use ch_sim::SimDuration;
+use ch_wifi::MacAddr;
 
 const SEED: u64 = 0x5EED;
 
@@ -181,6 +184,121 @@ fn evasive_cityhunter_kill_recover_exact() {
         "evasive-cityhunter",
         evasive(AttackerSpec::CityHunter(CityHunterConfig::default())),
     );
+}
+
+/// The `per_device` member MANA checkpoints carried while MANA also
+/// modelled the tool's non-loud mode: each client that sent a direct
+/// probe in the first `acked` events, sorted by address, with the
+/// database rows of the SSIDs it disclosed, in disclosure order.
+fn legacy_per_device(events: &[InputEvent], acked: usize, db_rows: &[Json]) -> Json {
+    let row_of = |name: &str| {
+        db_rows
+            .iter()
+            .position(|row| row.as_arr().unwrap()[0].as_str() == Some(name))
+            .unwrap()
+    };
+    let mut per_device: Vec<(MacAddr, Vec<usize>)> = Vec::new();
+    for event in &events[..acked] {
+        let InputEvent::Probe {
+            client,
+            ssid: Some(ssid),
+            ..
+        } = event
+        else {
+            continue;
+        };
+        let row = row_of(ssid.as_str());
+        let at = match per_device.iter().position(|(mac, _)| mac == client) {
+            Some(at) => at,
+            None => {
+                per_device.push((*client, Vec::new()));
+                per_device.len() - 1
+            }
+        };
+        if !per_device[at].1.contains(&row) {
+            per_device[at].1.push(row);
+        }
+    }
+    per_device.sort_unstable_by_key(|(mac, _)| mac.octets());
+    Json::Arr(
+        per_device
+            .into_iter()
+            .map(|(mac, rows)| {
+                Json::Arr(vec![
+                    Json::str(mac.to_string()),
+                    Json::Arr(rows.into_iter().map(Json::from_usize).collect()),
+                ])
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn mana_checkpoint_with_legacy_per_device_restores_warm() {
+    // A service upgraded mid-stream finds a checkpoint its predecessor
+    // wrote, with MANA's `per_device` member. The decoder reads members
+    // by name, so the harvest comes back warm and the run finishes
+    // byte-identical to an uninterrupted one.
+    let dir = work_dir("mana-per-device");
+    let source = stream();
+    let cut = source.len() / 2;
+
+    let base_out = dir.join("base.ndjson");
+    let base_report = dir.join("base.json");
+    serve_to_files(
+        city(),
+        &config(AttackerSpec::Mana, Some(dir.join("base.ckpt"))),
+        source,
+        Some(&base_out),
+        Some(&base_report),
+    )
+    .unwrap();
+
+    let out = dir.join("chaos.ndjson");
+    let ckpt = dir.join("chaos.ckpt");
+    let cfg = config(AttackerSpec::Mana, Some(ckpt.clone()));
+    let prefix = EventSource::from_events(source.events()[..cut].to_vec());
+    serve_to_files(city(), &cfg, &prefix, Some(&out), None).unwrap();
+
+    let mut checkpoint = Json::parse(std::fs::read_to_string(&ckpt).unwrap().trim()).unwrap();
+    let acked = checkpoint.get("acked").and_then(Json::as_usize).unwrap();
+    let Json::Obj(members) = &mut checkpoint else {
+        panic!("checkpoint is not an object");
+    };
+    let (_, attacker) = members.iter_mut().find(|(k, _)| k == "attacker").unwrap();
+    let rows = attacker.get("db").and_then(Json::as_arr).unwrap().to_vec();
+    let per_device = legacy_per_device(source.events(), acked, &rows);
+    assert!(
+        !per_device.as_arr().unwrap().is_empty(),
+        "the prefix must hold direct probes"
+    );
+    let Json::Obj(fields) = attacker else {
+        panic!("attacker state is not an object");
+    };
+    assert!(fields.iter().all(|(k, _)| k != "per_device"));
+    fields.push(("per_device".to_string(), per_device));
+    std::fs::write(&ckpt, checkpoint.render()).unwrap();
+
+    let second = serve_to_files(
+        city(),
+        &cfg,
+        source,
+        Some(&out),
+        Some(&dir.join("chaos.json")),
+    )
+    .unwrap();
+    assert!(second.recovered, "the legacy checkpoint must restore warm");
+    assert!(!second.cold_fallback);
+    assert_eq!(second.resumed_at, acked as u64);
+    assert_eq!(
+        std::fs::read(&base_out).unwrap(),
+        std::fs::read(&out).unwrap()
+    );
+    assert_eq!(
+        std::fs::read(&base_report).unwrap(),
+        std::fs::read(dir.join("chaos.json")).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

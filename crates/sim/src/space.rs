@@ -46,17 +46,6 @@ impl Position {
             y: self.y + (other.y - self.y) * t,
         }
     }
-
-    /// Moves `step` metres towards `target`, stopping exactly at the target
-    /// if it is closer than `step`.
-    pub fn step_towards(self, target: Position, step: f64) -> Position {
-        let d = self.distance_to(target);
-        if d <= step || d == 0.0 {
-            target
-        } else {
-            self.lerp(target, step / d)
-        }
-    }
 }
 
 impl fmt::Display for Position {
@@ -166,17 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn step_towards_stops_at_target() {
-        let a = Position::new(0.0, 0.0);
-        let b = Position::new(1.0, 0.0);
-        assert_eq!(a.step_towards(b, 5.0), b);
-        let mid = a.step_towards(b, 0.25);
-        assert!((mid.x - 0.25).abs() < 1e-12);
-        // Zero-distance move is a no-op even with a positive step.
-        assert_eq!(b.step_towards(b, 1.0), b);
-    }
-
-    #[test]
     fn rect_normalizes_corners() {
         let r = Rect::new(Position::new(5.0, -1.0), Position::new(-5.0, 1.0));
         assert_eq!(r.min, Position::new(-5.0, -1.0));
@@ -209,21 +187,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_step_never_overshoots(
-            ax in -100.0..100.0f64, ay in -100.0..100.0f64,
-            bx in -100.0..100.0f64, by in -100.0..100.0f64,
-            step in 0.0..50.0f64,
-        ) {
-            let a = Position::new(ax, ay);
-            let b = Position::new(bx, by);
-            let next = a.step_towards(b, step);
-            let before = a.distance_to(b);
-            let after = next.distance_to(b);
-            prop_assert!(after <= before + 1e-9);
-            prop_assert!(after <= (before - step).max(0.0) + 1e-9);
-        }
-
         #[test]
         fn prop_clamp_idempotent(
             px in -1000.0..1000.0f64, py in -1000.0..1000.0f64,

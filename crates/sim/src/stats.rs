@@ -85,13 +85,6 @@ impl Summary {
         let half = 1.96 * self.std_err();
         (self.mean - half, self.mean + half)
     }
-
-    /// `true` if `other`'s mean lies outside this summary's 95 % CI —
-    /// the quick "clearly different" check used by the replication report.
-    pub fn clearly_differs_from(&self, other: &Summary) -> bool {
-        let (lo, hi) = self.ci95();
-        other.mean < lo || other.mean > hi
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -155,15 +148,6 @@ mod tests {
         assert_eq!(s.max(), 9.0);
         let (lo, hi) = s.ci95();
         assert!(lo < 5.0 && hi > 5.0);
-    }
-
-    #[test]
-    fn clearly_differs() {
-        let tight_low = Summary::of(&[1.0, 1.01, 0.99, 1.0, 1.0]).unwrap();
-        let tight_high = Summary::of(&[2.0, 2.01, 1.99, 2.0, 2.0]).unwrap();
-        assert!(tight_low.clearly_differs_from(&tight_high));
-        let overlapping = Summary::of(&[0.9, 1.1, 1.0]).unwrap();
-        assert!(!tight_low.clearly_differs_from(&overlapping));
     }
 
     #[test]

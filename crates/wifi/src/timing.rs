@@ -23,9 +23,6 @@ pub const PROBE_RESPONSE_AIRTIME: SimDuration = SimDuration::from_micros(250);
 /// Airtime of a (short) probe request.
 pub const PROBE_REQUEST_AIRTIME: SimDuration = SimDuration::from_micros(120);
 
-/// Airtime of one authentication or association frame.
-pub const HANDSHAKE_FRAME_AIRTIME: SimDuration = SimDuration::from_micros(150);
-
 /// The per-scan response budget: how many probe responses fit in the
 /// client's listen window.
 pub fn responses_per_scan() -> usize {
@@ -39,22 +36,6 @@ pub fn responses_per_scan() -> usize {
 /// response" (§III-A), which is what caps reception near 40 frames.
 pub fn listen_deadline(probe_at: SimTime) -> SimTime {
     probe_at + PROBE_RESPONSE_AIRTIME + EXTENDED_WAIT
-}
-
-/// Airtime for an encoded frame of `len` bytes at `rate_mbps`, including a
-/// fixed preamble/IFS overhead of 100 µs. This is a long-preamble DSSS
-/// approximation, adequate for management traffic at 1–2 Mb/s.
-pub fn airtime_for_len(len: usize, rate_mbps: f64) -> SimDuration {
-    assert!(rate_mbps > 0.0, "rate must be positive");
-    let payload_us = (len as f64 * 8.0) / rate_mbps;
-    SimDuration::from_micros(100 + payload_us.ceil() as u64)
-}
-
-/// Full duration of the open-system join once the client decides to
-/// connect: auth request/response + assoc request/response with SIFS gaps.
-pub fn join_handshake_duration() -> SimDuration {
-    // 4 frames + 3 × 10 µs SIFS.
-    HANDSHAKE_FRAME_AIRTIME * 4 + SimDuration::from_micros(30)
 }
 
 #[cfg(test)]
@@ -75,39 +56,5 @@ mod tests {
         // Frames that fit back-to-back inside the window:
         let frames = deadline.since(t0) / PROBE_RESPONSE_AIRTIME;
         assert_eq!(frames, 41, "one in-flight + the 40-frame budget");
-    }
-
-    #[test]
-    fn airtime_scales_with_length_and_rate() {
-        let short = airtime_for_len(50, 1.0);
-        let long = airtime_for_len(100, 1.0);
-        assert!(long > short);
-        let fast = airtime_for_len(100, 2.0);
-        assert!(fast < long);
-        // 100-byte frame at 1 Mb/s: 800 µs payload + 100 µs overhead.
-        assert_eq!(airtime_for_len(100, 1.0), SimDuration::from_micros(900));
-    }
-
-    #[test]
-    fn probe_response_airtime_consistent_with_typical_frame() {
-        // A typical lure probe response is ~60–80 bytes on our codec;
-        // at 2 Mb/s that lands in the ~0.25–0.45 ms ballpark the constant
-        // summarizes.
-        let t = airtime_for_len(75, 2.0);
-        assert!(
-            t >= SimDuration::from_micros(200) && t <= SimDuration::from_micros(500),
-            "{t}"
-        );
-    }
-
-    #[test]
-    fn handshake_is_sub_millisecond() {
-        assert!(join_handshake_duration() < SimDuration::from_millis(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_panics() {
-        let _ = airtime_for_len(10, 0.0);
     }
 }

@@ -20,7 +20,7 @@
 //! cargo run --release -p city-hunter --example defender_audit [seed]
 //! ```
 
-use city_hunter::attack::{Attacker, CityHunter, CityHunterConfig};
+use city_hunter::attack::{AttackSitePlan, Attacker, CityHunter, CityHunterConfig};
 use city_hunter::detect::{Detector, DetectorSpec};
 use city_hunter::prelude::*;
 use city_hunter::wifi::codec;
@@ -33,12 +33,10 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     let data = CityData::standard(seed);
-    let site = data.site_for(VenueKind::Canteen);
-    let mut attacker = CityHunter::new(
+    let plan = AttackSitePlan::build(&data.wigle, &data.heat, data.site_for(VenueKind::Canteen));
+    let mut attacker = CityHunter::from_plan(
         MacAddr::from_index([0x0a, 0xbc, 0xde], 1),
-        &data.wigle,
-        &data.heat,
-        site,
+        &plan,
         CityHunterConfig::default(),
     );
 

@@ -1,7 +1,7 @@
 //! Frame-level integration: attacker and phone speak through the byte
 //! codec, end to end, without the experiment runner in between.
 
-use city_hunter::attack::{Attacker, CityHunter, CityHunterConfig, KarmaAttacker};
+use city_hunter::attack::{AttackSitePlan, Attacker, CityHunter, CityHunterConfig, KarmaAttacker};
 use city_hunter::phone::pnl::{Pnl, PnlEntry, PnlOrigin};
 use city_hunter::phone::scanner::ScanConfig;
 use city_hunter::phone::OsKind;
@@ -29,11 +29,10 @@ fn victim(pnl: Pnl) -> Phone {
 }
 
 fn hunter(data: &CityData) -> CityHunter {
-    CityHunter::new(
+    let plan = AttackSitePlan::build(&data.wigle, &data.heat, data.site_for(VenueKind::Canteen));
+    CityHunter::from_plan(
         MacAddr::from_index([0x0a, 0xbc, 0xde], 1),
-        &data.wigle,
-        &data.heat,
-        data.site_for(VenueKind::Canteen),
+        &plan,
         CityHunterConfig::default(),
     )
 }
