@@ -47,6 +47,13 @@ echo "==> benchmark package (build + tests)"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
   --manifest-path benchmark/Cargo.toml
 
+# The middle of three numbers: each scaling gate reads the median of its
+# three alternating serial/parallel pairs, so one pair timed on a slow
+# stretch of a shared host cannot fail it alone.
+median3() {
+  printf '%s\n' "$@" | sort -g | sed -n 2p
+}
+
 echo "==> fleet smoke (full fig5 campaign: serial, 2 jobs, cached rerun; committed manifests)"
 # End-to-end check of the campaign engine through a real binary: the
 # 48-job Fig. 5 campaign runs serial (the speedup reference), fresh at 2
@@ -73,10 +80,24 @@ cargo run -q --release -p ch-bench --bin experiment -- "${smoke_args[@]}" --jobs
   > "$smoke_dir/run2.txt" 2> "$smoke_dir/run2.log"
 grep -q '0 executed, 48 cached, 0 failed' "$smoke_dir/run2.log"
 cmp "$smoke_dir/run1.txt" "$smoke_dir/run2.txt"
+# Pairs 2 and 3 of the scaling gate (run0/run1 are pair 1): pair 2 runs
+# its parallel leg first, pair 3 its serial leg, each on a fresh
+# manifest so neither comes from cache.
+for pair in 2 3; do
+  if [ "$pair" = 2 ]; then order="2 1"; else order="1 2"; fi
+  for j in $order; do
+    leg="pair${pair}_j$j"
+    cargo run -q --release -p ch-bench --bin experiment -- "${smoke_args[@]}" --jobs "$j" \
+      --manifest "$smoke_dir/fleet_fig5_$leg.jsonl" \
+      > "$smoke_dir/$leg.txt" 2> "$smoke_dir/$leg.log"
+    grep -q '48 executed, 0 cached, 0 failed' "$smoke_dir/$leg.log"
+  done
+done
 # Scaling gate: with the build-once campaign context and worker-local
 # scratch, the parallel leg must never be slower than serial (hard
-# floor 1.0x; the ≥0.7×N target stays report-only). Both fresh legs'
-# stderr status lines end `… on N thread(s) in M ms`. The engine clamps
+# floor 1.0x on the median of the three pairs' ratios; the ≥0.7×N
+# target stays report-only). Every fresh leg's stderr status line ends
+# `… on N thread(s) in M ms`. The engine clamps
 # spawned workers at the machine's parallelism, so on a single-core
 # host the --jobs 2 leg runs one worker and there is no scaling to
 # gate — assert the clamp itself instead.
@@ -85,7 +106,15 @@ read -r _ serial_ms <<< "$(sed -n "$fleet_status" "$smoke_dir/run0.log")"
 read -r threads par_ms <<< "$(sed -n "$fleet_status" "$smoke_dir/run1.log")"
 test -n "$serial_ms" && test -n "$threads" && test -n "$par_ms"
 test "$threads" -le "$(nproc)"
-speedup=$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { print a / (b > 0 ? b : 1) }')
+ratios=("$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { print a / (b > 0 ? b : 1) }')")
+for pair in 2 3; do
+  read -r _ serial_ms <<< "$(sed -n "$fleet_status" "$smoke_dir/pair${pair}_j1.log")"
+  read -r _ par_ms <<< "$(sed -n "$fleet_status" "$smoke_dir/pair${pair}_j2.log")"
+  test -n "$serial_ms" && test -n "$par_ms"
+  ratios+=("$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { print a / (b > 0 ? b : 1) }')")
+done
+speedup=$(median3 "${ratios[@]}")
+echo "scaling: fig5 pair ratios ${ratios[*]}; median ${speedup}x"
 if [ "$threads" -ge 2 ]; then
   echo "scaling: fig5 --jobs 2 ran ${speedup}x vs serial ($threads workers; gate: >= 1.0)"
   awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }'
@@ -198,8 +227,9 @@ grep -q 'events/sec (wall-clock)' "$city_dir/s1.log"
 # attacker; about 0.5 s serial, long enough that thread start-up cannot
 # decide the ratio) runs at --jobs 1 and --jobs 2, must render the same
 # bytes, and the 2-worker leg must never be slower than serial (hard
-# floor 1.0x; the >=0.7xN target stays report-only). Each leg's stderr
-# status line carries `… M ms wall (S shards, W jobs)`. On a single-core
+# floor 1.0x on the median of three alternating pairs' ratios; the
+# >=0.7xN target stays report-only). Each leg's stderr status line
+# carries `… M ms wall (S shards, W jobs)`. On a single-core
 # host the --jobs 2 leg is clamped to one worker: assert the clamp
 # instead, as the fleet smoke does.
 city_gate=(city 1 --districts 16 --minutes 60)
@@ -208,12 +238,29 @@ for j in 1 2; do
     > "$city_dir/gate_j$j.txt" 2> "$city_dir/gate_j$j.log"
 done
 cmp "$city_dir/gate_j1.txt" "$city_dir/gate_j2.txt"
+# Pairs 2 and 3, alternating which leg runs first, as in the fleet smoke.
+for pair in 2 3; do
+  if [ "$pair" = 2 ]; then order="2 1"; else order="1 2"; fi
+  for j in $order; do
+    leg="pair${pair}_j$j"
+    cargo run -q --release -p ch-bench --bin experiment -- "${city_gate[@]}" --jobs "$j" \
+      > "$city_dir/$leg.txt" 2> "$city_dir/$leg.log"
+  done
+done
 city_status='s/^city: .* | \([0-9]*\) ms wall ([0-9]* shards, \([0-9]*\) jobs).*/\1 \2/p'
 read -r serial_ms _ <<< "$(sed -n "$city_status" "$city_dir/gate_j1.log")"
 read -r par_ms city_threads <<< "$(sed -n "$city_status" "$city_dir/gate_j2.log")"
 test -n "$serial_ms" && test -n "$par_ms" && test -n "$city_threads"
 test "$city_threads" -le "$(nproc)"
-city_speedup=$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { printf "%.2f", a / (b > 0 ? b : 1) }')
+city_ratios=("$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { printf "%.2f", a / (b > 0 ? b : 1) }')")
+for pair in 2 3; do
+  read -r serial_ms _ <<< "$(sed -n "$city_status" "$city_dir/pair${pair}_j1.log")"
+  read -r par_ms _ <<< "$(sed -n "$city_status" "$city_dir/pair${pair}_j2.log")"
+  test -n "$serial_ms" && test -n "$par_ms"
+  city_ratios+=("$(awk -v a="$serial_ms" -v b="$par_ms" 'BEGIN { printf "%.2f", a / (b > 0 ? b : 1) }')")
+done
+city_speedup=$(median3 "${city_ratios[@]}")
+echo "scaling: city pair ratios ${city_ratios[*]}; median ${city_speedup}x"
 if [ "$city_threads" -ge 2 ]; then
   echo "scaling: city --jobs 2 ran ${city_speedup}x vs serial ($city_threads workers; gate: >= 1.0)"
   awk -v s="$city_speedup" 'BEGIN { exit !(s >= 1.0) }'

@@ -5,10 +5,10 @@
 //! *bit-identical across runs*:
 //!
 //! * **allocation medians** — with [`ch_sim::alloc::CountingAlloc`]
-//!   installed as the global allocator, it counts heap allocations per
-//!   probe on warm attacker state. The tentpole claim of the zero-alloc
-//!   refactor is checked here: steady-state probe handling must report a
-//!   median of **0** allocations.
+//!   installed as the global allocator, it runs the measurements in
+//!   [`ch_bench::hotpath`] (the same ones `tests/zero_alloc.rs` asserts)
+//!   and counts heap allocations per call on warm state. Steady-state
+//!   probe handling must report a median of **0** allocations.
 //! * **event throughput** — probes handled per *simulated* minute in a
 //!   fixed-seed canteen run, counted by wrapping the attacker. Sim-clock
 //!   based, so no wall-clock enters the output.
@@ -21,15 +21,14 @@
 
 use std::io::Write as _;
 
-use ch_attack::buffers::{AdaptiveBuffers, SelectScratch};
-use ch_attack::{AttackSitePlan, Attacker, CityHunter, CityHunterConfig, Lure};
+use ch_attack::{Attacker, CityHunterConfig, Lure};
+use ch_bench::hotpath;
 use ch_scenarios::experiments::CITY_SEED;
 use ch_scenarios::runner::{run_experiment_with_attacker, RunConfig};
 use ch_scenarios::{AttackerKind, CityData};
-use ch_sim::alloc::count_allocations;
-use ch_sim::{SimDuration, SimRng, SimTime};
-use ch_wifi::mgmt::{MgmtFrame, ProbeRequest, ProbeResponse};
-use ch_wifi::{codec, Channel, MacAddr, Ssid, SsidInterner};
+use ch_sim::{SimDuration, SimTime};
+use ch_wifi::mgmt::ProbeRequest;
+use ch_wifi::MacAddr;
 
 #[global_allocator]
 static ALLOC: ch_sim::alloc::CountingAlloc = ch_sim::alloc::CountingAlloc;
@@ -37,131 +36,6 @@ static ALLOC: ch_sim::alloc::CountingAlloc = ch_sim::alloc::CountingAlloc;
 /// Probes measured per alloc metric (after warmup).
 const FULL_ITERS: usize = 512;
 const QUICK_ITERS: usize = 64;
-
-/// Warm pool of broadcast clients, round-robined so per-client untried
-/// lists never exhaust inside the measurement window.
-const CLIENT_POOL: usize = 64;
-
-/// Direct-probe SSIDs harvested before measuring, so the database is deep
-/// enough to serve every measured scan (pool × scans × 40 lures).
-const HARVEST: usize = 1_700;
-
-fn mac(i: u32) -> MacAddr {
-    MacAddr::from_index([2, 0, 0], i)
-}
-
-/// A City-Hunter deployed at the canteen site.
-fn canteen_hunter(data: &CityData, config: CityHunterConfig) -> CityHunter {
-    let site = data.site_for(ch_mobility::VenueKind::Canteen);
-    let plan = AttackSitePlan::build(&data.wigle, &data.heat, site);
-    CityHunter::from_plan(mac(9_999), &plan, config)
-}
-
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Measures allocations per broadcast probe on a warm City-Hunter.
-fn respond_broadcast_median(data: &CityData, iters: usize, tracking: bool) -> u64 {
-    let config = CityHunterConfig {
-        untried_tracking: tracking,
-        ..CityHunterConfig::default()
-    };
-    let mut hunter = canteen_hunter(data, config);
-
-    // Deepen the database past what the measurement can drain.
-    for i in 0..HARVEST as u32 {
-        let probe = ProbeRequest::direct(mac(100_000 + i), Ssid::new_lossy(format!("D{i:04}")));
-        hunter.respond_to_probe(SimTime::ZERO, &probe, 40);
-    }
-
-    // Pre-built probes: probe construction is not the code under test.
-    let probes: Vec<ProbeRequest> = (0..CLIENT_POOL as u32)
-        .map(|i| ProbeRequest::broadcast(mac(i)))
-        .collect();
-    let mut out: Vec<Lure> = Vec::new();
-    // Warmup: three scans per client, so every client is in the tracker's
-    // map with 120 ids in its sent bitset, and all scratch reaches
-    // capacity. A bitset extends only at amortized doublings as deeper
-    // ids go out, so the median measured scan allocates nothing.
-    for (w, probe) in probes.iter().cycle().take(3 * CLIENT_POOL).enumerate() {
-        hunter.respond_to_probe_into(SimTime::from_secs(w as u64), probe, 40, &mut out);
-    }
-
-    let mut samples = Vec::with_capacity(iters);
-    for (w, probe) in probes.iter().cycle().take(iters).enumerate() {
-        let now = SimTime::from_secs(1_000 + w as u64);
-        let (allocs, ()) =
-            count_allocations(|| hunter.respond_to_probe_into(now, probe, 40, &mut out));
-        samples.push(allocs);
-    }
-    median(&mut samples)
-}
-
-/// Measures allocations per *direct* probe for already-known SSIDs.
-fn respond_direct_median(data: &CityData, iters: usize) -> u64 {
-    let mut hunter = canteen_hunter(data, CityHunterConfig::default());
-    let probes: Vec<ProbeRequest> = (0..32u32)
-        .map(|i| ProbeRequest::direct(mac(i), Ssid::new_lossy(format!("K{i:02}"))))
-        .collect();
-    let mut out: Vec<Lure> = Vec::new();
-    // First pass harvests the SSIDs; afterwards every probe is a known hit.
-    for probe in &probes {
-        hunter.respond_to_probe_into(SimTime::ZERO, probe, 40, &mut out);
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for (w, probe) in probes.iter().cycle().take(iters).enumerate() {
-        let now = SimTime::from_secs(1 + w as u64);
-        let (allocs, ()) =
-            count_allocations(|| hunter.respond_to_probe_into(now, probe, 40, &mut out));
-        samples.push(allocs);
-    }
-    median(&mut samples)
-}
-
-/// Measures allocations per warm-scratch buffer selection.
-fn select_into_median(iters: usize) -> u64 {
-    let buffers = AdaptiveBuffers::paper_default();
-    let mut interner = SsidInterner::new();
-    let by_weight: Vec<_> = (0..300)
-        .map(|i| interner.intern(&Ssid::new_lossy(format!("w{i:03}"))))
-        .collect();
-    let by_fresh: Vec<_> = (0..60)
-        .map(|i| interner.intern(&Ssid::new_lossy(format!("f{i:02}"))))
-        .collect();
-    let mut rng = SimRng::seed_from(7);
-    let mut scratch = SelectScratch::new();
-    let mut out = Vec::new();
-    buffers.select_into(&by_weight, &by_fresh, 40, &mut rng, &mut scratch, &mut out);
-
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let (allocs, ()) = count_allocations(|| {
-            buffers.select_into(&by_weight, &by_fresh, 40, &mut rng, &mut scratch, &mut out);
-        });
-        samples.push(allocs);
-    }
-    median(&mut samples)
-}
-
-/// Measures allocations per frame encode into a warm buffer.
-fn encode_into_median(iters: usize) -> u64 {
-    let frame = MgmtFrame::ProbeResponse(ProbeResponse::open_lure(
-        mac(9),
-        mac(1),
-        Ssid::new_lossy("#HKAirport Free WiFi"),
-        Channel::default_attack_channel(),
-    ));
-    let mut buf = Vec::new();
-    codec::encode_into(&frame, &mut buf);
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let (allocs, ()) = count_allocations(|| codec::encode_into(&frame, &mut buf));
-        samples.push(allocs);
-    }
-    median(&mut samples)
-}
 
 /// Wraps an attacker and counts how many probes it answers.
 struct CountingAttacker<A> {
@@ -217,7 +91,7 @@ fn throughput(data: &CityData, minutes: u64) -> (u64, u64, u64) {
         ..RunConfig::canteen_30min(AttackerKind::CityHunter(CityHunterConfig::default()), 1)
     };
     let mut attacker = CountingAttacker {
-        inner: canteen_hunter(data, CityHunterConfig::default()),
+        inner: hotpath::canteen_hunter(data, CityHunterConfig::default()),
         probes: 0,
     };
     let metrics = run_experiment_with_attacker(data, &config, &mut attacker);
@@ -244,11 +118,11 @@ fn main() {
     let data = CityData::standard(CITY_SEED);
 
     eprintln!("perfbench: alloc medians over {iters} probes each...");
-    let broadcast_tracking = respond_broadcast_median(&data, iters, true);
-    let broadcast_no_tracking = respond_broadcast_median(&data, iters, false);
-    let direct_known = respond_direct_median(&data, iters);
-    let select_warm = select_into_median(iters);
-    let encode_warm = encode_into_median(iters);
+    let broadcast_tracking = hotpath::respond_broadcast(&data, iters, true);
+    let broadcast_no_tracking = hotpath::respond_broadcast(&data, iters, false);
+    let direct_known = hotpath::respond_direct_known(&data, iters);
+    let select_warm = hotpath::select_into_warm(iters);
+    let encode_warm = hotpath::encode_into_warm(iters);
 
     eprintln!("perfbench: {minutes}-simulated-minute canteen throughput run...");
     let (sim_seconds, probes, per_minute) = throughput(&data, minutes);

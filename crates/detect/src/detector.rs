@@ -52,49 +52,35 @@ pub const DEAUTH_FLOOD_VICTIMS: usize = 5;
 /// [`Strictness::Standard`] threshold.
 const DEAUTH_FLOOD_POINTS: u32 = 7;
 
-/// How aggressively the detector flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// How aggressively the detector flags; the one setting of a
+/// [`Detector`]. `ch_scenarios::RunConfig` carries an
+/// `Option<Strictness>`, and `None` is the one way to run no detector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strictness {
-    /// Detection disabled; the detector observes nothing.
-    Off,
     /// High threshold: only overwhelming evidence flags.
     Lenient,
-    /// The default operating point.
-    #[default]
+    /// The standard operating point.
     Standard,
     /// Low threshold: flags early, at the cost of false positives.
     Paranoid,
 }
 
 impl Strictness {
-    /// Score an AP must reach to be flagged; `None` when detection is off.
-    pub fn threshold(self) -> Option<u32> {
+    /// Score an AP must reach to be flagged.
+    pub fn threshold(self) -> u32 {
         match self {
-            Strictness::Off => None,
-            Strictness::Lenient => Some(10),
-            Strictness::Standard => Some(7),
-            Strictness::Paranoid => Some(4),
+            Strictness::Lenient => 10,
+            Strictness::Standard => 7,
+            Strictness::Paranoid => 4,
         }
     }
 
     /// Stable slug (experiment keys, rendered tables).
     pub fn slug(self) -> &'static str {
         match self {
-            Strictness::Off => "off",
             Strictness::Lenient => "lenient",
             Strictness::Standard => "standard",
             Strictness::Paranoid => "paranoid",
-        }
-    }
-
-    /// Parses a slug produced by [`Strictness::slug`].
-    pub fn from_slug(slug: &str) -> Option<Strictness> {
-        match slug {
-            "off" => Some(Strictness::Off),
-            "lenient" => Some(Strictness::Lenient),
-            "standard" => Some(Strictness::Standard),
-            "paranoid" => Some(Strictness::Paranoid),
-            _ => None,
         }
     }
 }
@@ -126,37 +112,6 @@ const COLOCATION_MIN: usize = 10;
 
 /// Points co-location contributes.
 const COLOCATION_POINTS: u32 = 4;
-
-/// Configuration for a [`Detector`]; threaded through
-/// `ch_scenarios::RunConfig` so detection runs concurrently with an attack.
-/// The behavioral tuning and the 60 s evidence window are fixed.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DetectorSpec {
-    /// Flagging threshold regime.
-    pub strictness: Strictness,
-}
-
-impl DetectorSpec {
-    /// The default operating point (standard strictness).
-    pub fn standard() -> Self {
-        DetectorSpec::default()
-    }
-
-    /// A spec at the given strictness.
-    pub fn with_strictness(strictness: Strictness) -> Self {
-        DetectorSpec { strictness }
-    }
-
-    /// A present-but-disabled spec; behaves exactly like `None`.
-    pub fn disabled() -> Self {
-        DetectorSpec::with_strictness(Strictness::Off)
-    }
-
-    /// `true` if this spec disables detection entirely.
-    pub fn is_disabled(&self) -> bool {
-        self.strictness == Strictness::Off
-    }
-}
 
 /// Per-BSSID observables the signature rules and behavioral heuristics
 /// read. Fields are public for [`SignatureRule`](crate::SignatureRule)
@@ -275,7 +230,7 @@ struct DirectProbe {
 /// The rogue-AP detector: signature DB + behavioral heuristics over an
 /// observed frame stream.
 pub struct Detector {
-    spec: DetectorSpec,
+    strictness: Strictness,
     db: SignatureDb,
     profiles: DetHashMap<MacAddr, ApProfile>,
     broadcasters: DetHashMap<MacAddr, SimTime>,
@@ -287,14 +242,14 @@ pub struct Detector {
 
 impl Detector {
     /// A detector with the stock signature database.
-    pub fn new(spec: DetectorSpec) -> Self {
-        Detector::with_db(spec, SignatureDb::standard())
+    pub fn new(strictness: Strictness) -> Self {
+        Detector::with_db(strictness, SignatureDb::standard())
     }
 
     /// A detector with a custom signature database.
-    pub fn with_db(spec: DetectorSpec, db: SignatureDb) -> Self {
+    pub fn with_db(strictness: Strictness, db: SignatureDb) -> Self {
         Detector {
-            spec,
+            strictness,
             db,
             profiles: det_hash_map(),
             broadcasters: det_hash_map(),
@@ -305,16 +260,8 @@ impl Detector {
         }
     }
 
-    /// The active spec.
-    pub fn spec(&self) -> &DetectorSpec {
-        &self.spec
-    }
-
     /// Feeds one observed frame.
     pub fn observe(&mut self, at: SimTime, frame: &MgmtFrame) {
-        if self.spec.is_disabled() {
-            return;
-        }
         self.frames += 1;
         match frame {
             MgmtFrame::ProbeRequest(probe) => self.observe_probe(at, probe),
@@ -435,9 +382,6 @@ impl Detector {
     }
 
     fn evaluate(&mut self, at: SimTime, bssid: MacAddr) {
-        let Some(threshold) = self.spec.strictness.threshold() else {
-            return;
-        };
         let Some(profile) = self.profiles.get_mut(&bssid) else {
             return;
         };
@@ -466,7 +410,7 @@ impl Detector {
             score += DEAUTH_FLOOD_POINTS;
             reasons.insert(Reason::DeauthFlood);
         }
-        if score >= threshold {
+        if score >= self.strictness.threshold() {
             profile.window_flagged = true;
             self.first_flags.entry(bssid).or_insert(at);
             self.verdicts.push(DetectionVerdict {
@@ -577,7 +521,7 @@ mod tests {
 
     #[test]
     fn broadcast_bait_heuristic_fires() {
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         drive_cityhunter_burst(&mut detector, t(10), 12);
         assert!(detector.is_flagged(rogue()));
         let v = detector.verdicts()[0];
@@ -588,7 +532,7 @@ mod tests {
 
     #[test]
     fn pnl_replay_heuristic_fires() {
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         // Client 1 probes for its PNL entry; the rogue replays it to
         // client 2 (MANA aggregation).
         detector.observe(t(5), &direct(client(1), "HomeNet"));
@@ -601,7 +545,7 @@ mod tests {
 
     #[test]
     fn answering_the_probing_client_is_not_bait_or_replay() {
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         // A legit AP answering a client's own directed probe.
         detector.observe(t(5), &direct(client(1), "CSL"));
         detector.observe(t(5), &response(legit(), client(1), "CSL"));
@@ -613,7 +557,7 @@ mod tests {
 
     #[test]
     fn silent_responder_signature_fires() {
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         // A *clean-looking* BSSID (vendor OUI, plain SSIDs) that answers
         // directed probes forever without ever beaconing.
         for i in 0..25u64 {
@@ -626,7 +570,7 @@ mod tests {
         // Silent responder (3) + rogue IE (1) alone stay under the standard
         // threshold; a paranoid detector flags it.
         assert!(!detector.is_flagged(legit()));
-        let mut paranoid = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut paranoid = Detector::new(Strictness::Paranoid);
         for i in 0..25u64 {
             paranoid.observe(t(i), &direct(client(1), "Corp"));
             paranoid.observe(t(i), &response(legit(), client(1), "Corp"));
@@ -639,7 +583,7 @@ mod tests {
 
     #[test]
     fn odd_beacon_interval_signature_fires() {
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         let mut b = Beacon::open(legit(), ssid("Weird"), Channel::default());
         b.interval_tu = 400;
         // Odd interval (2) alone is under even the paranoid threshold;
@@ -657,7 +601,7 @@ mod tests {
 
     #[test]
     fn colocation_heuristic_fires_via_beacons() {
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         for i in 0..10 {
             detector.observe(t(i), &beacon(legit(), &format!("venue-net-{i}")));
         }
@@ -672,7 +616,7 @@ mod tests {
         // False-positive pin: a vendor-OUI AP beaconing one SSID at 100 TU
         // and answering only its own directed probes stays clean at
         // standard strictness, even with heavy client probing around it.
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         for i in 0..600u64 {
             detector.observe(t(i), &beacon(legit(), "CSL"));
             detector.observe(t(i), &broadcast(client((i % 7) as u8)));
@@ -691,7 +635,7 @@ mod tests {
             Strictness::Standard,
             Strictness::Paranoid,
         ] {
-            let mut detector = Detector::new(DetectorSpec::with_strictness(strictness));
+            let mut detector = Detector::new(strictness);
             detector.observe(t(5), &direct(client(1), "HomeNet"));
             for i in 0..3 {
                 detector.observe(t(6 + i), &response(legit(), client(2), "HomeNet"));
@@ -708,7 +652,7 @@ mod tests {
 
     #[test]
     fn at_most_one_verdict_per_window() {
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         drive_cityhunter_burst(&mut detector, t(10), 12);
         drive_cityhunter_burst(&mut detector, t(20), 12);
         assert_eq!(detector.verdicts().len(), 1);
@@ -719,7 +663,7 @@ mod tests {
 
     #[test]
     fn first_flag_time_sticks() {
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         drive_cityhunter_burst(&mut detector, t(10), 12);
         // A later window re-flags the rogue; a flood flags a second AP.
         drive_cityhunter_burst(&mut detector, t(70), 12);
@@ -737,7 +681,7 @@ mod tests {
 
     #[test]
     fn windowed_evidence_resets() {
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         drive_cityhunter_burst(&mut detector, t(10), 12);
         let before = detector.profile(rogue()).unwrap().window_bait.len();
         assert!(before > 0);
@@ -748,19 +692,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_detector_observes_nothing() {
-        let mut detector = Detector::new(DetectorSpec::disabled());
-        drive_cityhunter_burst(&mut detector, t(10), 12);
-        assert_eq!(detector.frames_observed(), 0);
-        assert_eq!(detector.flagged_count(), 0);
-        assert!(DetectorSpec::disabled().is_disabled());
-        assert!(!DetectorSpec::standard().is_disabled());
-    }
-
-    #[test]
     fn verdict_stream_is_deterministic() {
         let run = || {
-            let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+            let mut detector = Detector::new(Strictness::Paranoid);
             detector.observe(t(5), &direct(client(1), "HomeNet"));
             for i in 0..4 {
                 detector.observe(t(6 + i), &response(rogue(), client(2), "HomeNet"));
@@ -782,7 +716,7 @@ mod tests {
             protected_ssids: names.iter().map(|n| ssid(n)).collect(),
             ..SignatureDb::standard()
         };
-        Detector::with_db(DetectorSpec::standard(), db)
+        Detector::with_db(Strictness::Standard, db)
     }
 
     fn deauth(secs: u64, source: MacAddr, victim: u8) -> (SimTime, MgmtFrame) {
@@ -824,7 +758,7 @@ mod tests {
             .reasons
             .contains(Reason::SecurityDowngrade));
         // The stock database lists nothing, so the same frames are clean.
-        let mut stock = Detector::new(DetectorSpec::standard());
+        let mut stock = Detector::new(Strictness::Standard);
         stock.observe(t(2), &beacon(legit(), "Corp"));
         stock.observe(t(2), &response(legit(), client(1), "Corp"));
         assert!(stock.verdicts().is_empty());
@@ -844,7 +778,7 @@ mod tests {
 
     #[test]
     fn deauth_flood_fires_once_per_source_at_n_victims() {
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         for victim in 1..DEAUTH_FLOOD_VICTIMS as u8 {
             let (at, frame) = deauth(u64::from(victim), legit(), victim);
             detector.observe(at, &frame);
@@ -871,7 +805,7 @@ mod tests {
     fn deauth_flood_ignores_repeat_and_spread_out_victims() {
         // One victim deauthenticated over and over is an AP dropping a
         // client, not a flood.
-        let mut repeats = Detector::new(DetectorSpec::standard());
+        let mut repeats = Detector::new(Strictness::Standard);
         for i in 0..40 {
             let (at, frame) = deauth(i, legit(), 1);
             repeats.observe(at, &frame);
@@ -879,7 +813,7 @@ mod tests {
         assert!(repeats.verdicts().is_empty());
         // N distinct victims, one per window: the count restarts each
         // window and never reaches N.
-        let mut spread = Detector::new(DetectorSpec::standard());
+        let mut spread = Detector::new(Strictness::Standard);
         for victim in 0..3 * DEAUTH_FLOOD_VICTIMS as u8 {
             let (at, frame) = deauth(61 * u64::from(victim), legit(), victim);
             spread.observe(at, &frame);
@@ -890,7 +824,7 @@ mod tests {
     #[test]
     fn deauth_flood_sources_count_independently() {
         let other = MacAddr::from_index([0x00, 0x90, 0x4c], 10);
-        let mut detector = Detector::new(DetectorSpec::standard());
+        let mut detector = Detector::new(Strictness::Standard);
         // Both sources hit the same N − 1 victims: neither alone reached N.
         for victim in 1..DEAUTH_FLOOD_VICTIMS as u8 {
             for source in [legit(), other] {
@@ -913,7 +847,7 @@ mod tests {
         // three windows: the silent-responder tell stays quiet, the
         // co-location tell does not.
         let run = |beacons: bool| {
-            let mut detector = Detector::new(DetectorSpec::standard());
+            let mut detector = Detector::new(Strictness::Standard);
             if beacons {
                 detector.observe(t(0), &beacon(rogue(), "venue"));
             }
@@ -941,7 +875,7 @@ mod tests {
     fn colocation_fires_once_at_threshold() {
         // A clean vendor AP beaconing ever more SSIDs: co-location is its
         // only tell, and alone it reaches the paranoid threshold.
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         for i in 1..COLOCATION_MIN as u64 {
             detector.observe(t(i), &beacon(legit(), &format!("venue-net-{i}")));
         }
@@ -971,7 +905,7 @@ mod tests {
             detector.observe(t(i), &direct(client(1), "X"));
             detector.observe(t(i), &response(legit(), client(1), "X"));
         };
-        let mut silent = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut silent = Detector::new(Strictness::Paranoid);
         for i in 1..20 {
             answer(&mut silent, i);
         }
@@ -983,7 +917,7 @@ mod tests {
             .contains(Reason::SilentResponder));
         // The same AP beaconing once is never flagged, however long it
         // answers.
-        let mut beaconing = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut beaconing = Detector::new(Strictness::Paranoid);
         beaconing.observe(t(0), &beacon(legit(), "X"));
         for i in 1..=50 {
             answer(&mut beaconing, i);
@@ -993,7 +927,7 @@ mod tests {
 
     #[test]
     fn colocation_ignores_repeats_of_one_ssid() {
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         for i in 0..50 {
             detector.observe(t(i), &beacon(legit(), "SameNet"));
         }
@@ -1003,16 +937,17 @@ mod tests {
 
     #[test]
     fn strictness_slugs_roundtrip() {
-        for s in [
-            Strictness::Off,
+        let all = [
             Strictness::Lenient,
             Strictness::Standard,
             Strictness::Paranoid,
-        ] {
-            assert_eq!(Strictness::from_slug(s.slug()), Some(s));
+        ];
+        // A slug names exactly one level, so experiment keys identify it.
+        for s in all {
+            let named: Vec<Strictness> = all.into_iter().filter(|l| l.slug() == s.slug()).collect();
+            assert_eq!(named, [s]);
         }
-        assert_eq!(Strictness::from_slug("bogus"), None);
-        assert!(Strictness::Off.threshold().is_none());
-        assert!(Strictness::Paranoid.threshold() < Strictness::Lenient.threshold());
+        assert!(Strictness::Paranoid.threshold() < Strictness::Standard.threshold());
+        assert!(Strictness::Standard.threshold() < Strictness::Lenient.threshold());
     }
 }

@@ -36,12 +36,12 @@
 //! `arms_race` experiment's precision / recall / time-to-detect table.
 //!
 //! ```
-//! use ch_detect::{Detector, DetectorSpec};
+//! use ch_detect::{Detector, Strictness};
 //! use ch_sim::SimTime;
 //! use ch_wifi::mgmt::{MgmtFrame, ProbeRequest};
 //! use ch_wifi::MacAddr;
 //!
-//! let mut detector = Detector::new(DetectorSpec::standard());
+//! let mut detector = Detector::new(Strictness::Standard);
 //! let client = MacAddr::new([0x02, 0, 0, 0, 0, 1]);
 //! detector.observe(
 //!     SimTime::from_secs(1),
@@ -55,7 +55,7 @@ pub mod report;
 pub mod signature;
 pub mod verdict;
 
-pub use detector::{ApProfile, Detector, DetectorSpec, Strictness};
+pub use detector::{ApProfile, Detector, Strictness};
 pub use report::DetectionReport;
 pub use signature::{SignatureDb, SignatureRule, SsidPattern, ROGUE_MINIMAL_IE};
 pub use verdict::{DetectionVerdict, Reason, ReasonSet};

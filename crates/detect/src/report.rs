@@ -96,7 +96,7 @@ impl DetectionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{DetectorSpec, Strictness};
+    use crate::detector::Strictness;
     use ch_sim::det_hash_set;
     use ch_wifi::channel::Channel;
     use ch_wifi::mgmt::{MgmtFrame, ProbeRequest, ProbeResponse};
@@ -109,7 +109,7 @@ mod tests {
         let client = MacAddr::from_index([0xac, 0x37, 0x43], 7);
         let other = MacAddr::from_index([0xac, 0x37, 0x43], 8);
 
-        let mut detector = Detector::new(DetectorSpec::with_strictness(Strictness::Paranoid));
+        let mut detector = Detector::new(Strictness::Paranoid);
         // Rogue: broadcast bait burst.
         detector.observe(
             SimTime::from_secs(1),
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn empty_run_has_no_precision() {
-        let detector = Detector::new(DetectorSpec::standard());
+        let detector = Detector::new(Strictness::Standard);
         let report = DetectionReport::evaluate(&detector, &det_hash_set(), &det_hash_set());
         assert!(!report.detected());
         assert_eq!(report.precision(), None);

@@ -406,7 +406,6 @@ where
     let fresh: Vec<JobOutcome<R>> =
         scoped_parallel_map_with_state(&pending, threads, &init, |&i, scratch| {
             let key = keys[i].clone();
-            let job_timer = Stopwatch::start();
             let mut attempt = 0;
             let settled = loop {
                 match catch_unwind(AssertUnwindSafe(|| run(&jobs[i], scratch, attempt))) {
@@ -432,11 +431,10 @@ where
                     }
                 }
             };
-            let ms = job_timer.elapsed_ms();
             match settled {
                 Ok(result) => {
                     if let Some(m) = &manifest {
-                        stash_error(m.record_done(&key, &result.to_json(), ms));
+                        stash_error(m.record_done(&key, &result.to_json()));
                     }
                     JobOutcome {
                         key,
@@ -445,7 +443,7 @@ where
                 }
                 Err(message) => {
                     if let Some(m) = &manifest {
-                        stash_error(m.record_failed(&key, &message, ms));
+                        stash_error(m.record_failed(&key, &message));
                     }
                     JobOutcome {
                         key,

@@ -19,8 +19,8 @@
 //! * [`manifest`] — a resumable run manifest: results stream to a JSONL
 //!   artifact as each job completes, and re-running a campaign skips
 //!   jobs whose keys are already recorded;
-//! * [`telemetry`] — the [`Stopwatch`] behind the per-job `ms` manifest
-//!   field and the campaign status line ([`FleetStats::render_line`]).
+//! * [`telemetry`] — the [`Stopwatch`] behind the campaign status line
+//!   ([`FleetStats::render_line`]); manifests record no wall clock.
 //!   This is the **only** module in the determinism-critical crates
 //!   allowed to read the wall clock (the allowance is scoped in
 //!   `ch-lint.toml` and pinned by a test); wall-clock benchmarks live in

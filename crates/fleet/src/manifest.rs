@@ -89,6 +89,8 @@ pub struct Manifest {
 /// One intact record line, with the key and result when its status is
 /// `done`. `None` marks a corrupt line: not UTF-8, not JSON, or JSON that
 /// is not a job record — a flipped byte inside a string stays valid JSON.
+/// Only `key`, `status` and `result` are read, so any other member (the
+/// per-job `ms` older manifests carry) is ignored.
 fn parse_record(line: &[u8]) -> Option<(&str, Option<(String, Json)>)> {
     let line = std::str::from_utf8(line).ok()?;
     let entry = Json::parse(line).ok()?;
@@ -235,21 +237,19 @@ impl Manifest {
 
     /// Appends a completed job. Called from worker threads; line writes
     /// are serialized through an internal lock.
-    pub fn record_done(&self, key: &str, result: &Json, ms: f64) -> Result<(), String> {
+    pub fn record_done(&self, key: &str, result: &Json) -> Result<(), String> {
         self.append(Json::Obj(vec![
             ("key".into(), Json::str(key)),
             ("status".into(), Json::str("done")),
-            ("ms".into(), Json::Num(ms)),
             ("result".into(), result.clone()),
         ]))
     }
 
     /// Appends a failed job (recorded for post-mortems; re-runs on resume).
-    pub fn record_failed(&self, key: &str, error: &str, ms: f64) -> Result<(), String> {
+    pub fn record_failed(&self, key: &str, error: &str) -> Result<(), String> {
         self.append(Json::Obj(vec![
             ("key".into(), Json::str(key)),
             ("status".into(), Json::str("failed")),
-            ("ms".into(), Json::Num(ms)),
             ("error".into(), Json::str(error)),
         ]))
     }
@@ -282,8 +282,8 @@ mod tests {
 
         let manifest = Manifest::open(&path, "test", 42).unwrap();
         assert_eq!(manifest.cached_len(), 0);
-        manifest.record_done("a", &Json::from_u64(1), 5.0).unwrap();
-        manifest.record_failed("b", "boom", 2.0).unwrap();
+        manifest.record_done("a", &Json::from_u64(1)).unwrap();
+        manifest.record_failed("b", "boom").unwrap();
         drop(manifest);
 
         let resumed = Manifest::open(&path, "test", 42).unwrap();
@@ -294,12 +294,39 @@ mod tests {
     }
 
     #[test]
+    fn legacy_done_line_with_ms_still_resumes() {
+        // Manifests written before records dropped their wall-clock `ms`
+        // member (the committed `results/fleet_*.jsonl`) carry it between
+        // `status` and `result`.
+        let path = temp_path("legacy-ms");
+        let header = Json::Obj(vec![
+            ("campaign".into(), Json::str("test")),
+            ("fingerprint".into(), 23u64.to_json()),
+            ("version".into(), Json::from_u64(VERSION)),
+        ]);
+        let legacy = format!(
+            "{}\n{{\"key\":\"a\",\"status\":\"done\",\"ms\":910.4,\"result\":{{\"h\":7}}}}\n",
+            header.render()
+        );
+        fs::write(&path, &legacy).unwrap();
+
+        let resumed = Manifest::open(&path, "test", 23).unwrap();
+        assert_eq!(resumed.cached_len(), 1);
+        let result = resumed.cached("a").expect("the legacy record is cached");
+        assert_eq!(result.get("h").and_then(Json::as_u64), Some(7));
+        drop(resumed);
+        // A clean open leaves the file byte-unchanged.
+        assert_eq!(fs::read_to_string(&path).unwrap(), legacy);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn fingerprint_mismatch_discards() {
         let path = temp_path("fp");
         let _ = fs::remove_file(&path);
         {
             let manifest = Manifest::open(&path, "test", 1).unwrap();
-            manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
+            manifest.record_done("a", &Json::from_u64(1)).unwrap();
         }
         let other = Manifest::open(&path, "test", 2).unwrap();
         assert_eq!(other.cached_len(), 0, "stale config must not be reused");
@@ -319,7 +346,7 @@ mod tests {
         let fp = 0xDEAD_BEEF_CAFE_F00Du64;
         {
             let manifest = Manifest::open(&path, "test", fp).unwrap();
-            manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
+            manifest.record_done("a", &Json::from_u64(1)).unwrap();
         }
         let resumed = Manifest::open(&path, "test", fp).unwrap();
         assert_eq!(resumed.cached_len(), 1, "header fingerprint must match");
@@ -335,9 +362,9 @@ mod tests {
             let _ = fs::remove_file(&path);
             {
                 let manifest = Manifest::open(&path, "test", 11).unwrap();
-                manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
-                manifest.record_done("b", &Json::from_u64(2), 1.0).unwrap();
-                manifest.record_done("c", &Json::from_u64(3), 1.0).unwrap();
+                manifest.record_done("a", &Json::from_u64(1)).unwrap();
+                manifest.record_done("b", &Json::from_u64(2)).unwrap();
+                manifest.record_done("c", &Json::from_u64(3)).unwrap();
             }
             // Flip bytes inside the *middle* record (not the tail): a disk
             // hiccup on a committed-style manifest, not a mid-write kill.
@@ -397,9 +424,9 @@ mod tests {
             // `a`'s first record stopped decoding and the job re-ran:
             // a second `done` line for the same key follows it.
             let manifest = Manifest::open(&path, "test", 17).unwrap();
-            manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
-            manifest.record_failed("b", "boom", 1.0).unwrap();
-            manifest.record_done("a", &Json::from_u64(2), 1.0).unwrap();
+            manifest.record_done("a", &Json::from_u64(1)).unwrap();
+            manifest.record_failed("b", "boom").unwrap();
+            manifest.record_done("a", &Json::from_u64(2)).unwrap();
         }
         for _ in 0..2 {
             let resumed = Manifest::open(&path, "test", 17).unwrap();
@@ -435,7 +462,7 @@ mod tests {
         let _ = fs::remove_file(&path);
         {
             let manifest = Manifest::open(&path, "test", 13).unwrap();
-            manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
+            manifest.record_done("a", &Json::from_u64(1)).unwrap();
         }
         // Corrupt the status string: the line still parses as JSON but is
         // no longer a recognisable job record.
@@ -455,8 +482,8 @@ mod tests {
         let _ = fs::remove_file(&path);
         {
             let manifest = Manifest::open(&path, "test", 7).unwrap();
-            manifest.record_done("a", &Json::from_u64(1), 1.0).unwrap();
-            manifest.record_done("b", &Json::from_u64(2), 1.0).unwrap();
+            manifest.record_done("a", &Json::from_u64(1)).unwrap();
+            manifest.record_done("b", &Json::from_u64(2)).unwrap();
         }
         // Simulate a kill mid-write: chop the file inside the last line.
         let text = fs::read_to_string(&path).unwrap();

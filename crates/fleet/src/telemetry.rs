@@ -6,9 +6,8 @@
 //! by `crates/analysis/tests/workspace_clean.rs` — timing code added
 //! anywhere else in `ch-fleet` fails the lint gate. Timing is telemetry
 //! only: no simulation result may depend on a [`Stopwatch`] reading. Its
-//! readings reach only stderr status lines (a campaign's
-//! [`crate::FleetStats`], the `city` driver's) and the manifest's per-job
-//! `ms` field.
+//! readings reach only stderr status lines: a campaign's
+//! [`crate::FleetStats::total_ms`] and the `city` driver's wall time.
 
 use std::time::Instant;
 

@@ -11,7 +11,7 @@
 //! draw-for-draw identical to the same run without it.
 
 use ch_attack::Attacker;
-use ch_detect::{DetectionReport, Detector, DetectorSpec};
+use ch_detect::{DetectionReport, Detector, Strictness};
 use ch_geo::GeoPoint;
 use ch_sim::{det_hash_set, Cadence, DetHashSet, SimDuration, SimTime};
 use ch_wifi::mgmt::{Beacon, MgmtFrame};
@@ -52,8 +52,11 @@ impl DetectionHarness {
     /// advertise the open SSIDs WiGLE places nearest the site — the same
     /// neighbourhood the attacker's WiGLE seed (and the beacon-cloning
     /// evasion) draws from.
-    pub fn new(spec: DetectorSpec, data: &CityData, site: GeoPoint) -> Self {
-        Self::with_legit_ssids(spec, data.wigle.nearest_open_ssids(site, LEGIT_AP_COUNT))
+    pub fn new(strictness: Strictness, data: &CityData, site: GeoPoint) -> Self {
+        Self::with_legit_ssids(
+            strictness,
+            data.wigle.nearest_open_ssids(site, LEGIT_AP_COUNT),
+        )
     }
 
     /// [`DetectionHarness::new`] from an already-resolved legitimate-AP
@@ -61,7 +64,7 @@ impl DetectionHarness {
     /// once at context-build time. Only the first `LEGIT_AP_COUNT`
     /// entries are used, so handing the (longer) shared nearby-open plan
     /// list builds the identical harness.
-    pub fn with_legit_ssids(spec: DetectorSpec, ssids: impl IntoIterator<Item = Ssid>) -> Self {
+    pub fn with_legit_ssids(strictness: Strictness, ssids: impl IntoIterator<Item = Ssid>) -> Self {
         let mut legit = det_hash_set();
         let legit_aps: Vec<LegitAp> = ssids
             .into_iter()
@@ -83,7 +86,7 @@ impl DetectionHarness {
             })
             .collect();
         DetectionHarness {
-            detector: Detector::new(spec),
+            detector: Detector::new(strictness),
             legit_aps,
             rogue: det_hash_set(),
             legit,
@@ -141,7 +144,7 @@ mod tests {
         let data = CityData::standard(99);
         let site = data.site_for(ch_mobility::VenueKind::Canteen);
         let mut attacker = KarmaAttacker::new(AttackerSpec::default_bssid());
-        let mut harness = DetectionHarness::new(DetectorSpec::standard(), &data, site);
+        let mut harness = DetectionHarness::new(Strictness::Standard, &data, site);
         harness.tick(SimTime::from_secs(30), &mut attacker);
         // Six legitimate APs, each caught up to t=30 s.
         assert_eq!(harness.detector().profiled_count(), LEGIT_AP_COUNT);
@@ -154,7 +157,7 @@ mod tests {
         assert_eq!(harness.report().rogue_macs, 1);
         assert_eq!(harness.report().legit_aps, LEGIT_AP_COUNT as u64);
         // A second harness over the same inputs sees the identical stream.
-        let mut twin = DetectionHarness::new(DetectorSpec::standard(), &data, site);
+        let mut twin = DetectionHarness::new(Strictness::Standard, &data, site);
         twin.tick(SimTime::from_secs(30), &mut attacker);
         assert_eq!(twin.detector().frames_observed(), frames);
     }
@@ -166,7 +169,7 @@ mod tests {
         let spec = AttackerSpec::Karma.with_evasion(EvasionSpec::clone_beacons());
         let plan = AttackSitePlan::build(&data.wigle, &data.heat, site);
         let mut attacker = spec.build_from_plan(AttackerSpec::default_bssid(), &plan);
-        let mut harness = DetectionHarness::new(DetectorSpec::standard(), &data, site);
+        let mut harness = DetectionHarness::new(Strictness::Standard, &data, site);
         harness.tick(SimTime::from_secs(10), attacker.as_mut());
         // The cloning attacker beaconed, so its MAC entered ground truth
         // without any probe-response burst.

@@ -11,7 +11,7 @@
 //! in broadcast hit rate.
 
 use ch_attack::{CityHunterConfig, EvasionSpec};
-use ch_detect::{DetectionReport, DetectorSpec, Strictness};
+use ch_detect::{DetectionReport, Strictness};
 use ch_fleet::{FleetOptions, FleetStats};
 use ch_sim::SimDuration;
 
@@ -26,8 +26,13 @@ pub const ARMS_ATTACKERS: &[&str] = &["cityhunter", "mana", "karma"];
 /// The evasion postures, in render order.
 pub const ARMS_EVASIONS: &[&str] = &["none", "rotate", "clone", "throttle"];
 
-/// The detector strictness levels, in render order.
-pub const ARMS_STRICTNESS: &[&str] = &["lenient", "standard", "paranoid"];
+/// The detector strictness levels, in render order; keys and tables show
+/// each by its [`Strictness::slug`].
+pub const ARMS_STRICTNESS: &[Strictness] = &[
+    Strictness::Lenient,
+    Strictness::Standard,
+    Strictness::Paranoid,
+];
 
 /// The evasion posture behind one slug, scaled to the run length.
 pub fn posture_evasion(evasion: &str, duration: SimDuration) -> EvasionSpec {
@@ -104,7 +109,7 @@ impl ArmsRaceOutcome {
         ));
         for attacker in ARMS_ATTACKERS {
             for evasion in ARMS_EVASIONS {
-                for strictness in ARMS_STRICTNESS {
+                for strictness in ARMS_STRICTNESS.iter().map(|s| s.slug()) {
                     let Some(record) = self.record(attacker, evasion, strictness) else {
                         continue;
                     };
@@ -138,11 +143,11 @@ impl ArmsRaceOutcome {
         }
 
         // Per-strictness detection summary across the whole matrix.
-        for strictness in ARMS_STRICTNESS {
+        for strictness in ARMS_STRICTNESS.iter().map(|s| s.slug()) {
             let cells: Vec<&ArmsRaceRecord> = self
                 .rows
                 .iter()
-                .filter(|(_, _, s, _)| s == strictness)
+                .filter(|(_, _, s, _)| *s == strictness)
                 .map(|(_, _, _, record)| record)
                 .collect();
             if cells.is_empty() {
@@ -229,20 +234,13 @@ pub fn arms_race_jobs(seed: u64, quick: bool) -> Vec<CampaignJob> {
                 }
             };
             let kind = kind.with_evasion(posture_evasion(evasion, duration));
-            for strictness in ARMS_STRICTNESS {
+            for &level in ARMS_STRICTNESS {
+                let strictness = level.slug();
                 let key = format!("{pair_key}/{strictness}");
-                let level = match Strictness::from_slug(strictness) {
-                    Some(level) => level,
-                    None => ch_sim::invariant::violation(
-                        file!(),
-                        line!(),
-                        &format!("strictness `{strictness}`"),
-                    ),
-                };
                 let config = RunConfig {
                     duration,
                     seed: job_seed(seed, &pair_key),
-                    detector: Some(DetectorSpec::with_strictness(level)),
+                    detector: Some(level),
                     ..RunConfig::canteen_30min(kind.clone(), 0)
                 };
                 jobs.push(CampaignJob::new(
@@ -273,7 +271,7 @@ pub fn arms_race_fleet(
         ARMS_EVASIONS.iter().flat_map(move |evasion| {
             ARMS_STRICTNESS
                 .iter()
-                .map(move |strictness| (*attacker, *evasion, *strictness))
+                .map(move |strictness| (*attacker, *evasion, strictness.slug()))
         })
     });
     let rows = cells
@@ -324,9 +322,8 @@ mod tests {
                 panic!("malformed key {}", job.key);
             };
             // Every cell runs with an armed detector…
-            let spec = job.config.detector.as_ref().unwrap();
-            assert!(!spec.is_disabled(), "{}", job.key);
-            assert_eq!(spec.strictness.slug(), strictness, "{}", job.key);
+            let level = job.config.detector.unwrap();
+            assert_eq!(level.slug(), strictness, "{}", job.key);
             // …and the un-evasive cells deploy the plain generation.
             let wrapped = matches!(job.config.attacker, AttackerKind::Evasive { .. });
             assert_eq!(wrapped, evasion != "none", "{}", job.key);

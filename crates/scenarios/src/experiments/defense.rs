@@ -13,7 +13,7 @@
 //!   read back from `metrics.detection`.
 
 use ch_attack::{Attacker, AttackerSpec, CityHunterConfig};
-use ch_detect::{Detector, DetectorSpec, SignatureDb};
+use ch_detect::{Detector, SignatureDb, Strictness};
 use ch_fleet::{run_campaign, FleetOptions, FleetStats, JobSpec, JobStatus};
 use ch_mobility::VenueKind;
 use ch_sim::{SimDuration, SimTime};
@@ -42,7 +42,7 @@ fn monitor() -> Detector {
         protected_ssids: vec![protected()],
         ..SignatureDb::standard()
     };
-    Detector::with_db(DetectorSpec::standard(), db)
+    Detector::with_db(Strictness::Standard, db)
 }
 
 /// Feeds `attacker` `count` direct probes from earlier victims, out of the
@@ -217,7 +217,7 @@ pub fn defense_live_fleet(
 ) -> Result<(String, FleetStats), String> {
     let report = run_campaign(&[LiveJob { seed }], opts, |job: &LiveJob| {
         let config = RunConfig {
-            detector: Some(DetectorSpec::standard()),
+            detector: Some(Strictness::Standard),
             ..RunConfig::canteen_30min(
                 AttackerKind::CityHunter(CityHunterConfig::default()),
                 job.seed,

@@ -55,11 +55,11 @@ pub fn profile_fault(profile: &str, duration: SimDuration) -> Option<FaultSpec> 
         "clean" => None,
         "burst" => Some(FaultSpec {
             burst_loss: Some(burst),
-            ..FaultSpec::disabled()
+            ..FaultSpec::default()
         }),
         "corrupt" => Some(FaultSpec {
             corruption: Some(CorruptionSpec { rate: 0.25 }),
-            ..FaultSpec::disabled()
+            ..FaultSpec::default()
         }),
         "chaos-cold" => Some(chaos(CrashMode::Cold, None)),
         "chaos-warm" => Some(chaos(CrashMode::Warm, Some(90))),

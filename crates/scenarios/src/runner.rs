@@ -72,15 +72,16 @@ pub struct RunConfig {
     pub arrival_multiplier: Option<f64>,
     /// Deterministic fault injection (`ch_sim::fault`): bursty channel
     /// loss, frame corruption, client churn, scheduled attacker crashes.
-    /// `None` (and `Some(FaultSpec::disabled())`) injects nothing and
-    /// leaves every RNG stream and allocation of the run untouched.
+    /// `None` injects nothing and leaves every RNG stream and allocation
+    /// of the run untouched; `Some` always arms a plan, and an empty
+    /// spec's plan draws nothing.
     pub fault: Option<FaultSpec>,
-    /// Rogue-AP detection (`ch-detect`): a passive monitor tapping the
-    /// delivered frame stream, scored against ground truth at the end of
-    /// the run. The detector consumes no randomness, so `None` (and
-    /// `Some(DetectorSpec::disabled())`) leaves the run draw-for-draw
-    /// identical to a detector-free build.
-    pub detector: Option<ch_detect::DetectorSpec>,
+    /// Rogue-AP detection (`ch-detect`) at the given strictness: a
+    /// passive monitor tapping the delivered frame stream, scored against
+    /// ground truth at the end of the run. `None` runs no detector. The
+    /// detector consumes no randomness, so an armed run is draw-for-draw
+    /// identical to a detector-free one.
+    pub detector: Option<ch_detect::Strictness>,
 }
 
 impl RunConfig {
@@ -288,24 +289,20 @@ pub fn run_experiment_ctx(
         .clone()
         .unwrap_or_else(|| plan.population.clone());
     let builder = ctx.population_builder(population);
-    let detection = config
-        .detector
-        .as_ref()
-        .filter(|spec| !spec.is_disabled())
-        .map(|spec| {
-            // Plan prefixes equal smaller scans, so handing the shared
-            // nearby-open list builds the identical harness to
-            // `DetectionHarness::new` at this site.
-            DetectionHarness::with_legit_ssids(
-                spec.clone(),
-                plan.attack
-                    .nearby_open
-                    .iter()
-                    // ch-lint: allow(ssid-clone) — construction-time inline
-                    // copy (no heap), off the probe hot path.
-                    .map(|(ssid, _)| ssid.clone()),
-            )
-        });
+    let detection = config.detector.map(|strictness| {
+        // Plan prefixes equal smaller scans, so handing the shared
+        // nearby-open list builds the identical harness to
+        // `DetectionHarness::new` at this site.
+        DetectionHarness::with_legit_ssids(
+            strictness,
+            plan.attack
+                .nearby_open
+                .iter()
+                // ch-lint: allow(ssid-clone) — construction-time inline
+                // copy (no heap), off the probe hot path.
+                .map(|(ssid, _)| ssid.clone()),
+        )
+    });
     let mut attacker = config
         .attacker
         .build_from_plan(AttackerKind::default_bssid(), &plan.attack);
@@ -372,9 +369,7 @@ fn run_with(
     let builder = PopulationBuilder::new(&data.wigle, &data.heat, population);
     let detection = config
         .detector
-        .as_ref()
-        .filter(|spec| !spec.is_disabled())
-        .map(|spec| DetectionHarness::new(spec.clone(), data, site));
+        .map(|strictness| DetectionHarness::new(strictness, data, site));
     let mut scratch = RunScratch::default();
     let venue = venue_template(config);
     run_core(
@@ -417,13 +412,11 @@ fn run_core(
     let mut rng_scans = root.fork("scans");
 
     // Fault injection: the plan owns forked RNG streams of its own, so a
-    // run without faults (or with the all-off spec) is draw-for-draw and
-    // allocation-for-allocation identical to one built before the fault
-    // layer existed.
+    // run without faults is draw-for-draw and allocation-for-allocation
+    // identical to one built before the fault layer existed.
     let mut fault = config
         .fault
         .as_ref()
-        .filter(|spec| !spec.is_disabled())
         .map(|spec| FaultPlan::new(spec.clone(), &root.fork("faults")));
     let mut observer = observer.enabled().then_some(observer);
     // Decided once per job: a run that arms no plane hands the kernel
@@ -633,7 +626,7 @@ mod tests {
         ] {
             let mut config = RunConfig::canteen_30min(attacker, seed);
             config.duration = SimDuration::from_mins(10);
-            config.detector = Some(ch_detect::DetectorSpec::standard());
+            config.detector = Some(ch_detect::Strictness::Standard);
             let legacy = run_experiment(&data, &config);
             let shared = run_experiment_ctx(&ctx, &config, &mut scratch);
             assert_eq!(legacy.summary("x"), shared.summary("x"));
@@ -777,10 +770,10 @@ mod tests {
 
     #[test]
     fn disabled_fault_spec_is_draw_neutral() {
-        // `None` and the all-off spec must produce byte-identical runs:
-        // the fault layer may not consume a single draw when disabled.
+        // `None` and an empty spec must produce byte-identical runs: an
+        // armed plan with no fault class may not consume a single draw.
         let clean = fault_run(None, 31);
-        let disabled = fault_run(Some(ch_sim::fault::FaultSpec::disabled()), 31);
+        let disabled = fault_run(Some(ch_sim::fault::FaultSpec::default()), 31);
         assert_eq!(clean.summary("x"), disabled.summary("x"));
         assert_eq!(clean.db_series(), disabled.db_series());
         assert_eq!(clean.offered_counts(false), disabled.offered_counts(false));
@@ -816,7 +809,7 @@ mod tests {
     fn corruption_counts_skips_and_degrades() {
         let spec = ch_sim::fault::FaultSpec {
             corruption: Some(ch_sim::fault::CorruptionSpec { rate: 1.0 }),
-            ..ch_sim::fault::FaultSpec::disabled()
+            ..ch_sim::fault::FaultSpec::default()
         };
         let clean = fault_run(None, 33);
         let noisy = fault_run(Some(spec), 33);
@@ -847,7 +840,7 @@ mod tests {
                 p_exit_bad: 0.1,
                 loss_bad: 1.0,
             }),
-            ..ch_sim::fault::FaultSpec::disabled()
+            ..ch_sim::fault::FaultSpec::default()
         };
         let clean = fault_run(None, 34);
         let bursty = fault_run(Some(spec), 34);
@@ -864,7 +857,7 @@ mod tests {
     fn churn_truncates_visits() {
         let spec = ch_sim::fault::FaultSpec {
             churn: Some(ch_sim::fault::ChurnSpec { rate: 0.5 }),
-            ..ch_sim::fault::FaultSpec::disabled()
+            ..ch_sim::fault::FaultSpec::default()
         };
         let churned = fault_run(Some(spec), 35);
         assert!(churned.stats.agents_churned > 10, "{:?}", churned.stats);
@@ -878,14 +871,14 @@ mod tests {
                 recovery: ch_sim::CrashMode::Cold,
                 checkpoint_secs: None,
             }),
-            ..ch_sim::fault::FaultSpec::disabled()
+            ..ch_sim::fault::FaultSpec::default()
         };
         let crashed = fault_run(Some(spec), 36);
         assert_eq!(crashed.stats.attacker_crashes, 3);
         assert!(crashed.client_count() > 0);
     }
 
-    fn detect_run(detector: Option<ch_detect::DetectorSpec>, seed: u64) -> ExperimentMetrics {
+    fn detect_run(detector: Option<ch_detect::Strictness>, seed: u64) -> ExperimentMetrics {
         let data = CityData::standard(99);
         let config = RunConfig {
             duration: SimDuration::from_mins(10),
@@ -898,25 +891,21 @@ mod tests {
 
     #[test]
     fn disabled_detector_spec_is_draw_neutral() {
-        // `None`, the disabled spec, and even an *armed* detector must
+        // `None`, the one disabled setting, and an *armed* detector must
         // leave the attack byte-identical: the monitor is a passive tap
         // that consumes no randomness.
         let clean = detect_run(None, 41);
-        let disabled = detect_run(Some(ch_detect::DetectorSpec::disabled()), 41);
-        let armed = detect_run(Some(ch_detect::DetectorSpec::standard()), 41);
-        assert_eq!(clean.summary("x"), disabled.summary("x"));
-        assert_eq!(clean.db_series(), disabled.db_series());
-        assert_eq!(clean.offered_counts(false), disabled.offered_counts(false));
+        let armed = detect_run(Some(ch_detect::Strictness::Standard), 41);
         assert!(clean.detection.is_none());
-        assert!(disabled.detection.is_none());
         assert_eq!(clean.summary("x"), armed.summary("x"));
+        assert_eq!(clean.offered_counts(false), armed.offered_counts(false));
         assert_eq!(clean.db_series(), armed.db_series());
         assert!(armed.detection.is_some());
     }
 
     #[test]
     fn detector_catches_the_unevasive_rogue() {
-        let m = detect_run(Some(ch_detect::DetectorSpec::standard()), 42);
+        let m = detect_run(Some(ch_detect::Strictness::Standard), 42);
         let report = m.detection.unwrap();
         assert!(report.frames_observed > 0);
         assert_eq!(report.rogue_macs, 1, "{report:?}");
@@ -928,7 +917,7 @@ mod tests {
         );
         assert!(report.time_to_detect().is_some());
         // Same seed, same verdict stream: the report is deterministic.
-        let twin = detect_run(Some(ch_detect::DetectorSpec::standard()), 42);
+        let twin = detect_run(Some(ch_detect::Strictness::Standard), 42);
         assert_eq!(twin.detection.unwrap(), report);
     }
 
@@ -941,7 +930,7 @@ mod tests {
         let config = RunConfig {
             duration: SimDuration::from_mins(10),
             seed: 43,
-            detector: Some(ch_detect::DetectorSpec::standard()),
+            detector: Some(ch_detect::Strictness::Standard),
             ..RunConfig::canteen_30min(spec, 43)
         };
         let report = run_experiment(&data, &config).detection.unwrap();

@@ -29,9 +29,9 @@
 //!    snapshot).
 //!
 //! Every decision draws from the plan's own forked RNG streams, so a
-//! run with `FaultSpec::disabled()` (or no plan at all) consumes
-//! exactly the same randomness as a run built before this module
-//! existed — fault hooks are zero-cost and draw-neutral when off.
+//! run with no plan (`None`, the one "off") or with an empty
+//! [`FaultSpec`] consumes exactly the same randomness as a run built
+//! before this module existed: an unarmed fault class draws nothing.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -173,7 +173,7 @@ pub struct CrashSpec {
 }
 
 /// Which faults are armed for a run. `None` in every slot (the
-/// [`FaultSpec::disabled`] value) injects nothing and draws nothing.
+/// `Default` value) injects nothing and draws nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSpec {
     /// Bursty channel loss on top of the distance model.
@@ -184,21 +184,6 @@ pub struct FaultSpec {
     pub churn: Option<ChurnSpec>,
     /// Scheduled attacker crashes.
     pub crash: Option<CrashSpec>,
-}
-
-impl FaultSpec {
-    /// The all-off spec.
-    pub fn disabled() -> Self {
-        FaultSpec::default()
-    }
-
-    /// `true` when no fault class is armed.
-    pub fn is_disabled(&self) -> bool {
-        self.burst_loss.is_none()
-            && self.corruption.is_none()
-            && self.churn.is_none()
-            && self.crash.is_none()
-    }
 }
 
 /// A scheduled attacker-lifecycle action, popped from
@@ -383,14 +368,21 @@ mod tests {
                 p_exit_bad: 0.2,
                 loss_bad: 0.9,
             }),
-            ..FaultSpec::disabled()
+            ..FaultSpec::default()
         }
     }
 
     #[test]
     fn disabled_spec_is_disabled() {
-        assert!(FaultSpec::disabled().is_disabled());
-        assert!(!bursty().is_disabled());
+        // The empty spec's plan answers every query with "no fault".
+        let mut plan = FaultPlan::new(FaultSpec::default(), &rng());
+        for i in 0..500 {
+            assert!(!plan.channel_drops(), "frame {i}");
+            assert!(!plan.corrupts(), "frame {i}");
+            let (e, x) = plan.churn_visit(SimTime::ZERO, SimTime::from_secs(60));
+            assert_eq!((e, x), (SimTime::ZERO, SimTime::from_secs(60)));
+            assert_eq!(plan.next_action(SimTime::from_secs(i)), None);
+        }
     }
 
     #[test]
@@ -457,7 +449,7 @@ mod tests {
         let mut plan = FaultPlan::new(
             FaultSpec {
                 corruption: Some(CorruptionSpec { rate: 1.0 }),
-                ..FaultSpec::disabled()
+                ..FaultSpec::default()
             },
             &rng(),
         );
@@ -488,7 +480,7 @@ mod tests {
         let mut plan = FaultPlan::new(
             FaultSpec {
                 churn: Some(ChurnSpec { rate: 1.0 }),
-                ..FaultSpec::disabled()
+                ..FaultSpec::default()
             },
             &rng(),
         );
@@ -516,7 +508,7 @@ mod tests {
                     recovery: CrashMode::Warm,
                     checkpoint_secs: Some(100),
                 }),
-                ..FaultSpec::disabled()
+                ..FaultSpec::default()
             },
             &rng(),
         );
@@ -551,7 +543,7 @@ mod tests {
                     recovery: CrashMode::Cold,
                     checkpoint_secs: None,
                 }),
-                ..FaultSpec::disabled()
+                ..FaultSpec::default()
             },
             &rng(),
         );

@@ -80,56 +80,6 @@ impl From<IeError> for CodecError {
 
 const HEADER_LEN: usize = 24;
 
-/// Little-endian writer helpers (the `bytes::BufMut` subset the codec used
-/// before the workspace went dependency-free). Implemented by `Vec<u8>` for
-/// real encoding and by [`LenSink`] for allocation-free length computation —
-/// both run the same `encode_frame`, so lengths can never drift from bytes.
-trait ByteSink {
-    fn put_u8(&mut self, value: u8);
-    fn put_u16_le(&mut self, value: u16);
-    fn put_u64_le(&mut self, value: u64);
-    fn put_slice(&mut self, src: &[u8]);
-}
-
-impl ByteSink for Vec<u8> {
-    fn put_u8(&mut self, value: u8) {
-        self.push(value);
-    }
-
-    fn put_u16_le(&mut self, value: u16) {
-        self.extend_from_slice(&value.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, value: u64) {
-        self.extend_from_slice(&value.to_le_bytes());
-    }
-
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-/// Counts bytes instead of storing them (backs [`encoded_len`]).
-struct LenSink(usize);
-
-impl ByteSink for LenSink {
-    fn put_u8(&mut self, _value: u8) {
-        self.0 += 1;
-    }
-
-    fn put_u16_le(&mut self, _value: u16) {
-        self.0 += 2;
-    }
-
-    fn put_u64_le(&mut self, _value: u64) {
-        self.0 += 8;
-    }
-
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0 += src.len();
-    }
-}
-
 /// Little-endian reader helpers that advance a `&[u8]` cursor. Reads past
 /// the end zero-fill instead of panicking; every call site bounds-checks
 /// first (`HEADER_LEN` guard or [`need`]), so zero-filling is never
@@ -197,57 +147,57 @@ pub fn encode_into(frame: &MgmtFrame, out: &mut Vec<u8>) {
     encode_frame(frame, out);
 }
 
-fn encode_frame<S: ByteSink>(frame: &MgmtFrame, out: &mut S) {
+fn encode_frame(frame: &MgmtFrame, out: &mut Vec<u8>) {
     let fc = FrameControl::mgmt(frame.subtype());
-    out.put_u16_le(fc.to_word());
-    out.put_u16_le(0); // duration
+    out.extend_from_slice(&fc.to_word().to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // duration
     let header = frame.header();
-    out.put_slice(&header.addr1.octets());
-    out.put_slice(&header.addr2.octets());
-    out.put_slice(&header.addr3.octets());
-    out.put_u16_le(header.sequence << 4);
+    out.extend_from_slice(&header.addr1.octets());
+    out.extend_from_slice(&header.addr2.octets());
+    out.extend_from_slice(&header.addr3.octets());
+    out.extend_from_slice(&(header.sequence << 4).to_le_bytes());
     encode_body(frame, out);
 }
 
 /// `| id | len | ssid bytes |` — [`InformationElement::Ssid`] on the wire.
-fn put_ssid_ie<S: ByteSink>(out: &mut S, ssid: &Ssid) {
-    out.put_u8(element_id::SSID);
-    out.put_u8(ssid.len() as u8);
-    out.put_slice(ssid.as_bytes());
+fn put_ssid_ie(out: &mut Vec<u8>, ssid: &Ssid) {
+    out.push(element_id::SSID);
+    out.push(ssid.len() as u8);
+    out.extend_from_slice(ssid.as_bytes());
 }
 
 /// The canonical [`DEFAULT_RATES`] supported-rates element.
-fn put_rates_ie<S: ByteSink>(out: &mut S) {
-    out.put_u8(element_id::SUPPORTED_RATES);
-    out.put_u8(DEFAULT_RATES.len() as u8);
-    out.put_slice(&DEFAULT_RATES);
+fn put_rates_ie(out: &mut Vec<u8>) {
+    out.push(element_id::SUPPORTED_RATES);
+    out.push(DEFAULT_RATES.len() as u8);
+    out.extend_from_slice(&DEFAULT_RATES);
 }
 
 /// DS parameter set: the current channel.
-fn put_ds_ie<S: ByteSink>(out: &mut S, channel: Channel) {
-    out.put_u8(element_id::DS_PARAMETER);
-    out.put_u8(1);
-    out.put_u8(channel.number());
+fn put_ds_ie(out: &mut Vec<u8>, channel: Channel) {
+    out.push(element_id::DS_PARAMETER);
+    out.push(1);
+    out.push(channel.number());
 }
 
 /// Compact RSN element, CCMP+PSK (matches `ProbeResponse::elements`).
-fn put_rsn_ie<S: ByteSink>(out: &mut S) {
-    out.put_u8(element_id::RSN);
-    out.put_u8(3);
-    out.put_u16_le(1); // version
-    out.put_u8(0b11); // ccmp | psk << 1
+fn put_rsn_ie(out: &mut Vec<u8>) {
+    out.push(element_id::RSN);
+    out.push(3);
+    out.extend_from_slice(&1u16.to_le_bytes()); // version
+    out.push(0b11); // ccmp | psk << 1
 }
 
-fn encode_body<S: ByteSink>(frame: &MgmtFrame, out: &mut S) {
+fn encode_body(frame: &MgmtFrame, out: &mut Vec<u8>) {
     match frame {
         MgmtFrame::ProbeRequest(p) => {
             put_ssid_ie(out, &p.ssid);
             put_rates_ie(out);
         }
         MgmtFrame::ProbeResponse(p) => {
-            out.put_u64_le(0); // timestamp (filled by hardware in reality)
-            out.put_u16_le(100); // beacon interval
-            out.put_u16_le(p.capabilities.to_word());
+            out.extend_from_slice(&0u64.to_le_bytes()); // timestamp (filled by hardware in reality)
+            out.extend_from_slice(&100u16.to_le_bytes()); // beacon interval
+            out.extend_from_slice(&p.capabilities.to_word().to_le_bytes());
             // Byte-for-byte what `p.elements()` would encode, minus the
             // per-frame element allocations.
             put_ssid_ie(out, &p.ssid);
@@ -258,31 +208,31 @@ fn encode_body<S: ByteSink>(frame: &MgmtFrame, out: &mut S) {
             }
         }
         MgmtFrame::Beacon(b) => {
-            out.put_u64_le(0);
-            out.put_u16_le(b.interval_tu);
-            out.put_u16_le(b.capabilities.to_word());
+            out.extend_from_slice(&0u64.to_le_bytes());
+            out.extend_from_slice(&b.interval_tu.to_le_bytes());
+            out.extend_from_slice(&b.capabilities.to_word().to_le_bytes());
             put_ssid_ie(out, &b.ssid);
             put_rates_ie(out);
             put_ds_ie(out, b.channel);
         }
         MgmtFrame::Authentication(a) => {
-            out.put_u16_le(0); // open system
-            out.put_u16_le(a.transaction);
-            out.put_u16_le(a.status as u16);
+            out.extend_from_slice(&0u16.to_le_bytes()); // open system
+            out.extend_from_slice(&a.transaction.to_le_bytes());
+            out.extend_from_slice(&(a.status as u16).to_le_bytes());
         }
         MgmtFrame::AssocRequest(a) => {
-            out.put_u16_le(a.capabilities.to_word());
-            out.put_u16_le(10); // listen interval
+            out.extend_from_slice(&a.capabilities.to_word().to_le_bytes());
+            out.extend_from_slice(&10u16.to_le_bytes()); // listen interval
             put_ssid_ie(out, &a.ssid);
             put_rates_ie(out);
         }
         MgmtFrame::AssocResponse(a) => {
-            out.put_u16_le(CapabilityInfo::open_ap().to_word());
-            out.put_u16_le(a.status as u16);
-            out.put_u16_le(a.association_id | 0xc000);
+            out.extend_from_slice(&CapabilityInfo::open_ap().to_word().to_le_bytes());
+            out.extend_from_slice(&(a.status as u16).to_le_bytes());
+            out.extend_from_slice(&(a.association_id | 0xc000).to_le_bytes());
         }
         MgmtFrame::Deauthentication(d) => {
-            out.put_u16_le(d.reason as u16);
+            out.extend_from_slice(&(d.reason as u16).to_le_bytes());
         }
     }
 }
@@ -438,16 +388,6 @@ fn parse_body(
     }
 }
 
-/// The encoded length of a frame without allocating (used by airtime
-/// calculations in [`crate::timing`]).
-pub fn encoded_len(frame: &MgmtFrame) -> usize {
-    // Run the real encoder against a counting sink: zero allocations, and
-    // the length can never drift from what `encode` produces.
-    let mut sink = LenSink(0);
-    encode_frame(frame, &mut sink);
-    sink.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,15 +477,16 @@ mod tests {
     fn probe_response_without_ssid_rejected() {
         // Hand-build a probe response whose body has only fixed fields.
         let mut bytes = Vec::new();
-        bytes.put_u16_le(FrameControl::mgmt(MgmtSubtype::ProbeResponse).to_word());
-        bytes.put_u16_le(0);
+        let fc = FrameControl::mgmt(MgmtSubtype::ProbeResponse).to_word();
+        bytes.extend_from_slice(&fc.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes());
         for m in [mac(1), mac(9), mac(9)] {
-            bytes.put_slice(&m.octets());
+            bytes.extend_from_slice(&m.octets());
         }
-        bytes.put_u16_le(0);
-        bytes.put_u64_le(0);
-        bytes.put_u16_le(100);
-        bytes.put_u16_le(CapabilityInfo::open_ap().to_word());
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&100u16.to_le_bytes());
+        bytes.extend_from_slice(&CapabilityInfo::open_ap().to_word().to_le_bytes());
         assert_eq!(parse(&bytes).unwrap_err(), CodecError::MissingSsid);
     }
 
@@ -573,13 +514,6 @@ mod tests {
         match parsed {
             MgmtFrame::ProbeResponse(p) => assert!(p.capabilities.privacy),
             other => panic!("wrong kind {other}"),
-        }
-    }
-
-    #[test]
-    fn encoded_len_matches_encode() {
-        for frame in sample_frames() {
-            assert_eq!(encoded_len(&frame), encode(&frame).len());
         }
     }
 

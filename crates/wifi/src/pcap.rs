@@ -5,8 +5,9 @@
 //! Wireshark/tcpdump and inspected frame by frame — probe requests, the
 //! 40-lure response bursts, the open-system join, spoofed deauths.
 //!
-//! A matching reader is provided for round-trip tests and for re-analyzing
-//! previously exported captures.
+//! [`read_capture_lenient`] reads such a capture back, count-and-skip:
+//! it is the one reader, used by `ch-serve`'s pcap replay source, the
+//! `capture_pcap` example and the round-trip tests.
 
 use std::io::{self, Read, Write};
 
@@ -97,8 +98,6 @@ pub enum PcapReadError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// A frame failed to parse as an 802.11 management frame.
-    BadFrame(codec::CodecError),
 }
 
 impl std::fmt::Display for PcapReadError {
@@ -108,7 +107,6 @@ impl std::fmt::Display for PcapReadError {
             PcapReadError::BadHeader { reason } => {
                 write!(f, "not a city-hunter pcap capture: {reason}")
             }
-            PcapReadError::BadFrame(e) => write!(f, "bad frame in capture: {e}"),
         }
     }
 }
@@ -117,7 +115,6 @@ impl std::error::Error for PcapReadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PcapReadError::Io(e) => Some(e),
-            PcapReadError::BadFrame(e) => Some(e),
             PcapReadError::BadHeader { .. } => None,
         }
     }
@@ -127,46 +124,6 @@ impl From<io::Error> for PcapReadError {
     fn from(e: io::Error) -> Self {
         PcapReadError::Io(e)
     }
-}
-
-/// Reads an entire capture produced by [`PcapWriter`].
-///
-/// # Errors
-///
-/// Any [`PcapReadError`] on malformed input.
-pub fn read_capture<R: Read>(mut source: R) -> Result<Vec<CapturedFrame>, PcapReadError> {
-    let mut header = [0u8; 24];
-    source.read_exact(&mut header)?;
-    if le_u32_at(&header, 0) != MAGIC {
-        return Err(PcapReadError::BadHeader {
-            reason: "wrong magic",
-        });
-    }
-    if le_u32_at(&header, 20) != LINKTYPE_802_11 {
-        return Err(PcapReadError::BadHeader {
-            reason: "wrong linktype",
-        });
-    }
-    let mut frames = Vec::new();
-    loop {
-        let mut record = [0u8; 16];
-        match source.read_exact(&mut record) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
-        }
-        let ts_sec = le_u32_at(&record, 0);
-        let ts_usec = le_u32_at(&record, 4);
-        let incl_len = le_u32_at(&record, 8) as usize;
-        let mut bytes = vec![0u8; incl_len];
-        source.read_exact(&mut bytes)?;
-        let frame = codec::parse(&bytes).map_err(PcapReadError::BadFrame)?;
-        frames.push(CapturedFrame {
-            at: SimTime::from_micros(ts_sec as u64 * 1_000_000 + ts_usec as u64),
-            frame,
-        });
-    }
-    Ok(frames)
 }
 
 /// A capture read with per-record fault tolerance: the frames that
@@ -183,14 +140,14 @@ pub struct LenientCapture {
     pub truncated: bool,
 }
 
-/// Reads a capture like [`read_capture`], but **count-and-skip**: a
-/// record whose payload fails to parse is tallied in
+/// Reads an entire capture produced by [`PcapWriter`], **count-and-skip**:
+/// a record whose payload fails to parse is tallied in
 /// [`LenientCapture::skipped`] instead of failing the whole read, and a
-/// torn trailing record (crash mid-write) is treated as end-of-stream.
+/// torn trailing record (crash mid-write) or a record header claiming
+/// more than the snaplen is treated as end-of-stream, so no record
+/// header sizes an allocation beyond it.
 ///
-/// This is the decode path live tooling should use — `ch-serve`'s pcap
-/// replay source and the `capture_pcap` example both route through it —
-/// because a single mangled frame in a real capture must not discard the
+/// A single mangled frame in a real capture must not discard the
 /// thousands of good frames around it. The global header must still be
 /// valid: a wrong magic or linktype means the file is not an 802.11
 /// capture at all, which no amount of skipping repairs.
@@ -299,8 +256,10 @@ mod tests {
         }
         assert_eq!(writer.frames_written(), 2);
         let bytes = writer.into_inner();
-        let read = read_capture(&bytes[..]).unwrap();
-        assert_eq!(read, sample_exchange());
+        let read = read_capture_lenient(&bytes[..]).unwrap();
+        assert_eq!(read.frames, sample_exchange());
+        assert_eq!(read.skipped, 0);
+        assert!(!read.truncated);
     }
 
     #[test]
@@ -316,14 +275,17 @@ mod tests {
     fn empty_capture_reads_empty() {
         let writer = PcapWriter::new(Vec::new()).unwrap();
         let bytes = writer.into_inner();
-        assert!(read_capture(&bytes[..]).unwrap().is_empty());
+        let read = read_capture_lenient(&bytes[..]).unwrap();
+        assert!(read.frames.is_empty());
+        assert_eq!(read.skipped, 0);
+        assert!(!read.truncated);
     }
 
     #[test]
     fn wrong_magic_rejected() {
         let mut bytes = PcapWriter::new(Vec::new()).unwrap().into_inner();
         bytes[0] ^= 0xff;
-        match read_capture(&bytes[..]) {
+        match read_capture_lenient(&bytes[..]) {
             Err(PcapReadError::BadHeader { reason }) => {
                 assert_eq!(reason, "wrong magic")
             }
@@ -336,56 +298,11 @@ mod tests {
         let mut bytes = PcapWriter::new(Vec::new()).unwrap().into_inner();
         bytes[20] = 1; // LINKTYPE_ETHERNET
         assert!(matches!(
-            read_capture(&bytes[..]),
+            read_capture_lenient(&bytes[..]),
             Err(PcapReadError::BadHeader {
                 reason: "wrong linktype"
             })
         ));
-    }
-
-    #[test]
-    fn truncated_record_is_io_error() {
-        let mut writer = PcapWriter::new(Vec::new()).unwrap();
-        writer
-            .write_frame(
-                SimTime::ZERO,
-                &MgmtFrame::ProbeRequest(ProbeRequest::broadcast(mac(1))),
-            )
-            .unwrap();
-        let bytes = writer.into_inner();
-        let truncated = &bytes[..bytes.len() - 3];
-        assert!(matches!(read_capture(truncated), Err(PcapReadError::Io(_))));
-    }
-
-    #[test]
-    fn corrupted_frame_is_bad_frame() {
-        let mut writer = PcapWriter::new(Vec::new()).unwrap();
-        writer
-            .write_frame(
-                SimTime::ZERO,
-                &MgmtFrame::ProbeRequest(ProbeRequest::broadcast(mac(1))),
-            )
-            .unwrap();
-        let mut bytes = writer.into_inner();
-        // Flip the frame-control type bits to data.
-        bytes[24 + 16] = 0b0000_1000;
-        assert!(matches!(
-            read_capture(&bytes[..]),
-            Err(PcapReadError::BadFrame(_))
-        ));
-    }
-
-    #[test]
-    fn lenient_matches_strict_on_clean_capture() {
-        let mut writer = PcapWriter::new(Vec::new()).unwrap();
-        for cf in sample_exchange() {
-            writer.write_frame(cf.at, &cf.frame).unwrap();
-        }
-        let bytes = writer.into_inner();
-        let lenient = read_capture_lenient(&bytes[..]).unwrap();
-        assert_eq!(lenient.frames, read_capture(&bytes[..]).unwrap());
-        assert_eq!(lenient.skipped, 0);
-        assert!(!lenient.truncated);
     }
 
     #[test]
@@ -415,8 +332,28 @@ mod tests {
         let lenient = read_capture_lenient(torn).unwrap();
         assert_eq!(lenient.frames.len(), 1);
         assert!(lenient.truncated);
-        // The strict reader fails on the same input.
-        assert!(matches!(read_capture(torn), Err(PcapReadError::Io(_))));
+    }
+
+    #[test]
+    fn record_beyond_snaplen_ends_the_read() {
+        // A record header claiming more than the snaplen is garbage: the
+        // read stops there and keeps what came before, even when the
+        // claimed bytes are present, and sizes no buffer from the claim.
+        for claimed in [SNAPLEN + 1, u32::MAX] {
+            let mut writer = PcapWriter::new(Vec::new()).unwrap();
+            let mut frames = sample_exchange();
+            frames.truncate(1);
+            writer.write_frame(frames[0].at, &frames[0].frame).unwrap();
+            let mut bytes = writer.into_inner();
+            bytes.extend_from_slice(&[0u8; 8]);
+            bytes.extend_from_slice(&claimed.to_le_bytes());
+            bytes.extend_from_slice(&claimed.to_le_bytes());
+            bytes.resize(bytes.len() + SNAPLEN as usize + 1, 0);
+            let lenient = read_capture_lenient(&bytes[..]).unwrap();
+            assert_eq!(lenient.frames, frames, "claimed {claimed}");
+            assert_eq!(lenient.skipped, 0, "claimed {claimed}");
+            assert!(lenient.truncated, "claimed {claimed}");
+        }
     }
 
     #[test]
@@ -439,7 +376,7 @@ mod tests {
                 &MgmtFrame::ProbeRequest(ProbeRequest::broadcast(mac(1))),
             )
             .unwrap();
-        let read = read_capture(&writer.into_inner()[..]).unwrap();
-        assert_eq!(read[0].at, at);
+        let read = read_capture_lenient(&writer.into_inner()[..]).unwrap();
+        assert_eq!(read.frames[0].at, at);
     }
 }

@@ -21,7 +21,7 @@
 //! ```
 
 use city_hunter::attack::{AttackSitePlan, Attacker, CityHunter, CityHunterConfig};
-use city_hunter::detect::{Detector, DetectorSpec};
+use city_hunter::detect::{Detector, Strictness};
 use city_hunter::prelude::*;
 use city_hunter::wifi::codec;
 use city_hunter::wifi::mgmt::{MgmtFrame, ProbeRequest, ProbeResponse};
@@ -43,7 +43,7 @@ fn main() {
     // The auditing client runs the stock monitor at standard strictness —
     // no tuning, no knowledge of the attacker beyond the built-in
     // signature database.
-    let mut detector = Detector::new(DetectorSpec::standard());
+    let mut detector = Detector::new(Strictness::Standard);
 
     // The client scans twice; every lure crosses the real codec, exactly
     // as it would cross the air, and the detector hears both sides.

@@ -2,7 +2,7 @@
 //! full experiments, armed through `RunConfig.detector` or tapping the
 //! runner's frame observer.
 
-use city_hunter::detect::{Detector, DetectorSpec, Reason};
+use city_hunter::detect::{Detector, Reason, Strictness};
 use city_hunter::prelude::*;
 use city_hunter::scenarios::runner::{run_experiment_observed, FrameObserver};
 use city_hunter::wifi::mgmt::MgmtFrame;
@@ -41,7 +41,7 @@ fn config(deauth: bool, seed: u64) -> RunConfig {
 
 /// The deauth-flood verdicts of a tapped run.
 fn flood_verdicts(data: &CityData, deauth: bool, seed: u64) -> (u64, Vec<MacAddr>) {
-    let mut tap = MonitorTap(Detector::new(DetectorSpec::standard()));
+    let mut tap = MonitorTap(Detector::new(Strictness::Standard));
     let metrics = run_experiment_observed(data, &config(deauth, seed), &mut tap);
     let floods = tap
         .0
@@ -57,7 +57,7 @@ fn flood_verdicts(data: &CityData, deauth: bool, seed: u64) -> (u64, Vec<MacAddr
 fn live_city_hunter_detected_before_first_victim() {
     let data = CityData::standard(0xDEF1);
     let armed = RunConfig {
-        detector: Some(DetectorSpec::standard()),
+        detector: Some(Strictness::Standard),
         ..config(false, 1)
     };
     let metrics = run_experiment(&data, &armed);
@@ -112,7 +112,7 @@ fn spoofed_deauth_source_counts_as_rogue() {
     // flag of the run points at the attacker.
     let data = CityData::standard(0xDEF2);
     let armed = RunConfig {
-        detector: Some(DetectorSpec::standard()),
+        detector: Some(Strictness::Standard),
         ..config(true, 2)
     };
     let metrics = run_experiment(&data, &armed);

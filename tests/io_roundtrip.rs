@@ -6,7 +6,7 @@ use city_hunter::prelude::*;
 use city_hunter::scenarios::runner::{run_experiment_observed, PcapObserver};
 use city_hunter::sim::SimDuration;
 use city_hunter::wifi::frame::MgmtSubtype;
-use city_hunter::wifi::pcap::read_capture;
+use city_hunter::wifi::pcap::read_capture_lenient;
 
 fn short_config(seed: u64) -> RunConfig {
     RunConfig {
@@ -32,7 +32,10 @@ fn live_run_pcap_roundtrip() {
     let frames_written = observer.frames_written();
     let bytes = observer.into_inner();
 
-    let capture = read_capture(&bytes[..]).expect("own capture re-reads");
+    let read = read_capture_lenient(&bytes[..]).expect("own capture re-reads");
+    assert_eq!(read.skipped, 0);
+    assert!(!read.truncated);
+    let capture = read.frames;
     assert_eq!(capture.len() as u64, frames_written);
     assert!(
         capture.len() > 1_000,
